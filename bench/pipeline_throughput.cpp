@@ -80,6 +80,7 @@ int telemetry_mode(const Options& opt, const pattern::PatternSet& rules,
   for (core::Algorithm algo :
        {core::Algorithm::aho_corasick, core::Algorithm::dfc, core::Algorithm::vpatch}) {
     if (!core::algorithm_available(algo)) continue;
+    const DatabasePtr db = compile(algo, rules);
 
     util::RunningStats gbps_by_mode[2];  // [0]=off, [1]=on
     std::uint64_t alerts_by_mode[2] = {0, 0};
@@ -90,10 +91,9 @@ int telemetry_mode(const Options& opt, const pattern::PatternSet& rules,
         // replay, not an accumulation over warm-ups.
         telemetry::MetricsRegistry registry;
         pipeline::PipelineConfig cfg;
-        cfg.algorithm = algo;
         cfg.workers = workers;
         if (mode == 1) cfg.metrics = &registry;
-        pipeline::PipelineRuntime rt(rules, cfg);
+        pipeline::PipelineRuntime rt(db, cfg);
         rt.start();
         util::Timer timer;
         rt.submit(std::span<const net::Packet>(packets));
@@ -163,13 +163,12 @@ int soak_mode(const Options& opt, std::size_t flow_count, double soak_seconds,
     span_us = std::max(span_us, p.timestamp_us);
   }
 
-  const auto rules = s1_web_patterns(opt.seed);
   pipeline::PipelineConfig cfg;
-  cfg.algorithm = core::Algorithm::vpatch;
   cfg.workers = std::max(1u, std::thread::hardware_concurrency() / 2);
   cfg.idle_timeout_us = span_us;
   cfg.eviction_max_steps = evict_steps;
-  pipeline::PipelineRuntime rt(rules, cfg);
+  pipeline::PipelineRuntime rt(compile(core::Algorithm::vpatch, s1_web_patterns(opt.seed)),
+                               cfg);
   rt.start();
 
   std::printf("=== Capture soak: trace source, %zu flows/epoch, %zu pkt/epoch, "
@@ -262,7 +261,7 @@ int churn_mode(const Options& opt, std::size_t total_flows, std::size_t evict_st
   // keeps the scan observable (a result-free sweep is dead code to the
   // optimizer, which benchmarks an empty loop at 0 ms).
   std::uint64_t visited_full = 0;
-  table.sweep([&](std::uint64_t, std::uint64_t) {
+  table.sweep_step(table.capacity(), [&](std::uint64_t, std::uint64_t) {
     ++visited_full;
     return false;
   });
@@ -296,13 +295,12 @@ int churn_mode(const Options& opt, std::size_t total_flows, std::size_t evict_st
   // --churn=2000000) before idle eviction engages, and from there every
   // batch retires at most eviction_max_steps slots — bounded per-batch cost
   // while the table stays millions deep.
-  const auto rules = s1_web_patterns(opt.seed);
   pipeline::PipelineConfig cfg;
-  cfg.algorithm = core::Algorithm::vpatch;
   cfg.workers = 1;
   cfg.idle_timeout_us = static_cast<std::uint64_t>(total_flows) * 5 / 8;
   cfg.eviction_max_steps = evict_steps;
-  pipeline::PipelineRuntime rt(rules, cfg);
+  pipeline::PipelineRuntime rt(compile(core::Algorithm::vpatch, s1_web_patterns(opt.seed)),
+                               cfg);
   rt.start();
   util::Timer wall;
   std::uint64_t peak_tracked = 0;
@@ -378,7 +376,8 @@ int main_impl(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--churn=", 8) == 0) {
       churn_flows = static_cast<std::size_t>(std::strtoull(argv[i] + 8, nullptr, 10));
     } else if (std::strncmp(argv[i], "--evict-steps=", 14) == 0) {
-      evict_steps = static_cast<std::size_t>(std::strtoull(argv[i] + 14, nullptr, 10));
+      evict_steps = std::max<std::size_t>(
+          1, static_cast<std::size_t>(std::strtoull(argv[i] + 14, nullptr, 10)));
     } else if (std::strncmp(argv[i], "--source=", 9) == 0) {
       // --source=trace is the only generated source here; accepted for
       // symmetry with pcap_sensor's flag.
@@ -421,6 +420,7 @@ int main_impl(int argc, char** argv) {
   for (core::Algorithm algo :
        {core::Algorithm::aho_corasick, core::Algorithm::dfc, core::Algorithm::vpatch}) {
     if (!core::algorithm_available(algo)) continue;
+    const DatabasePtr db = compile(algo, rules);
     double base = 0.0;
     for (unsigned workers : {1u, 2u, 4u}) {
       util::RunningStats stats;
@@ -428,9 +428,8 @@ int main_impl(int argc, char** argv) {
       pipeline::WorkerStats totals{};
       for (unsigned r = 0; r <= opt.runs; ++r) {  // run 0 is the warm-up
         pipeline::PipelineConfig cfg;
-        cfg.algorithm = algo;
         cfg.workers = workers;
-        pipeline::PipelineRuntime rt(rules, cfg);
+        pipeline::PipelineRuntime rt(db, cfg);
         rt.start();
         util::Timer timer;
         rt.submit(std::span<const net::Packet>(flows.packets));

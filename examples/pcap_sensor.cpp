@@ -1,5 +1,6 @@
-// Packet-level sensor: the complete deployed-NIDS path — pcap capture in,
-// TCP reassembly, protocol-grouped V-PATCH inspection, alerts out.
+// Packet-level sensor: the complete deployed-NIDS path — capture in, the
+// sharded pipeline runtime (TCP reassembly + protocol-grouped V-PATCH
+// inspection per worker), alerts out.
 //
 //   ./pcap_sensor <capture.pcap> [rules.rules]   inspect a real capture
 //   ./pcap_sensor --demo                         generate + inspect a capture
@@ -17,16 +18,17 @@
 //                                                detected topology, workers
 //                                                interleaved across nodes
 //   ./pcap_sensor --workers=N ...                shard flows across N workers
-//   ./pcap_sensor --batch=N ...                  packets per ring batch (with
-//                                                --workers; batches feed the
-//                                                engines' scan_batch fast path)
+//                                                (default 1)
+//   ./pcap_sensor --batch=N ...                  packets per ring batch
+//                                                (batches feed the engines'
+//                                                scan_batch fast path)
 //   ./pcap_sensor --algo=NAME ...                matcher engine; names come
 //                                                from available_algorithms()
 //                                                (see --help for this CPU)
-//   ./pcap_sensor --swap-after=N ...             with --workers: quiesce after
-//                                                N packets and hot-swap to a
-//                                                freshly compiled database —
-//                                                the zero-drop ruleset reload
+//   ./pcap_sensor --swap-after=N ...             quiesce after N packets and
+//                                                hot-swap to a freshly
+//                                                compiled database — the
+//                                                zero-drop ruleset reload
 //                                                path, end to end (alerts are
 //                                                tagged per generation)
 //   ./pcap_sensor --overlap-policy=NAME ...      TCP segment-overlap policy:
@@ -35,10 +37,9 @@
 //
 // Demo mode synthesizes HTTP flows (with deliberately reordered segments and
 // planted attack payloads), writes a well-formed pcap to a temp file, then
-// runs the inspection pipeline on it — proving a pattern split across TCP
-// segments is still caught.  With --workers=N the capture is replayed
-// through the sharded pipeline runtime (one reassembler + engine per
-// worker), which reports the same alerts as the single-threaded path.
+// replays it through the pipeline — proving a pattern split across TCP
+// segments is still caught, with the same alerts at any --workers=N (one
+// reassembler + engine per worker; default 1).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -55,7 +56,6 @@
 #include "capture/topology.hpp"
 #include "core/database.hpp"
 #include "core/matcher_factory.hpp"
-#include "ids/pcap_pipeline.hpp"
 #include "net/flowgen.hpp"
 #include "net/pcap.hpp"
 #include "pattern/ruleset_gen.hpp"
@@ -74,7 +74,7 @@ namespace {
 using namespace vpm;
 
 struct SensorOptions {
-  unsigned workers = 0;           // 0 = single-threaded inspect_pcap path
+  unsigned workers = 1;
   std::size_t batch_packets = 0;  // 0 = PipelineConfig default
   std::size_t swap_after = 0;     // 0 = no hot-swap
   std::string source_spec;        // --source= (positional pcap path otherwise)
@@ -123,8 +123,8 @@ class FlowRegistrar {
   std::unordered_map<std::uint64_t, net::Direction> dirs_;
 };
 
-int run_sharded(capture::CaptureSource& source, const pattern::PatternSet& rules,
-                const SensorOptions& opt) {
+int run(capture::CaptureSource& source, const pattern::PatternSet& rules,
+        const SensorOptions& opt) {
   // Compile once, share everywhere: the database owns its pattern copy and
   // is handed to the runtime as an immutable artifact.
   const DatabasePtr db = compile(opt.algo, rules);
@@ -287,84 +287,6 @@ int run_sharded(capture::CaptureSource& source, const pattern::PatternSet& rules
   return json_sink != nullptr && !json_sink->ok() ? 1 : 0;
 }
 
-// Opens the source spec and routes to the sharded pipeline or the
-// single-threaded inspect_pcap reference.  The reference path consumes raw
-// pcap bytes; a trace source is drained and round-tripped through the pcap
-// writer so both paths inspect the identical byte stream.
-int run(const util::Bytes& pcap_bytes, const pattern::PatternSet& rules,
-        const SensorOptions& opt);
-
-int dispatch(const std::string& spec, const pattern::PatternSet& rules,
-             const SensorOptions& opt) {
-  std::unique_ptr<capture::CaptureSource> source = capture::open_source(spec);
-  if (opt.workers > 0) return run_sharded(*source, rules, opt);
-  if (const auto* pf = dynamic_cast<const capture::PcapFileSource*>(source.get())) {
-    return run(pf->raw(), rules, opt);
-  }
-  if (source->kind() == "trace") {
-    std::vector<net::Packet> packets;
-    while (!source->exhausted() &&
-           (opt.max_packets == 0 || packets.size() < opt.max_packets)) {
-      if (source->poll(packets, 4096) == 0) break;
-    }
-    if (opt.max_packets != 0 && packets.size() > opt.max_packets) {
-      packets.resize(opt.max_packets);
-    }
-    return run(net::write_pcap(packets), rules, opt);
-  }
-  std::fprintf(stderr, "--source=%s is a live capture; add --workers=N\n",
-               spec.c_str());
-  return 2;
-}
-
-int run(const util::Bytes& pcap_bytes, const pattern::PatternSet& rules,
-        const SensorOptions& opt) {
-  util::Timer timer;
-  const auto result =
-      ids::inspect_pcap(pcap_bytes, rules, {opt.algo, opt.prefilter}, opt.reassembly);
-  const double secs = timer.seconds();
-
-  std::printf("packets: %zu (skipped %zu), flows: %llu, reassembly drops: %llu, "
-              "overlap bytes trimmed: %llu\n",
-              result.packets, result.skipped_records,
-              static_cast<unsigned long long>(result.counters.flows),
-              static_cast<unsigned long long>(result.reassembly_drops),
-              static_cast<unsigned long long>(result.duplicate_bytes_trimmed));
-  const net::ReassemblyStats& rs = result.reassembly;
-  std::printf("reassembly [%s]: c2s %llu B in %llu chunks, s2c %llu B in %llu "
-              "chunks, overwritten %llu B, connections %llu started / %llu ended "
-              "(%llu fins, %llu resets), discarded on close %llu B\n",
-              net::overlap_policy_name(opt.reassembly.overlap),
-              static_cast<unsigned long long>(rs.side[0].delivered_bytes),
-              static_cast<unsigned long long>(rs.side[0].chunks),
-              static_cast<unsigned long long>(rs.side[1].delivered_bytes),
-              static_cast<unsigned long long>(rs.side[1].chunks),
-              static_cast<unsigned long long>(rs.side[0].overwritten_bytes +
-                                              rs.side[1].overwritten_bytes),
-              static_cast<unsigned long long>(rs.connections_started),
-              static_cast<unsigned long long>(rs.connections_ended),
-              static_cast<unsigned long long>(rs.fins),
-              static_cast<unsigned long long>(rs.resets),
-              static_cast<unsigned long long>(rs.discarded_on_close_bytes));
-  std::printf("prefilter [%s]: passed %llu payloads / %llu B, rejected %llu "
-              "payloads / %llu B\n",
-              std::string(core::prefilter_mode_name(opt.prefilter)).c_str(),
-              static_cast<unsigned long long>(result.counters.prefilter_pass_payloads),
-              static_cast<unsigned long long>(result.counters.prefilter_pass_bytes),
-              static_cast<unsigned long long>(result.counters.prefilter_reject_payloads),
-              static_cast<unsigned long long>(result.counters.prefilter_reject_bytes));
-  std::printf("inspected %llu payload bytes in %.3f s (%.2f Gbps incl. reassembly, "
-              "%.0f kpkt/s)\n",
-              static_cast<unsigned long long>(result.counters.bytes_inspected), secs,
-              util::gbps(result.counters.bytes_inspected, secs),
-              secs > 0 ? static_cast<double>(result.packets) / secs / 1e3 : 0.0);
-  std::printf("%zu alerts; first 10:\n", result.alerts.size());
-  for (std::size_t i = 0; i < result.alerts.size() && i < 10; ++i) {
-    std::printf("  %s\n", format_alert(result.alerts[i], rules).c_str());
-  }
-  return 0;
-}
-
 int run_demo(const SensorOptions& opt) {
   std::printf("demo: synthesizing a capture with reordered segments and planted attacks\n\n");
 
@@ -404,11 +326,8 @@ int run_demo(const SensorOptions& opt) {
   rules.add("cgi-bin/..", true, pattern::Group::http);
   rules.add("UNION SELECT", true, pattern::Group::http);
   rules.add("<script>alert(", true, pattern::Group::http);
-  if (opt.workers > 0) {
-    capture::PcapFileSource source(pcap);
-    return run_sharded(source, rules, opt);
-  }
-  return run(pcap, rules, opt);
+  capture::PcapFileSource source(pcap);
+  return run(source, rules, opt);
 }
 
 // The engine list is the factory's advertised contract for THIS CPU (vector
@@ -444,20 +363,20 @@ void print_usage(const char* prog) {
                "  --prefilter=MODE approximate q-gram prefilter ahead of the exact "
                "engines: on|off|auto (default auto; alerts are identical in every "
                "mode)\n"
-               "  --swap-after=N   with --workers: hot-swap to a recompiled "
-               "database after N packets\n"
+               "  --swap-after=N   hot-swap to a recompiled database after N "
+               "packets\n"
                "  --overlap-policy=NAME  segment-overlap arbitration: "
                "first|last|target_bsd|target_linux (default first)\n"
-               "  --overload-policy=NAME with --workers: graceful-degradation "
-               "ladder: off|conservative|aggressive (default off)\n"
+               "  --overload-policy=NAME graceful-degradation ladder: "
+               "off|conservative|aggressive (default off)\n"
                "  --fail=SPEC      arm deterministic failpoints, e.g. "
                "ring_push=every:100,alert_sink_write=prob:0.01\n"
                "  --fail-seed=N    seed for probabilistic failpoint modes\n"
-               "  --metrics-port=N with --workers: serve Prometheus /metrics and "
-               "/healthz on port N (0 = ephemeral)\n"
+               "  --metrics-port=N serve Prometheus /metrics and /healthz on port "
+               "N (0 = ephemeral)\n"
                "  --serve-seconds=N      keep /metrics up N seconds after the run\n"
-               "  --alert-json=FILE      with --workers: stream alerts as NDJSON "
-               "(one JSON object per line) to FILE\n",
+               "  --alert-json=FILE      stream alerts as NDJSON (one JSON object "
+               "per line) to FILE\n",
                prog, prog, algo_names().c_str());
 }
 
@@ -553,25 +472,9 @@ int main(int argc, char** argv) {
       positional.push_back(argv[i]);
     }
   }
-  if (opt.workers == 0) {
-    if (opt.batch_packets > 0) {
-      std::fprintf(
-          stderr, "note: --batch=N only affects the sharded pipeline; add --workers=N\n");
-    }
-    if (opt.swap_after > 0) {
-      std::fprintf(stderr,
-                   "note: --swap-after=N only affects the sharded pipeline; add "
-                   "--workers=N\n");
-    }
-    if (opt.metrics_port >= 0 || !opt.alert_json.empty()) {
-      std::fprintf(stderr,
-                   "note: --metrics-port/--alert-json require the sharded pipeline; "
-                   "add --workers=N\n");
-    }
-  }
-  // Chaos arming before any pipeline runs, so the failure paths of BOTH the
-  // single-threaded and the sharded sensor can be exercised from the CLI
-  // (equivalent to VPM_FAILPOINTS=<spec> in the environment).
+  // Chaos arming before the pipeline runs, so its failure paths can be
+  // exercised from the CLI (equivalent to VPM_FAILPOINTS=<spec> in the
+  // environment).
   if (!opt.fail_spec.empty()) {
     const std::string err = util::failpoint::arm(opt.fail_spec, opt.fail_seed);
     if (!err.empty()) {
@@ -596,16 +499,16 @@ int main(int argc, char** argv) {
   const std::string spec =
       !opt.source_spec.empty() ? opt.source_spec : std::string(positional[0]);
   const std::size_t rules_arg = opt.source_spec.empty() ? 1 : 0;
-  pattern::PatternSet rules;
-  if (positional.size() > rules_arg) {
-    rules = pattern::patterns_from_rules(
-        util::to_string(util::read_file(positional[rules_arg])));
-  } else {
-    rules = pattern::generate_ruleset(pattern::s1_config(1));
-  }
-  std::printf("%zu patterns\n", rules.size());
   try {
-    return finish(dispatch(spec, rules, opt));
+    pattern::PatternSet rules;
+    if (positional.size() > rules_arg) {
+      rules = pattern::patterns_from_rules(
+          util::to_string(util::read_file(positional[rules_arg])));
+    } else {
+      rules = pattern::generate_ruleset(pattern::s1_config(1));
+    }
+    std::printf("%zu patterns\n", rules.size());
+    return finish(run(*capture::open_source(spec), rules, opt));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return finish(1);

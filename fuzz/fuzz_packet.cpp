@@ -61,7 +61,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
         break;
       }
       case 7: {  // idle eviction with a scripted horizon
-        reasm.evict_idle(now_us, (static_cast<std::uint64_t>(in.u8()) + 1) * 500);
+        reasm.evict_idle_step(now_us, (static_cast<std::uint64_t>(in.u8()) + 1) * 500,
+                              reasm.table_capacity());
         break;
       }
       default: {  // synthesize one segment
@@ -81,7 +82,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   }
 
   // Tear everything down through the eviction path as well.
-  reasm.evict_idle(now_us + 1, 1);
+  reasm.evict_idle_step(now_us + 1, 1, reasm.table_capacity());
   (void)delivered;
   (void)reasm.stats();
   return 0;

@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
     segment(1, 0, 0x18, 120);      // second connection
     script.push_back(0x06); script.push_back(0x04);  // close conn 0 via reverse tuple
     segment(1, 50, 0x01, 0);       // FIN on connection 1
-    script.push_back(0x07); script.push_back(0x01);  // evict_idle
+    script.push_back(0x07); script.push_back(0x01);  // idle eviction
     segment(2, 0, 0x04, 0);        // RST on fresh connection
     write_file(root / "packet/structured.bin", script);
   }

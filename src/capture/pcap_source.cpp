@@ -5,8 +5,8 @@
 
 namespace vpm::capture {
 
-PcapFileSource::PcapFileSource(util::Bytes pcap_bytes) : raw_(std::move(pcap_bytes)) {
-  parsed_ = net::read_pcap({raw_.data(), raw_.size()});
+PcapFileSource::PcapFileSource(util::ByteView pcap_bytes)
+    : parsed_(net::read_pcap(pcap_bytes)) {
   stats_.skipped = parsed_.skipped_records;
 }
 
@@ -15,19 +15,19 @@ PcapFileSource PcapFileSource::open(const std::string& path) {
   if (!in) throw std::runtime_error("capture: cannot open pcap file: " + path);
   util::Bytes bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
-  return PcapFileSource(std::move(bytes));
+  return PcapFileSource(bytes);
 }
 
 std::size_t PcapFileSource::poll(std::vector<net::Packet>& out,
                                  std::size_t max_packets) {
   std::size_t n = 0;
   while (n < max_packets && cursor_ < parsed_.packets.size()) {
-    // Copy, not move: the parse stays intact so raw()/reference replays and
-    // repeated stats passes see the full capture.
-    const net::Packet& p = parsed_.packets[cursor_++];
+    // Moved out: a served packet is never read again, so its payload is
+    // freed as the replay advances.
+    net::Packet& p = parsed_.packets[cursor_++];
     stats_.bytes += p.payload.size();
     ++stats_.packets;
-    out.push_back(p);
+    out.push_back(std::move(p));
     ++n;
   }
   return n;

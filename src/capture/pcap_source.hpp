@@ -14,8 +14,9 @@ namespace vpm::capture {
 class PcapFileSource final : public CaptureSource {
  public:
   // Parses `pcap_bytes` (throws std::invalid_argument on a bad header, like
-  // net::read_pcap; malformed records are skipped and counted).
-  explicit PcapFileSource(util::Bytes pcap_bytes);
+  // net::read_pcap; malformed records are skipped and counted).  The bytes
+  // are not referenced after construction.
+  explicit PcapFileSource(util::ByteView pcap_bytes);
 
   // Reads and parses the file (std::runtime_error when unreadable).
   static PcapFileSource open(const std::string& path);
@@ -25,13 +26,9 @@ class PcapFileSource final : public CaptureSource {
   std::string_view kind() const override { return "pcap"; }
   CaptureStats stats() const override { return stats_; }
 
-  // The raw file bytes — the sensor's single-threaded inspect_pcap reference
-  // path reads the same buffer this source replays.
-  const util::Bytes& raw() const { return raw_; }
   std::size_t total_packets() const { return parsed_.packets.size(); }
 
  private:
-  util::Bytes raw_;
   net::PcapParseResult parsed_;
   std::size_t cursor_ = 0;
   CaptureStats stats_;

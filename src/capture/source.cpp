@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "capture/afpacket_source.hpp"
-#include "capture/afxdp_source.hpp"
 #include "capture/pcap_source.hpp"
 #include "capture/trace_source.hpp"
 
@@ -127,11 +126,6 @@ std::unique_ptr<CaptureSource> open_source(std::string_view spec) {
   }
   if (scheme == "trace") return open_trace(body);
   if (scheme == "afpacket") return open_afpacket(body);
-  if (scheme == "afxdp") {
-    AfXdpConfig cfg;
-    cfg.interface = std::string(split_spec_body(body).head);
-    return std::make_unique<AfXdpSource>(cfg);
-  }
   if (scheme.empty()) {
     return std::make_unique<PcapFileSource>(PcapFileSource::open(std::string(spec)));
   }

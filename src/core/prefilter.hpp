@@ -32,8 +32,8 @@
 
 namespace vpm::core {
 
-// Engine-level switch (EngineConfig / PipelineConfig / pcap_sensor
-// --prefilter=):
+// Engine-level switch (IdsEngine::set_prefilter_mode / PipelineConfig /
+// pcap_sensor --prefilter=):
 //   off        never screen
 //   on         screen every group that has a built signature
 //   automatic  screen only groups whose statistics make screening advisable

@@ -21,11 +21,6 @@ struct ScanGuard {
 };
 }  // namespace
 
-IdsEngine::IdsEngine(const pattern::PatternSet& rules, EngineConfig cfg)
-    : rules_(std::make_shared<const GroupedRules>(rules, cfg.algorithm)) {
-  prefilter_mode_ = cfg.prefilter;
-}
-
 IdsEngine::IdsEngine(DatabasePtr db)
     : rules_(std::make_shared<const GroupedRules>(std::move(db))) {}
 

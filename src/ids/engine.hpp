@@ -20,11 +20,6 @@ class Histogram;
 
 namespace vpm::ids {
 
-struct EngineConfig {
-  core::Algorithm algorithm = core::Algorithm::vpatch;
-  core::PrefilterMode prefilter = core::PrefilterMode::automatic;
-};
-
 struct EngineCounters {
   std::uint64_t bytes_inspected = 0;
   std::uint64_t chunks = 0;
@@ -64,11 +59,6 @@ struct EngineTelemetry {
 
 class IdsEngine {
  public:
-  // Legacy shim: compiles a private GroupedRules from a caller-owned set
-  // (copied; the caller's set is not referenced afterwards).  Alerts carry
-  // generation 0.  Prefer the Database/GroupedRulesPtr constructors.
-  IdsEngine(const pattern::PatternSet& rules, EngineConfig cfg = {});
-
   // Compiles protocol groups keyed off a shared database; alerts carry
   // db->generation().
   explicit IdsEngine(DatabasePtr db);

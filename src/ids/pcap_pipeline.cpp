@@ -22,14 +22,13 @@ pattern::Group classify_port(std::uint16_t dst_port) {
   }
 }
 
-PcapPipelineResult inspect_pcap(util::ByteView pcap_bytes, const pattern::PatternSet& rules,
-                                EngineConfig cfg, net::ReassemblyConfig reassembly) {
+PcapPipelineResult inspect_pcap(util::ByteView pcap_bytes, DatabasePtr db) {
   PcapPipelineResult result;
   const net::PcapParseResult parsed = net::read_pcap(pcap_bytes);
   result.packets = parsed.packets.size();
   result.skipped_records = parsed.skipped_records;
 
-  IdsEngine engine(rules, cfg);
+  IdsEngine engine(std::move(db));
 
   // Dense flow ids per directional 5-tuple: each side of a connection scans
   // as its own stream.
@@ -43,8 +42,7 @@ PcapPipelineResult inspect_pcap(util::ByteView pcap_bytes, const pattern::Patter
       [&](const net::StreamChunk& chunk) {
         engine.inspect(flow_id_of(chunk.tuple), classify_port(chunk.server_port),
                        chunk.data, result.alerts);
-      },
-      reassembly);
+      });
   // Connection end (FIN/RST/eviction) is a stream boundary: drop both
   // sides' scanner state so a reused tuple starts a fresh stream.
   reassembler.on_connection_end([&](const net::FiveTuple& client, net::EndReason) {
@@ -63,8 +61,6 @@ PcapPipelineResult inspect_pcap(util::ByteView pcap_bytes, const pattern::Patter
   }
 
   result.counters = engine.counters();
-  result.reassembly_drops = reassembler.dropped_segments();
-  result.duplicate_bytes_trimmed = reassembler.duplicate_bytes_trimmed();
   result.reassembly = reassembler.stats();
   return result;
 }

@@ -16,10 +16,6 @@ struct PcapPipelineResult {
   EngineCounters counters;
   std::size_t packets = 0;
   std::size_t skipped_records = 0;
-  std::uint64_t reassembly_drops = 0;
-  std::uint64_t duplicate_bytes_trimmed = 0;
-  // Full per-side/lifecycle reassembly counters (the two fields above are
-  // aggregates of this, kept for existing callers).
   net::ReassemblyStats reassembly;
 };
 
@@ -31,10 +27,8 @@ pattern::Group classify_port(std::uint16_t dst_port);
 
 // Parses `pcap_bytes`, reassembles every TCP flow bidirectionally (each side
 // scans as its own stream; UDP payloads are scanned per-datagram), and
-// inspects each stream with the grouped rules.  `reassembly` selects the
-// overlap policy and buffering limits.
-PcapPipelineResult inspect_pcap(util::ByteView pcap_bytes, const pattern::PatternSet& rules,
-                                EngineConfig cfg = {},
-                                net::ReassemblyConfig reassembly = {});
+// inspects each stream with the grouped rules compiled from `db` (alerts
+// carry db->generation()).
+PcapPipelineResult inspect_pcap(util::ByteView pcap_bytes, DatabasePtr db);
 
 }  // namespace vpm::ids

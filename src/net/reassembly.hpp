@@ -160,21 +160,17 @@ class TcpReassembler {
   // end callback with EndReason::closed if the connection existed.
   void close_flow(const FiveTuple& tuple);
 
-  // Evicts every connection whose last ingested segment is older than
-  // `idle_us` relative to `now_us` (packet-capture time, not wall time).
-  // Buffered out-of-order data of evicted connections is discarded (and
-  // counted in discarded_on_close_bytes).  The end callback fires per
-  // eviction with EndReason::evicted; the returned client-side tuples let
-  // callers without an end callback tear down dependent state.  idle_us == 0
-  // evicts nothing.
-  std::vector<FiveTuple> evict_idle(std::uint64_t now_us, std::uint64_t idle_us);
-
-  // Incremental eviction: examines at most `max_slots` flow-table slots from
-  // a persistent rotating cursor and evicts the idle connections among them.
-  // Bounded work per call — no full-sweep latency spike at million-flow
-  // scale; repeated calls cycle the whole table (capacity() / max_slots
-  // calls per full pass), so idle flows are still found, just with bounded
-  // lag.  Same callback/stats behavior as evict_idle.
+  // Evicts the connections whose last ingested segment is older than
+  // `idle_us` relative to `now_us` (packet-capture time, not wall time),
+  // examining at most `max_slots` flow-table slots from a persistent
+  // rotating cursor.  Bounded work per call — no full-sweep latency spike at
+  // million-flow scale; repeated calls cycle the whole table (capacity() /
+  // max_slots calls per full pass), so idle flows are still found, just with
+  // bounded lag.  max_slots >= table_capacity() is a full sweep.  Buffered
+  // out-of-order data of evicted connections is discarded (and counted in
+  // discarded_on_close_bytes).  The end callback fires per eviction with
+  // EndReason::evicted; the returned client-side tuples let callers without
+  // an end callback tear down dependent state.  idle_us == 0 evicts nothing.
   std::vector<FiveTuple> evict_idle_step(std::uint64_t now_us, std::uint64_t idle_us,
                                          std::size_t max_slots);
 
@@ -198,11 +194,6 @@ class TcpReassembler {
   // recorded into `h` (relaxed-atomic, allocation-free).  Null disables; the
   // histogram must outlive the reassembler.
   void set_chunk_histogram(telemetry::Histogram* h) { chunk_hist_ = h; }
-
-  // Pre-rework accessor names (aggregates of stats()).
-  std::uint64_t dropped_segments() const { return stats_.dropped_segments; }
-  std::uint64_t duplicate_bytes_trimmed() const { return stats_.overlap_bytes_trimmed(); }
-  std::uint64_t evicted_flows() const { return stats_.evicted_flows; }
 
  private:
   struct StreamState {

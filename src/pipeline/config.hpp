@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/matcher_factory.hpp"
 #include "core/prefilter.hpp"
 #include "ids/alert.hpp"
 #include "net/packet.hpp"
@@ -61,9 +60,6 @@ inline std::uint64_t flow_key(const net::FiveTuple& tuple) { return tuple.hash()
 enum class BackpressurePolicy : std::uint8_t { block, drop };
 
 struct PipelineConfig {
-  // Engine for the legacy PatternSet constructor only; the DatabasePtr
-  // constructor takes the algorithm from the compiled database.
-  core::Algorithm algorithm = core::Algorithm::vpatch;
   // Approximate q-gram prefilter ahead of each worker's exact engines.
   // Alert output is mode-independent (zero false negatives); `automatic`
   // screens heavy groups and adaptively bypasses when traffic is match-heavy.
@@ -78,14 +74,12 @@ struct PipelineConfig {
   // replays behave identically at any speed.  0 disables eviction.
   std::uint64_t idle_timeout_us = 0;
   std::size_t eviction_sweep_packets = 512;  // packets between sweeps
-  // Upper bound on flow-table slots examined per eviction sweep.  0 = full
-  // sweep every time (exact, but an O(table) latency spike at million-flow
-  // scale).  Nonzero bounds per-batch eviction work: each sweep advances a
-  // rotating cursor by at most this many slots, so idle flows are evicted
-  // with bounded lag instead of a stall — the soak bench quantifies the
-  // spike-vs-debt trade.  Small tables are unaffected (a bound >= capacity
-  // is a full sweep).
-  std::size_t eviction_max_steps = 0;
+  // Upper bound on flow-table slots examined per eviction sweep: each sweep
+  // advances a rotating cursor by at most this many slots, so idle flows are
+  // evicted with bounded lag instead of an O(table) stall at million-flow
+  // scale — the soak bench quantifies the spike-vs-debt trade.  Small tables
+  // are unaffected (a bound >= capacity is a full sweep).  0 is clamped to 1.
+  std::size_t eviction_max_steps = 2048;
 
   // Worker→CPU pinning: worker i pins its thread to worker_cpus[i %
   // worker_cpus.size()] at startup.  Empty = no pinning (the default; the
@@ -94,9 +88,9 @@ struct PipelineConfig {
   std::vector<int> worker_cpus;
   // With pinning in effect, compile one GroupedRules instance per distinct
   // NUMA node the pinned workers land on (instead of one shared instance),
-  // so each socket scans its node-local copy of the compiled arena.  Applies
-  // to the DatabasePtr constructor and swap_database(); ignored (single
-  // shared instance) when worker_cpus is empty or the host has one node.
+  // so each socket scans its node-local copy of the compiled arena, at
+  // construction and on swap_database(); ignored (single shared instance)
+  // when worker_cpus is empty or the host has one node.
   bool numa_replicate_rules = false;
 
   net::ReassemblyLimits reassembly{};

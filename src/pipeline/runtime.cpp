@@ -9,16 +9,10 @@
 
 namespace vpm::pipeline {
 
-namespace {
-
-// Worker i -> ruleset-replica slot.  Without NUMA replication every worker
-// reads slot 0.  With it, workers pinned to CPUs of the same NUMA node share
-// a slot; slots are numbered in first-seen order so slot 0 is always
-// populated.
-std::vector<std::size_t> compute_worker_slots(const PipelineConfig& cfg) {
+std::vector<std::size_t> numa_rule_slots(const PipelineConfig& cfg,
+                                         const capture::CpuTopology& topo) {
   std::vector<std::size_t> slots(cfg.workers, 0);
-  if (!cfg.numa_replicate_rules || cfg.worker_cpus.empty()) return slots;
-  const capture::CpuTopology topo = capture::CpuTopology::detect();
+  if (cfg.worker_cpus.empty()) return slots;
   std::vector<int> seen_nodes;
   for (unsigned i = 0; i < cfg.workers; ++i) {
     const int cpu = cfg.worker_cpus[i % cfg.worker_cpus.size()];
@@ -36,36 +30,28 @@ std::vector<std::size_t> compute_worker_slots(const PipelineConfig& cfg) {
   return slots;
 }
 
-}  // namespace
-
-PipelineRuntime::PipelineRuntime(ids::GroupedRulesPtr rules, DatabasePtr db,
-                                 PipelineConfig cfg)
-    : cfg_(cfg) {
+PipelineRuntime::PipelineRuntime(DatabasePtr db, PipelineConfig cfg) : cfg_(cfg) {
   if (cfg_.workers == 0) cfg_.workers = 1;
   if (cfg_.batch_packets == 0) cfg_.batch_packets = 1;
-  worker_slot_ = compute_worker_slots(cfg_);
+  if (cfg_.eviction_max_steps == 0) cfg_.eviction_max_steps = 1;
+  // Without NUMA replication every worker reads slot 0.
+  worker_slot_ = cfg_.numa_replicate_rules
+                     ? numa_rule_slots(cfg_, capture::CpuTopology::detect())
+                     : std::vector<std::size_t>(cfg_.workers, 0);
   std::size_t num_slots = 1;
   for (const std::size_t s : worker_slot_) num_slots = std::max(num_slots, s + 1);
 
-  // Slot 0 adopts the caller's instance; further slots get their own
-  // GroupedRules compiled off the same database — same generation (it comes
-  // from the database), node-local matcher tables.  The legacy PatternSet
-  // path has no database to recompile from and shares the one instance.
-  std::vector<ids::GroupedRulesPtr> replicas(num_slots, rules);
-  for (std::size_t s = 1; s < num_slots && db != nullptr; ++s) {
-    replicas[s] = std::make_shared<const ids::GroupedRules>(db);
-  }
+  // One GroupedRules per slot, each compiled off the same database — same
+  // generation (it comes from the database), node-local matcher tables.
   rules_channels_.reserve(num_slots);
   for (std::size_t s = 0; s < num_slots; ++s) {
     rules_channels_.push_back(std::make_unique<RulesChannel>());
-    rules_channels_.back()->set_initial(replicas[s]);
+    rules_channels_.back()->set_initial(std::make_shared<const ids::GroupedRules>(db));
   }
 
   workers_.reserve(cfg_.workers);
   for (unsigned i = 0; i < cfg_.workers; ++i) {
-    const std::size_t slot = worker_slot_[i];
-    workers_.push_back(
-        std::make_unique<Worker>(replicas[slot], cfg_, rules_channels_[slot].get()));
+    workers_.push_back(std::make_unique<Worker>(cfg_, *rules_channels_[worker_slot_[i]]));
     if (!cfg_.worker_cpus.empty()) {
       workers_.back()->set_cpu(cfg_.worker_cpus[i % cfg_.worker_cpus.size()]);
     }
@@ -78,15 +64,6 @@ PipelineRuntime::PipelineRuntime(ids::GroupedRulesPtr rules, DatabasePtr db,
   router_ = std::make_unique<ShardRouter>(std::move(rings), cfg_.batch_packets,
                                           cfg_.backpressure, cfg_.metrics != nullptr);
 }
-
-PipelineRuntime::PipelineRuntime(DatabasePtr db, PipelineConfig cfg)
-    : PipelineRuntime(std::make_shared<const ids::GroupedRules>(db), db, cfg) {}
-
-PipelineRuntime::PipelineRuntime(const pattern::PatternSet& rules, PipelineConfig cfg)
-    // Legacy shim: generation-0 rules, matching the legacy single-threaded
-    // IdsEngine(rules, cfg) reference alert-for-alert.
-    : PipelineRuntime(std::make_shared<const ids::GroupedRules>(rules, cfg.algorithm),
-                      nullptr, cfg) {}
 
 void PipelineRuntime::swap_database(DatabasePtr db) {
   if (db == nullptr) {
@@ -112,8 +89,7 @@ void PipelineRuntime::swap_database(DatabasePtr db) {
 }
 
 std::uint64_t PipelineRuntime::generation() const {
-  const ids::GroupedRulesPtr rules = rules_channels_.front()->current();
-  return rules != nullptr ? rules->generation() : 0;
+  return rules_channels_.front()->current()->generation();
 }
 
 void PipelineRuntime::quiesce() {

@@ -44,22 +44,29 @@
 #include "pipeline/watchdog.hpp"
 #include "pipeline/worker.hpp"
 
+namespace vpm::capture {
+struct CpuTopology;
+}
+
 namespace vpm::pipeline {
+
+// Worker i -> ruleset-replica slot under cfg.numa_replicate_rules: workers
+// pinned (cfg.worker_cpus, cycled) to CPUs of one node of `topo` share a
+// slot, and a CPU `topo` does not know counts as node 0.  Slots are numbered
+// in first-seen order, so slot 0 is always populated; every worker reads
+// slot 0 when cfg.worker_cpus is empty.  The runtime passes
+// CpuTopology::detect(); tests pass fabricated multi-node topologies.
+std::vector<std::size_t> numa_rule_slots(const PipelineConfig& cfg,
+                                         const capture::CpuTopology& topo);
 
 class PipelineRuntime {
  public:
   // Builds the shared grouped ruleset from `db` (one compile, shared
-  // read-only by every worker — not one compile per worker) and one
-  // reassembler/engine pair per worker.  cfg.algorithm is ignored on this
-  // path (the database fixes the engine).  Worker counts are clamped to
-  // >= 1.
+  // read-only by every worker — not one compile per worker; plus one replica
+  // per extra NUMA node under cfg.numa_replicate_rules) and one
+  // reassembler/engine pair per worker.  workers, batch_packets and
+  // eviction_max_steps are clamped to >= 1.
   PipelineRuntime(DatabasePtr db, PipelineConfig cfg = {});
-
-  // Legacy shim: compiles from a caller-owned PatternSet with
-  // cfg.algorithm; the set is copied during construction and not referenced
-  // afterwards.  Alerts carry generation 0 on this path (matching the
-  // legacy single-threaded IdsEngine(rules, cfg) reference).
-  PipelineRuntime(const pattern::PatternSet& rules, PipelineConfig cfg = {});
 
   ~PipelineRuntime();  // stops and joins if still running
 
@@ -121,17 +128,12 @@ class PipelineRuntime {
   const std::vector<ids::Alert>& alerts() const { return alerts_; }
 
   // Ruleset replicas backing the workers: 1 normally; one per NUMA node
-  // covered by cfg.worker_cpus when cfg.numa_replicate_rules is set (the
-  // DatabasePtr path — replicas share the master pattern bytes through the
-  // database but carry node-local compiled matcher tables).
+  // covered by cfg.worker_cpus when cfg.numa_replicate_rules is set
+  // (replicas share the master pattern bytes through the database but carry
+  // node-local compiled matcher tables).
   std::size_t rules_replicas() const { return rules_channels_.size(); }
 
  private:
-  // `db` is the compiled database backing `rules` (null on the legacy
-  // PatternSet path); kept so NUMA replication can build additional
-  // same-generation GroupedRules instances off it.
-  PipelineRuntime(ids::GroupedRulesPtr rules, DatabasePtr db, PipelineConfig cfg);
-
   PipelineConfig cfg_;
   // One channel per ruleset replica.  Slot 0 always exists; worker i reads
   // worker_slot_[i].  unique_ptr: RulesChannel holds atomics/mutex and must

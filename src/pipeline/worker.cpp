@@ -31,8 +31,7 @@ void GuardedSink::on_alert(const ids::Alert& alert) {
   }
 }
 
-Worker::Worker(ids::GroupedRulesPtr rules, const PipelineConfig& cfg,
-               const RulesChannel* swaps)
+Worker::Worker(const PipelineConfig& cfg, const RulesChannel& channel)
     : cfg_(cfg),
       ring_(cfg.ring_batches > 0 ? cfg.ring_batches : 1),
       reassembler_(
@@ -48,11 +47,11 @@ Worker::Worker(ids::GroupedRulesPtr rules, const PipelineConfig& cfg,
                           chunk.data, *sink_);
           },
           cfg.reassembly),
-      engine_(std::move(rules)),
+      engine_(channel.current()),
       guarded_sink_(cfg.alert_sink != nullptr ? cfg.alert_sink : &buffer_sink_,
                     cfg.sink_quarantine_after),
       sink_(&guarded_sink_),
-      swaps_(swaps),
+      swaps_(channel),
       overload_(cfg.overload),
       base_buffered_budget_(cfg.reassembly.max_buffered_bytes) {
   engine_.set_prefilter_mode(cfg.prefilter);
@@ -188,16 +187,12 @@ void Worker::run_loop() {
     // for the next packet.
     maybe_adopt_rules();
     // The producer sets done_ only after flushing, so an empty ring observed
-    // AFTER the done_ load means there is nothing left to drain.
+    // AFTER the done_ load means there is nothing left to drain.  Emptiness
+    // is read off the indices: try_pop may report a non-empty ring empty
+    // (the ring_pop failpoint), and ending on that would abandon batches.
     if (done_.load(std::memory_order_acquire)) {
-      if (ring_.try_pop(batch)) {
-        record_pop(batch);
-        maybe_adopt_rules();
-        process(batch);
-        batch.clear();
-        continue;
-      }
-      break;
+      if (ring_.empty_approx()) break;
+      continue;
     }
     if (++idle_spins >= 64) {
       std::this_thread::yield();
@@ -227,27 +222,23 @@ void Worker::drain_after_failure() {
       batch.clear();
       continue;
     }
+    // Same end condition as run_loop.
     if (done_.load(std::memory_order_acquire)) {
-      if (ring_.try_pop(batch)) {
-        shed_batch(batch);
-        batch.clear();
-        continue;
-      }
-      return;
+      if (ring_.empty_approx()) return;
+      continue;
     }
     std::this_thread::yield();
   }
 }
 
 void Worker::maybe_adopt_rules() {
-  if (swaps_ == nullptr) return;
   // Lock-free fast path: one acquire load per loop iteration; the slot
   // mutex is touched only when a publication actually happened.
-  const std::uint64_t seq = swaps_->sequence();
+  const std::uint64_t seq = swaps_.sequence();
   if (seq == adopted_seq_) return;
-  ids::GroupedRulesPtr rules = swaps_->current();
+  ids::GroupedRulesPtr rules = swaps_.current();
   adopted_seq_ = seq;
-  if (rules == nullptr || rules == engine_.rules_ptr()) return;
+  if (rules == engine_.rules_ptr()) return;
   // Flushes staged chunks under the old generation, then retires this
   // worker's reference to it (the last adopter destroys it).
   engine_.swap_rules(std::move(rules), *sink_);
@@ -370,23 +361,15 @@ void Worker::sweep_idle(std::uint64_t idle_us) {
   // Engine-side teardown happens in the reassembler's connection-end
   // callback (both directions of each evicted connection).
   // eviction_max_steps bounds the slots examined per sweep (rotating
-  // cursor); 0 keeps the exact full sweep.
+  // cursor).
   const std::size_t max_steps = cfg_.eviction_max_steps;
-  const auto evicted =
-      max_steps == 0 ? reassembler_.evict_idle(virtual_now_us_, idle_us)
-                     : reassembler_.evict_idle_step(virtual_now_us_, idle_us, max_steps);
-  evicted_ += evicted.size();
-  const auto evict_udp = [&](std::uint64_t key, std::uint64_t last_seen) {
+  evicted_ += reassembler_.evict_idle_step(virtual_now_us_, idle_us, max_steps).size();
+  udp_last_seen_.sweep_step(max_steps, [&](std::uint64_t key, std::uint64_t last_seen) {
     if (last_seen + idle_us > virtual_now_us_) return false;
     engine_.close_flow(key);
     ++evicted_;
     return true;
-  };
-  if (max_steps == 0) {
-    udp_last_seen_.sweep(evict_udp);
-  } else {
-    udp_last_seen_.sweep_step(max_steps, evict_udp);
-  }
+  });
 }
 
 void Worker::publish_stats() {

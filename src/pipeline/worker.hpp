@@ -112,10 +112,9 @@ class GuardedSink final : public ids::AlertSink {
 
 class Worker {
  public:
-  // Adopts `rules` (a shared compiled ruleset; no per-worker compile) and
-  // watches `swaps` (may be null: hot-swap disabled) for new generations.
-  Worker(ids::GroupedRulesPtr rules, const PipelineConfig& cfg,
-         const RulesChannel* swaps = nullptr);
+  // Adopts `channel`'s current ruleset (shared compiled rules; no
+  // per-worker compile) and watches `channel` for new generations.
+  Worker(const PipelineConfig& cfg, const RulesChannel& channel);
   ~Worker();
 
   Worker(const Worker&) = delete;
@@ -183,7 +182,7 @@ class Worker {
   ids::AlertSink* sink_;  // always &guarded_sink_
 
   // Hot-swap subscription (worker-thread reads; runtime writes).
-  const RulesChannel* swaps_;
+  const RulesChannel& swaps_;
   std::uint64_t adopted_seq_ = 0;
 
   // Telemetry instruments (registry-owned; null when telemetry is off, and

@@ -111,28 +111,13 @@ class FlowTable {
     }
   }
 
-  // Full sweep: fn(key, value) returning true erases the entry.  Returns the
-  // number erased.  Equivalent to sweep_step over exactly capacity() slots.
-  template <typename Fn>
-  std::size_t sweep(Fn&& fn) {
-    std::size_t erased = 0;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      Slot& s = slots_[i];
-      if (s.state == State::full && fn(s.key, *s.value)) {
-        erase_at(i);
-        ++erased;
-      }
-    }
-    maybe_rebuild();
-    return erased;
-  }
-
   // Incremental sweep: examines up to `max_slots` slots starting at the
-  // persistent cursor (wrapping), erasing entries fn returns true for.
-  // Consecutive calls with max_slots summing to >= capacity() visit every
-  // entry that stays put, so bounded per-batch calls converge to the same
-  // eviction set a full sweep finds — just spread over time (the "eviction
-  // debt" the soak bench reports).  Returns the number erased.
+  // persistent cursor (wrapping), erasing entries fn(key, value) returns
+  // true for.  max_slots >= capacity() is a full sweep.  Consecutive calls
+  // with max_slots summing to >= capacity() visit every entry that stays
+  // put, so bounded per-batch calls converge to the same eviction set a full
+  // sweep finds — just spread over time (the "eviction debt" the soak bench
+  // reports).  Returns the number erased.
   template <typename Fn>
   std::size_t sweep_step(std::size_t max_slots, Fn&& fn) {
     if (slots_.empty() || max_slots == 0) return 0;

@@ -134,7 +134,7 @@ TEST(AllocTest, MatcherBatchScanSteadyStateIsAllocationFree) {
 // high-water marks.
 TEST(AllocTest, EngineStageFlushSteadyStateIsAllocationFree) {
   const auto rules = testutil::random_set(200, 6, case_seed(303));
-  ids::IdsEngine engine(rules, {core::Algorithm::vpatch});
+  ids::IdsEngine engine(compile(core::Algorithm::vpatch, rules));
   CountingAlertSink sink;
 
   const util::Bytes pool = testutil::random_text(1 << 16, case_seed(304));
@@ -178,7 +178,8 @@ TEST(AllocTest, EnginePrefilterScreenSteadyStateIsAllocationFree) {
       rules.add(std::move(b), rng.chance(0.3));
     }
   }
-  ids::IdsEngine engine(rules, {core::Algorithm::vpatch, core::PrefilterMode::on});
+  ids::IdsEngine engine(compile(core::Algorithm::vpatch, rules));
+  engine.set_prefilter_mode(core::PrefilterMode::on);
   CountingAlertSink sink;
 
   const util::Bytes pool = testutil::random_text(1 << 16, case_seed(306));
@@ -257,7 +258,7 @@ TEST(AllocTest, TelemetryRecordPathIsAllocationFree) {
 // steady state (the contract PipelineConfig::metrics documents).
 TEST(AllocTest, EngineWithTelemetrySteadyStateIsAllocationFree) {
   const auto rules = testutil::random_set(200, 6, case_seed(303));
-  ids::IdsEngine engine(rules, {core::Algorithm::vpatch});
+  ids::IdsEngine engine(compile(core::Algorithm::vpatch, rules));
   CountingAlertSink sink;
 
   telemetry::MetricsRegistry registry;

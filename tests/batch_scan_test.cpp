@@ -211,7 +211,9 @@ TEST(EngineBatchTest, StageFlushMatchesInspect) {
 
   for (core::Algorithm algo : {core::Algorithm::vpatch, core::Algorithm::dfc,
                                core::Algorithm::aho_corasick}) {
-    ids::IdsEngine reference(rules, {algo});
+    // One database for both sides: alerts compare their generation too.
+    const DatabasePtr db = compile(algo, rules);
+    ids::IdsEngine reference(db);
     std::vector<ids::Alert> expected;
     for (const Feed& f : feeds) {
       reference.inspect(f.flow, f.group, util::to_bytes(f.chunk), expected);
@@ -219,7 +221,7 @@ TEST(EngineBatchTest, StageFlushMatchesInspect) {
 
     // Batched: stage everything (duplicate flows force intermediate
     // flushes), flush at batch end — the worker's exact driving pattern.
-    ids::IdsEngine engine(rules, {algo});
+    ids::IdsEngine engine(db);
     std::vector<ids::Alert> actual;
     ids::AlertBuffer sink(actual);
     for (std::size_t round = 0; round < 2; ++round) {  // round 2 reuses scratch
@@ -248,7 +250,7 @@ TEST(EngineBatchTest, StageFlushMatchesInspect) {
 TEST(EngineBatchTest, InspectFlushesStagedChunkFirst) {
   pattern::PatternSet rules;
   rules.add("needle", false, pattern::Group::generic);
-  ids::IdsEngine engine(rules, {core::Algorithm::vpatch});
+  ids::IdsEngine engine(compile(core::Algorithm::vpatch, rules));
   std::vector<ids::Alert> alerts;
   ids::AlertBuffer sink(alerts);
 
@@ -272,7 +274,7 @@ TEST(EngineBatchTest, InspectFlushesStagedChunkFirst) {
 TEST(EngineBatchTest, CloseFlowFromSinkDefersUntilFlushCompletes) {
   pattern::PatternSet rules;
   rules.add("needle", false, pattern::Group::generic);
-  ids::IdsEngine engine(rules, {core::Algorithm::vpatch});
+  ids::IdsEngine engine(compile(core::Algorithm::vpatch, rules));
 
   struct ClosingSink final : ids::AlertSink {
     ids::IdsEngine* engine = nullptr;
@@ -304,7 +306,7 @@ TEST(EngineBatchTest, CloseFlowFromSinkDefersUntilFlushCompletes) {
 TEST(EngineBatchTest, StageAfterSinkClosedSameFlowSurvives) {
   pattern::PatternSet rules;
   rules.add("needle", false, pattern::Group::generic);
-  ids::IdsEngine engine(rules, {core::Algorithm::vpatch});
+  ids::IdsEngine engine(compile(core::Algorithm::vpatch, rules));
 
   struct ClosingSink final : ids::AlertSink {
     ids::IdsEngine* engine = nullptr;
@@ -334,7 +336,7 @@ TEST(EngineBatchTest, StageAfterSinkClosedSameFlowSurvives) {
 TEST(EngineBatchTest, CloseFlowDropsStagedChunk) {
   pattern::PatternSet rules;
   rules.add("needle", false, pattern::Group::generic);
-  ids::IdsEngine engine(rules, {core::Algorithm::vpatch});
+  ids::IdsEngine engine(compile(core::Algorithm::vpatch, rules));
   std::vector<ids::Alert> alerts;
   ids::AlertBuffer sink(alerts);
 

@@ -23,7 +23,7 @@
 namespace vpm::capture {
 namespace {
 
-pattern::PatternSet web_rules() {
+DatabasePtr web_db() {
   pattern::PatternSet rules;
   // Patterns that occur in the generated HTTP content plus planted attack
   // strings; generic folds into every group.
@@ -33,7 +33,7 @@ pattern::PatternSet web_rules() {
   rules.add("Host:", true, pattern::Group::http);
   rules.add("ion", false, pattern::Group::generic);
   rules.add("admin", true, pattern::Group::generic);
-  return rules;
+  return compile(core::Algorithm::aho_corasick, std::move(rules));
 }
 
 // The adversarial corpus: evasion-mode flows (handshakes, 1-byte splits,
@@ -68,14 +68,12 @@ std::vector<AlertKey> project(const std::vector<ids::Alert>& alerts) {
 // Drives the runtime exactly like the sensor: poll batches out of the
 // source, submit each batch, until the source exhausts.
 std::vector<ids::Alert> run_pipeline_from_source(CaptureSource& source,
-                                                 const pattern::PatternSet& rules,
-                                                 unsigned workers,
+                                                 const DatabasePtr& db, unsigned workers,
                                                  std::size_t poll_batch) {
   pipeline::PipelineConfig cfg;
-  cfg.algorithm = core::Algorithm::aho_corasick;
   cfg.workers = workers;
   cfg.batch_packets = 32;
-  pipeline::PipelineRuntime rt(rules, cfg);
+  pipeline::PipelineRuntime rt(db, cfg);
   rt.start();
   std::vector<net::Packet> batch;
   while (!source.exhausted()) {
@@ -88,12 +86,11 @@ std::vector<ids::Alert> run_pipeline_from_source(CaptureSource& source,
 }
 
 TEST(CaptureDifferential, PcapSourcePipelineMatchesInspectPcap) {
-  const auto rules = web_rules();
+  const DatabasePtr db = web_db();
   const auto packets = evasion_corpus(testutil::case_seed(110));
   const util::Bytes pcap_bytes = net::write_pcap(packets);
 
-  const ids::PcapPipelineResult reference = ids::inspect_pcap(
-      pcap_bytes, rules, {core::Algorithm::aho_corasick});
+  const ids::PcapPipelineResult reference = ids::inspect_pcap(pcap_bytes, db);
   const std::vector<AlertKey> expected = project(reference.alerts);
   ASSERT_GT(expected.size(), 0u)
       << "evasion corpus must alert (" << testutil::seed_note() << ")";
@@ -102,7 +99,7 @@ TEST(CaptureDifferential, PcapSourcePipelineMatchesInspectPcap) {
     PcapFileSource source(pcap_bytes);
     ASSERT_EQ(source.total_packets(), packets.size());
     const std::vector<ids::Alert> alerts =
-        run_pipeline_from_source(source, rules, workers, 256);
+        run_pipeline_from_source(source, db, workers, 256);
     const std::vector<AlertKey> actual = project(alerts);
     ASSERT_EQ(actual.size(), expected.size())
         << workers << " workers (" << testutil::seed_note() << ")";
@@ -177,7 +174,7 @@ TEST(CaptureDifferential, TraceEpochsRemapToFreshFlows) {
 }
 
 TEST(CaptureDifferential, TracePipelineAlertsStableAcrossRunsAndWorkers) {
-  const auto rules = web_rules();
+  const DatabasePtr db = web_db();
   const std::string spec =
       "trace:evasion,flows=4,bytes_per_flow=12288,epochs=2,seed=" +
       std::to_string(testutil::case_seed(113));
@@ -189,15 +186,15 @@ TEST(CaptureDifferential, TracePipelineAlertsStableAcrossRunsAndWorkers) {
   while (ref_source->poll(drained, 333) > 0) {
   }
   ASSERT_GT(drained.size(), 0u);
-  const ids::PcapPipelineResult reference = ids::inspect_pcap(
-      net::write_pcap(drained), rules, {core::Algorithm::aho_corasick});
+  const ids::PcapPipelineResult reference =
+      ids::inspect_pcap(net::write_pcap(drained), db);
   const std::vector<AlertKey> expected = project(reference.alerts);
   ASSERT_GT(expected.size(), 0u) << testutil::seed_note();
 
   for (unsigned workers : {1u, 2u, 4u}) {
     auto source = open_source(spec);
     const std::vector<ids::Alert> alerts =
-        run_pipeline_from_source(*source, rules, workers, 128);
+        run_pipeline_from_source(*source, db, workers, 128);
     EXPECT_EQ(project(alerts), expected)
         << workers << " workers (" << testutil::seed_note() << ")";
   }

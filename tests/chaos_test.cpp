@@ -70,11 +70,12 @@ net::Packet tcp_packet(std::uint32_t src_ip, std::uint16_t src_port, std::uint32
   return p;
 }
 
-pattern::PatternSet demo_rules() {
+// A fresh compile per call: each database is its own ruleset generation.
+DatabasePtr demo_db() {
   pattern::PatternSet rules;
   rules.add("NEEDLE", false, pattern::Group::http);
   rules.add("zz-generic-zz", false, pattern::Group::generic);
-  return rules;
+  return compile(core::Algorithm::vpatch, std::move(rules));
 }
 
 // Asserts the drain identity on a stopped pipeline: nothing in, through, or
@@ -294,8 +295,8 @@ TEST_F(ChaosSink, NdjsonSurvivesWriteFailuresAndKeepsForwarding) {
 using ChaosSwap = ChaosTest;
 
 TEST_F(ChaosSwap, PublishFailpointThrowsAndTheOldGenerationStaysLive) {
-  const DatabasePtr db_a = compile(core::Algorithm::vpatch, demo_rules());
-  const DatabasePtr db_b = compile(core::Algorithm::vpatch, demo_rules());
+  const DatabasePtr db_a = demo_db();
+  const DatabasePtr db_b = demo_db();
 
   pipeline::PipelineConfig cfg;
   cfg.workers = 2;
@@ -367,7 +368,7 @@ TEST_F(ChaosOverload, ShedLoadAccountsEveryPacketAndByte) {
   for (double& e : cfg.overload.exit_fill) e = -1.0;
   cfg.overload.shed_payload_bytes = 8;  // every 32-byte payload is oversized
 
-  pipeline::PipelineRuntime rt(demo_rules(), cfg);
+  pipeline::PipelineRuntime rt(demo_db(), cfg);
   rt.start();
   const std::string payload(32, 'x');
   for (std::uint32_t i = 0; i < 200; ++i) {
@@ -387,7 +388,7 @@ TEST_F(ChaosOverload, ShedLoadAccountsEveryPacketAndByte) {
 TEST_F(ChaosOverload, DisabledLadderShedsNothing) {
   pipeline::PipelineConfig cfg;
   cfg.workers = 2;
-  pipeline::PipelineRuntime rt(demo_rules(), cfg);
+  pipeline::PipelineRuntime rt(demo_db(), cfg);
   rt.start();
   for (std::uint32_t i = 0; i < 100; ++i) {
     rt.submit(tcp_packet(1 + i % 4, 40000, 100 + (i / 4) * 8, "xxNEEDLE", i));
@@ -403,11 +404,13 @@ TEST_F(ChaosOverload, DisabledLadderShedsNothing) {
 
 using ChaosDifferential = ChaosTest;
 
-std::vector<ids::Alert> run_pipeline(const std::vector<net::Packet>& packets) {
+// Runs whose alerts are compared share `db`: alerts carry its generation.
+std::vector<ids::Alert> run_pipeline(const std::vector<net::Packet>& packets,
+                                     const DatabasePtr& db) {
   pipeline::PipelineConfig cfg;
   cfg.workers = 2;
   cfg.batch_packets = 4;
-  pipeline::PipelineRuntime rt(demo_rules(), cfg);
+  pipeline::PipelineRuntime rt(db, cfg);
   rt.start();
   for (const auto& p : packets) rt.submit(p);
   rt.stop();
@@ -424,22 +427,23 @@ TEST_F(ChaosDifferential, DisarmedRunsAreIdenticalAndBlockedPushRetriesAreLossle
     packets.push_back(tcp_packet(10 + f, 50000, 106, "DLE cd", f + 16));
   }
 
-  const auto baseline = run_pipeline(packets);
+  const DatabasePtr db = demo_db();
+  const auto baseline = run_pipeline(packets, db);
   ASSERT_EQ(baseline.size(), 16u);
-  EXPECT_EQ(run_pipeline(packets), baseline) << "disarmed runs must be deterministic";
+  EXPECT_EQ(run_pipeline(packets, db), baseline) << "disarmed runs must be deterministic";
 
   // Injected ring-full under the block policy: the router retries until the
   // push lands, so faults cost latency, never alerts.
   ASSERT_EQ(fp::arm("ring_push=every:3"), "");
-  EXPECT_EQ(run_pipeline(packets), baseline);
+  EXPECT_EQ(run_pipeline(packets, db), baseline);
   EXPECT_GT(fp::fires(fp::Site::ring_push), 0u) << "the fault actually fired";
 
   // Injected ring-empty on the consumer side: workers just spin once more.
   ASSERT_EQ(fp::arm("ring_pop=every:2"), "");
-  EXPECT_EQ(run_pipeline(packets), baseline);
+  EXPECT_EQ(run_pipeline(packets, db), baseline);
 
   fp::disarm();
-  EXPECT_EQ(run_pipeline(packets), baseline) << "disarming restores the exact baseline";
+  EXPECT_EQ(run_pipeline(packets, db), baseline) << "disarming restores the exact baseline";
 }
 
 // ---- worker failure + watchdog ---------------------------------------------
@@ -451,7 +455,7 @@ TEST_F(ChaosWorker, BatchFailureIsContainedDrainedAndAccounted) {
   pipeline::PipelineConfig cfg;
   cfg.workers = 2;
   cfg.batch_packets = 4;
-  pipeline::PipelineRuntime rt(demo_rules(), cfg);
+  pipeline::PipelineRuntime rt(demo_db(), cfg);
   rt.start();
   for (std::uint32_t i = 0; i < 64; ++i) {
     rt.submit(tcp_packet(1 + i % 8, 40000, 100 + (i / 8) * 8, "xxNEEDLE", i));
@@ -534,7 +538,7 @@ TEST(ChaosWatchdog, PipelineSurfacesAWedgedWorkerInStats) {
   cfg.watchdog_interval_ms = 2;
   cfg.watchdog_stall_intervals = 3;
   cfg.alert_sink = &sink;
-  pipeline::PipelineRuntime rt(demo_rules(), cfg);
+  pipeline::PipelineRuntime rt(demo_db(), cfg);
   rt.start();
   rt.submit(tcp_packet(1, 40000, 100, "xxNEEDLExx"));
   rt.flush();

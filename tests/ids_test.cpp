@@ -112,7 +112,7 @@ pattern::PatternSet grouped_set() {
 
 TEST(GroupedRules, HttpGroupSeesHttpAndGeneric) {
   const auto master = grouped_set();
-  const GroupedRules rules(master, core::Algorithm::spatch);
+  const GroupedRules rules(compile(core::Algorithm::spatch, master));
   const auto& http = rules.patterns_for(pattern::Group::http);
   EXPECT_EQ(http.size(), 2u);
   EXPECT_TRUE(http.contains(util::as_view("GET /evil"), false));
@@ -122,13 +122,13 @@ TEST(GroupedRules, HttpGroupSeesHttpAndGeneric) {
 
 TEST(GroupedRules, GenericGroupSeesOnlyGeneric) {
   const auto master = grouped_set();
-  const GroupedRules rules(master, core::Algorithm::spatch);
+  const GroupedRules rules(compile(core::Algorithm::spatch, master));
   EXPECT_EQ(rules.patterns_for(pattern::Group::generic).size(), 1u);
 }
 
 TEST(GroupedRules, MasterIdMappingRoundTrips) {
   const auto master = grouped_set();
-  const GroupedRules rules(master, core::Algorithm::spatch);
+  const GroupedRules rules(compile(core::Algorithm::spatch, master));
   const auto& smtp = rules.patterns_for(pattern::Group::smtp);
   for (std::uint32_t local = 0; local < smtp.size(); ++local) {
     const auto master_id = rules.master_id(pattern::Group::smtp, local);
@@ -138,7 +138,7 @@ TEST(GroupedRules, MasterIdMappingRoundTrips) {
 
 TEST(GroupedRules, HttpMatcherIgnoresSmtpPattern) {
   const auto master = grouped_set();
-  const GroupedRules rules(master, core::Algorithm::spatch);
+  const GroupedRules rules(compile(core::Algorithm::spatch, master));
   const auto& m = rules.matcher_for(pattern::Group::http);
   EXPECT_EQ(m.count_matches(util::as_view("EHLO spam")), 0u);
   EXPECT_EQ(m.count_matches(util::as_view("GET /evil generic-attack")), 2u);
@@ -148,7 +148,7 @@ TEST(GroupedRules, HttpMatcherIgnoresSmtpPattern) {
 
 TEST(IdsEngine, ProducesAlertsWithMasterIds) {
   const auto master = grouped_set();
-  IdsEngine engine(master, {core::Algorithm::spatch});
+  IdsEngine engine(compile(core::Algorithm::spatch, master));
   std::vector<Alert> alerts;
   engine.inspect(1, pattern::Group::http, util::as_view("zz GET /evil zz"), alerts);
   ASSERT_EQ(alerts.size(), 1u);
@@ -160,7 +160,7 @@ TEST(IdsEngine, ProducesAlertsWithMasterIds) {
 
 TEST(IdsEngine, RoutesByProtocol) {
   const auto master = grouped_set();
-  IdsEngine engine(master, {core::Algorithm::spatch});
+  IdsEngine engine(compile(core::Algorithm::spatch, master));
   std::vector<Alert> alerts;
   // SMTP pattern inside an HTTP flow: not matched (different group).
   engine.inspect(1, pattern::Group::http, util::as_view("EHLO spam"), alerts);
@@ -172,7 +172,7 @@ TEST(IdsEngine, RoutesByProtocol) {
 TEST(IdsEngine, FlowsKeepIndependentStreams) {
   pattern::PatternSet master;
   master.add("crossflow", false, pattern::Group::http);
-  IdsEngine engine(master, {core::Algorithm::spatch});
+  IdsEngine engine(compile(core::Algorithm::spatch, master));
   std::vector<Alert> alerts;
   engine.inspect(1, pattern::Group::http, util::as_view("xxcross"), alerts);
   engine.inspect(2, pattern::Group::http, util::as_view("flowxx"), alerts);
@@ -185,7 +185,7 @@ TEST(IdsEngine, FlowsKeepIndependentStreams) {
 TEST(IdsEngine, CloseFlowDropsCarry) {
   pattern::PatternSet master;
   master.add("severed", false, pattern::Group::http);
-  IdsEngine engine(master, {core::Algorithm::spatch});
+  IdsEngine engine(compile(core::Algorithm::spatch, master));
   std::vector<Alert> alerts;
   engine.inspect(5, pattern::Group::http, util::as_view("xxseve"), alerts);
   engine.close_flow(5);
@@ -195,7 +195,7 @@ TEST(IdsEngine, CloseFlowDropsCarry) {
 
 TEST(IdsEngine, CountersAccumulate) {
   const auto master = grouped_set();
-  IdsEngine engine(master, {core::Algorithm::spatch});
+  IdsEngine engine(compile(core::Algorithm::spatch, master));
   std::vector<Alert> alerts;
   engine.inspect(1, pattern::Group::http, util::as_view("GET /evil"), alerts);
   engine.inspect(1, pattern::Group::http, util::as_view("generic-attack"), alerts);
@@ -209,7 +209,7 @@ TEST(IdsEngine, CountersAccumulate) {
 
 TEST(IdsEngine, FormatAlertIsReadable) {
   const auto master = grouped_set();
-  IdsEngine engine(master, {core::Algorithm::spatch});
+  IdsEngine engine(compile(core::Algorithm::spatch, master));
   std::vector<Alert> alerts;
   engine.inspect(3, pattern::Group::http, util::as_view("GET /evil"), alerts);
   ASSERT_EQ(alerts.size(), 1u);

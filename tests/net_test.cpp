@@ -135,7 +135,7 @@ TEST(Reassembly, RetransmissionFirstWins) {
   r.ingest(make_packet(t, 0, "original"));
   r.ingest(make_packet(t, 0, "OVERRIDE"));  // full retransmission, ignored
   EXPECT_EQ(util::to_string(c.stream), "original");
-  EXPECT_EQ(r.duplicate_bytes_trimmed(), 8u);
+  EXPECT_EQ(r.stats().overlap_bytes_trimmed(), 8u);
 }
 
 TEST(Reassembly, PartialOverlapTrimmed) {
@@ -183,7 +183,7 @@ TEST(Reassembly, BufferBudgetDropsFloods) {
   for (std::uint32_t i = 1; i <= 10; ++i) {
     r.ingest(make_packet(t, 100 + i * 16, std::string(16, 'y')));
   }
-  EXPECT_GE(r.dropped_segments(), 6u);
+  EXPECT_GE(r.stats().dropped_segments, 6u);
   EXPECT_EQ(chunks, 1u) << "only the pinning segment is in order";
 }
 
@@ -197,14 +197,15 @@ TEST(Reassembly, EvictIdleRemovesOnlyStaleFlows) {
   r.ingest(make_packet(fresh, 0, "new flow", /*ts=*/900000));
   ASSERT_EQ(r.active_flows(), 2u);
 
-  const auto evicted = r.evict_idle(/*now_us=*/1000000, /*idle_us=*/500000);
+  const auto evicted =
+      r.evict_idle_step(/*now_us=*/1000000, /*idle_us=*/500000, r.table_capacity());
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0], stale);
   EXPECT_EQ(r.active_flows(), 1u);
-  EXPECT_EQ(r.evicted_flows(), 1u);
+  EXPECT_EQ(r.stats().evicted_flows, 1u);
 
   // idle_us == 0 disables eviction entirely.
-  EXPECT_TRUE(r.evict_idle(1u << 30, 0).empty());
+  EXPECT_TRUE(r.evict_idle_step(1u << 30, 0, r.table_capacity()).empty());
   EXPECT_EQ(r.active_flows(), 1u);
 }
 
@@ -220,7 +221,7 @@ TEST(Reassembly, EvictedFlowForgetsPendingAndRestartsClean) {
   r.ingest(make_packet(t, 120, "buffered-beyond-a-hole", 20));  // pending, never drains
   EXPECT_EQ(stream, "head");
 
-  ASSERT_EQ(r.evict_idle(2000000, 1000).size(), 1u);
+  ASSERT_EQ(r.evict_idle_step(2000000, 1000, r.table_capacity()).size(), 1u);
   // The flow returns after eviction: it re-pins a fresh initial sequence and
   // the stale buffered segment must not resurface.
   r.ingest(make_packet(t, 5000, "restarted", 3000000));
@@ -252,15 +253,15 @@ TEST(Reassembly, AdversarialChurnStaysBounded) {
       r.ingest(make_packet(t, 10000 + k * 600, std::string(600, 'x'), now_us));
     }
     if (f % 64 == 0) {
-      r.evict_idle(now_us, /*idle_us=*/3200);
+      r.evict_idle_step(now_us, /*idle_us=*/3200, r.table_capacity());
       max_active = std::max(max_active, r.active_flows());
     }
   }
-  r.evict_idle(now_us + 10000, 3200);
+  r.evict_idle_step(now_us + 10000, 3200, r.table_capacity());
   EXPECT_EQ(r.active_flows(), 0u);
   EXPECT_LT(max_active, 256u) << "flow table must stay bounded under churn";
-  EXPECT_GT(r.dropped_segments(), 0u);
-  EXPECT_GE(r.evicted_flows(), kFlows - 256u);
+  EXPECT_GT(r.stats().dropped_segments, 0u);
+  EXPECT_GE(r.stats().evicted_flows, kFlows - 256u);
   EXPECT_EQ(chunks, kFlows) << "each flow's single in-order segment is delivered";
 }
 
@@ -286,7 +287,7 @@ TEST(Reassembly, SeqJustBelowIsnIsBeforeWindowNotFarFuture) {
   r.ingest(make_packet(t, 999, "K"));  // keep-alive probe below the window
   r.ingest(make_packet(t, 1005, " world"));
   EXPECT_EQ(util::to_string(c.stream), "hello world");
-  EXPECT_EQ(r.dropped_segments(), 0u);
+  EXPECT_EQ(r.stats().dropped_segments, 0u);
   EXPECT_EQ(r.active_flows(), 1u);
 }
 
@@ -300,7 +301,7 @@ TEST(Reassembly, KeepAliveBelowWrappedIsnDoesNotStall) {
   r.ingest(make_packet(t, 0xFFFFFFFFu, "K", 0, kTcpAck));  // probe below the wrap
   r.ingest(make_packet(t, 5, "second"));
   EXPECT_EQ(util::to_string(c.stream), "firstsecond");
-  EXPECT_EQ(r.dropped_segments(), 0u);
+  EXPECT_EQ(r.stats().dropped_segments, 0u);
 }
 
 // Regression (duplicate-offset data loss): a longer retransmit at the same
@@ -558,7 +559,7 @@ TEST(FlowGen, EvasionCorpusReassemblesToGroundTruthUnderEveryPolicy) {
         << "conflicting retransmits and probes must have been discarded";
     EXPECT_GT(r.stats().fins, 0u);
     EXPECT_GT(r.stats().resets, 0u);
-    EXPECT_EQ(r.dropped_segments(), 0u);
+    EXPECT_EQ(r.stats().dropped_segments, 0u);
     EXPECT_EQ(r.active_flows(), 0u)
         << "every connection was torn down by FIN or RST";
   }
@@ -662,12 +663,13 @@ TEST(PcapPipeline, EndToEndMatchesDirectScan) {
   }
 
   const auto pcap = net::write_pcap(packets);
-  const auto result = inspect_pcap(pcap, rules, {core::Algorithm::vpatch});
+  const DatabasePtr db = compile(core::Algorithm::vpatch, rules);
+  const auto result = inspect_pcap(pcap, db);
   EXPECT_EQ(result.skipped_records, 0u);
-  EXPECT_EQ(result.reassembly_drops, 0u);
+  EXPECT_EQ(result.reassembly.dropped_segments, 0u);
 
   // Ground truth: scan each stream directly with the http-group matcher.
-  const GroupedRules grouped(rules, core::Algorithm::vpatch);
+  const GroupedRules grouped(db);
   std::size_t expected = 0;
   for (const auto& s : repacked.streams) {
     expected += grouped.matcher_for(pattern::Group::http).count_matches(s);
@@ -691,7 +693,8 @@ TEST(PcapPipeline, UdpPayloadsScannedPerDatagram) {
   p.tuple.dst_port = 53;
   p.tuple.proto = net::IpProto::udp;
   p.payload = util::to_bytes("xx dns-marker yy");
-  const auto result = inspect_pcap(net::write_pcap({p}), rules, {core::Algorithm::spatch});
+  const auto result =
+      inspect_pcap(net::write_pcap({p}), compile(core::Algorithm::spatch, rules));
   ASSERT_EQ(result.alerts.size(), 1u);
   EXPECT_EQ(result.alerts[0].group, pattern::Group::dns);
 }

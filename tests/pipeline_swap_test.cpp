@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "capture/topology.hpp"
 #include "core/database.hpp"
 #include "helpers.hpp"
 #include "ids/pcap_pipeline.hpp"
@@ -146,43 +147,52 @@ TEST_P(PipelineSwap, PerGenerationAlertsEqualSingleThreadedReference) {
   // The reference itself must never misattribute.
   ASSERT_EQ(expected_a.size() + expected_b.size(), expected.size());
 
-  for (unsigned workers : {1u, 2u, 4u}) {
-    for (std::size_t batch : {std::size_t{1}, std::size_t{32}}) {
-      PipelineConfig cfg;
-      cfg.workers = workers;
-      cfg.batch_packets = batch;
-      PipelineRuntime rt(db_a, cfg);
-      EXPECT_EQ(rt.generation(), db_a->generation());
-      rt.start();
-      for (std::size_t i = 0; i < swap_index; ++i) rt.submit(packets[i]);
-      // Quiesce-then-swap: every packet before the boundary is scanned under
-      // A, everything after under B — the exact-partition recipe.
-      rt.quiesce();
-      rt.swap_database(db_b);
-      EXPECT_EQ(rt.generation(), db_b->generation());
-      for (std::size_t i = swap_index; i < packets.size(); ++i) rt.submit(packets[i]);
-      rt.stop();
+  // The pinned axis runs the per-NUMA-node replica path (pin failures are
+  // non-fatal, so it works on any host; a one-node host gets one replica).
+  const capture::CpuTopology topo = capture::CpuTopology::detect();
+  const std::size_t pinned_replicas =
+      std::max(topo.node_of(0), 0) == std::max(topo.node_of(1), 0) ? 1 : 2;
+  for (const bool pinned : {false, true}) {
+    for (unsigned workers : {1u, 2u, 4u}) {
+      for (std::size_t batch : {std::size_t{1}, std::size_t{32}}) {
+        PipelineConfig cfg;
+        cfg.workers = workers;
+        cfg.batch_packets = batch;
+        if (pinned) {
+          cfg.worker_cpus = {0, 1};
+          cfg.numa_replicate_rules = true;
+        }
+        const std::string where = std::to_string(workers) + " workers, batch " +
+                                  std::to_string(batch) + (pinned ? ", pinned" : "") +
+                                  " (" + std::string(core::algorithm_name(algorithm)) +
+                                  ", " + testutil::seed_note() + ")";
+        PipelineRuntime rt(db_a, cfg);
+        EXPECT_EQ(rt.rules_replicas(), pinned ? pinned_replicas : 1u) << where;
+        EXPECT_EQ(rt.generation(), db_a->generation());
+        rt.start();
+        for (std::size_t i = 0; i < swap_index; ++i) rt.submit(packets[i]);
+        // Quiesce-then-swap: every packet before the boundary is scanned
+        // under A, everything after under B — the exact-partition recipe.
+        rt.quiesce();
+        rt.swap_database(db_b);
+        EXPECT_EQ(rt.generation(), db_b->generation());
+        for (std::size_t i = swap_index; i < packets.size(); ++i) rt.submit(packets[i]);
+        rt.stop();
 
-      const auto& stats = rt.stats();
-      EXPECT_EQ(stats.dropped_backpressure, 0u);
-      EXPECT_EQ(stats.routed, packets.size());
-      EXPECT_EQ(stats.totals().rules_generation, db_b->generation());
+        const auto& stats = rt.stats();
+        EXPECT_EQ(stats.dropped_backpressure, 0u);
+        EXPECT_EQ(stats.routed, packets.size());
+        EXPECT_EQ(stats.totals().rules_generation, db_b->generation());
 
-      std::vector<ids::Alert> actual = rt.alerts();
-      std::sort(actual.begin(), actual.end());
-      const auto actual_a = alerts_of_generation(actual, db_a->generation());
-      const auto actual_b = alerts_of_generation(actual, db_b->generation());
-      ASSERT_EQ(actual_a.size() + actual_b.size(), actual.size())
-          << "alert attributed to a generation that never ran (" << workers
-          << " workers, batch " << batch << ", " << testutil::seed_note() << ")";
-      EXPECT_EQ(actual_a, expected_a)
-          << "generation-A alerts diverge with " << workers << " workers, batch "
-          << batch << " (" << core::algorithm_name(algorithm) << ", "
-          << testutil::seed_note() << ")";
-      EXPECT_EQ(actual_b, expected_b)
-          << "generation-B alerts diverge with " << workers << " workers, batch "
-          << batch << " (" << core::algorithm_name(algorithm) << ", "
-          << testutil::seed_note() << ")";
+        std::vector<ids::Alert> actual = rt.alerts();
+        std::sort(actual.begin(), actual.end());
+        const auto actual_a = alerts_of_generation(actual, db_a->generation());
+        const auto actual_b = alerts_of_generation(actual, db_b->generation());
+        ASSERT_EQ(actual_a.size() + actual_b.size(), actual.size())
+            << "alert attributed to a generation that never ran (" << where << ")";
+        EXPECT_EQ(actual_a, expected_a) << "generation-A alerts diverge with " << where;
+        EXPECT_EQ(actual_b, expected_b) << "generation-B alerts diverge with " << where;
+      }
     }
   }
 }

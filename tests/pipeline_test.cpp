@@ -7,6 +7,7 @@
 #include <mutex>
 #include <thread>
 
+#include "capture/topology.hpp"
 #include "helpers.hpp"
 #include "net/flowgen.hpp"
 #include "pipeline/runtime.hpp"
@@ -158,20 +159,19 @@ TEST(ShardRouter, FlushDeliversPartialBatches) {
 
 // ---- runtime --------------------------------------------------------------
 
-pattern::PatternSet demo_rules() {
+DatabasePtr demo_db() {
   pattern::PatternSet rules;
   rules.add("NEEDLE", false, pattern::Group::http);
   rules.add("GET /", false, pattern::Group::http);
   rules.add("zz-generic-zz", false, pattern::Group::generic);
-  return rules;
+  return compile(core::Algorithm::vpatch, std::move(rules));
 }
 
 TEST(PipelineRuntime, FindsPatternSplitAcrossSegmentsAndWorkers) {
-  const auto rules = demo_rules();
   PipelineConfig cfg;
   cfg.workers = 4;
   cfg.batch_packets = 2;
-  PipelineRuntime rt(rules, cfg);
+  PipelineRuntime rt(demo_db(), cfg);
   rt.start();
   // 8 flows; each carries "NEEDLE" split across the first two segments, and
   // the later segments arrive out of order (the head segment must come
@@ -197,12 +197,11 @@ TEST(PipelineRuntime, FindsPatternSplitAcrossSegmentsAndWorkers) {
 }
 
 TEST(PipelineRuntime, BlockingBackpressureIsLossless) {
-  const auto rules = demo_rules();
   PipelineConfig cfg;
   cfg.workers = 2;
   cfg.batch_packets = 1;
   cfg.ring_batches = 2;  // tiny rings so the producer actually blocks
-  PipelineRuntime rt(rules, cfg);
+  PipelineRuntime rt(demo_db(), cfg);
   rt.start();
   constexpr std::uint32_t kPackets = 5000;
   for (std::uint32_t i = 0; i < kPackets; ++i) {
@@ -217,11 +216,10 @@ TEST(PipelineRuntime, BlockingBackpressureIsLossless) {
 }
 
 TEST(PipelineRuntime, StatsSnapshotWhileRunning) {
-  const auto rules = demo_rules();
   PipelineConfig cfg;
   cfg.workers = 2;
   cfg.batch_packets = 4;
-  PipelineRuntime rt(rules, cfg);
+  PipelineRuntime rt(demo_db(), cfg);
   rt.start();
   for (std::uint32_t i = 0; i < 2000; ++i) {
     rt.submit(tcp_packet(1 + (i % 8), 40000, (i / 8) * 8, "GET /abc", i));
@@ -246,11 +244,10 @@ TEST(PipelineRuntime, ThreadSafeAlertSinkReceivesEverything) {
       alerts.push_back(a);
     }
   } sink;
-  const auto rules = demo_rules();
   PipelineConfig cfg;
   cfg.workers = 3;
   cfg.alert_sink = &sink;
-  PipelineRuntime rt(rules, cfg);
+  PipelineRuntime rt(demo_db(), cfg);
   rt.start();
   for (std::uint32_t f = 0; f < 12; ++f) {
     rt.submit(tcp_packet(200 + f, 50000, 0, "xx NEEDLE yy", f));
@@ -261,9 +258,34 @@ TEST(PipelineRuntime, ThreadSafeAlertSinkReceivesEverything) {
   EXPECT_EQ(rt.stats().totals().alerts, 12u);
 }
 
+// Per-node rule replicas: worker i reads the slot of its pinned CPU's node.
+// Fabricated topologies stand in for multi-socket hosts.
+TEST(PipelineRuntime, NumaRuleSlotsFollowTopology) {
+  const capture::CpuTopology two_nodes{{{0, {0, 2}}, {1, {1, 3}}}};
+  PipelineConfig cfg;
+  cfg.workers = 4;
+  cfg.worker_cpus = {0, 1};
+  EXPECT_EQ(numa_rule_slots(cfg, two_nodes), (std::vector<std::size_t>{0, 1, 0, 1}));
+  // Slots follow first-seen order, not node ids: node 1 comes first here.
+  cfg.workers = 5;
+  cfg.worker_cpus = {3, 1, 2};
+  EXPECT_EQ(numa_rule_slots(cfg, two_nodes), (std::vector<std::size_t>{0, 0, 1, 0, 0}));
+  // A CPU the topology does not know shares node 0's slot.
+  cfg.workers = 3;
+  cfg.worker_cpus = {1, 9, 0};
+  EXPECT_EQ(numa_rule_slots(cfg, two_nodes), (std::vector<std::size_t>{0, 1, 1}));
+  // Sparse node ids: three nodes give three slots.
+  const capture::CpuTopology three_nodes{{{0, {0}}, {2, {4}}, {5, {7}}}};
+  cfg.workers = 4;
+  cfg.worker_cpus = {7, 4, 0, 4};
+  EXPECT_EQ(numa_rule_slots(cfg, three_nodes), (std::vector<std::size_t>{0, 1, 2, 1}));
+  // No pinning: one slot.
+  cfg.worker_cpus.clear();
+  EXPECT_EQ(numa_rule_slots(cfg, three_nodes), (std::vector<std::size_t>(4, 0)));
+}
+
 TEST(PipelineRuntime, IsOneShot) {
-  const auto rules = demo_rules();
-  PipelineRuntime rt(rules, {});
+  PipelineRuntime rt(demo_db(), {});
   EXPECT_THROW(rt.submit(tcp_packet(1, 2, 0, "x")), std::logic_error);
   rt.start();
   EXPECT_THROW(rt.start(), std::logic_error);
@@ -279,14 +301,13 @@ TEST(PipelineRuntime, IsOneShot) {
 // active_flows() stays bounded no matter how many flows pass through.
 
 TEST(PipelineRuntime, ChurnOfShortLivedFlowsStaysBounded) {
-  const auto rules = demo_rules();
   PipelineConfig cfg;
   cfg.workers = 2;
   cfg.batch_packets = 8;
   cfg.idle_timeout_us = 1000;        // 1 ms of capture time
   cfg.eviction_sweep_packets = 64;
   cfg.reassembly.max_buffered_bytes = 4096;
-  PipelineRuntime rt(rules, cfg);
+  PipelineRuntime rt(demo_db(), cfg);
   rt.start();
 
   constexpr std::uint32_t kFlows = 3000;
@@ -318,11 +339,10 @@ TEST(PipelineRuntime, ChurnOfShortLivedFlowsStaysBounded) {
 }
 
 TEST(PipelineRuntime, EvictionDisabledKeepsAllFlows) {
-  const auto rules = demo_rules();
   PipelineConfig cfg;
   cfg.workers = 2;
   cfg.idle_timeout_us = 0;  // disabled
-  PipelineRuntime rt(rules, cfg);
+  PipelineRuntime rt(demo_db(), cfg);
   rt.start();
   for (std::uint32_t f = 0; f < 100; ++f) {
     rt.submit(tcp_packet(0x0A000000u + f, 40000, 0, "GET /x", f * 1000000));
