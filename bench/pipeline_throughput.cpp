@@ -14,9 +14,9 @@
 // slow paths under load rather than a best-case segment stream.
 //
 // --telemetry switches to the instrumentation-overhead mode: the same replay
-// with the metrics registry off vs on, reporting the throughput delta (the
-// CI gate on telemetry cost) plus p50/p99 scan latency and ring dwell from
-// the recorded histograms.
+// with the metrics registry off vs on, reporting the throughput delta
+// (recorded, not gated: the run fails only when the alert count changes)
+// plus p50/p99 scan latency and ring dwell from the recorded histograms.
 //
 // --source=trace --soak-seconds=N switches to the live-ingestion soak: an
 // endless TraceSource (fresh flows every epoch) feeds the pipeline for N

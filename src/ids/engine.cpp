@@ -202,14 +202,6 @@ void IdsEngine::flush_batch_impl(AlertSink& out) {
       counters_.prefilter_reject_payloads += reject_n;
       counters_.prefilter_pass_bytes += pass_bytes;
       counters_.prefilter_reject_bytes += reject_bytes;
-      if (telemetry::Counter* c = telemetry_.prefilter_pass_payloads[gi]) c->add(pass_n);
-      if (telemetry::Counter* c = telemetry_.prefilter_reject_payloads[gi]) {
-        c->add(reject_n);
-      }
-      if (telemetry::Counter* c = telemetry_.prefilter_pass_bytes[gi]) c->add(pass_bytes);
-      if (telemetry::Counter* c = telemetry_.prefilter_reject_bytes[gi]) {
-        c->add(reject_bytes);
-      }
       if (prefilter_mode_ == core::PrefilterMode::automatic) {
         PrefilterAuto& a = pf_auto_[gi];
         a.sampled += static_cast<std::uint32_t>(g.views.size());

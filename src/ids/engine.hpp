@@ -48,13 +48,6 @@ struct EngineTelemetry {
   // prefilter engaged, rejected payloads are excluded.
   std::array<telemetry::Counter*, kEngineGroupCount> group_scan_bytes{};
   std::array<telemetry::Counter*, kEngineGroupCount> group_alerts{};
-  // Prefilter screening outcomes per group (vpm_prefilter_* metrics).
-  std::array<telemetry::Counter*, kEngineGroupCount> prefilter_pass_payloads{};
-  std::array<telemetry::Counter*, kEngineGroupCount> prefilter_reject_payloads{};
-  std::array<telemetry::Counter*, kEngineGroupCount> prefilter_pass_bytes{};
-  std::array<telemetry::Counter*, kEngineGroupCount> prefilter_reject_bytes{};
-
-  bool enabled() const { return flush_latency != nullptr; }
 };
 
 class IdsEngine {

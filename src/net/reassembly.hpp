@@ -88,8 +88,6 @@ struct ReassemblyConfig {
   std::size_t max_buffered_bytes = 1 << 20;
   OverlapPolicy overlap = OverlapPolicy::first;
 };
-// Pre-rework name; the policy rides along wherever the limits already flow.
-using ReassemblyLimits = ReassemblyConfig;
 
 // One side's delivery/conflict counters.
 struct SideStats {

@@ -93,7 +93,7 @@ struct PipelineConfig {
   // when worker_cpus is empty or the host has one node.
   bool numa_replicate_rules = false;
 
-  net::ReassemblyLimits reassembly{};
+  net::ReassemblyConfig reassembly{};
 
   // Graceful degradation under overload (see pipeline/overload.hpp for the
   // ladder).  Disabled by default: the pipeline then behaves exactly as
@@ -108,8 +108,9 @@ struct PipelineConfig {
 
   // Alert-sink containment: after this many CONSECUTIVE delivery failures
   // (exceptions from cfg.alert_sink) the worker quarantines the sink —
-  // further alerts are counted and dropped instead of risking a wedged or
-  // crashing engine.  One successful delivery resets the streak.
+  // further alerts are counted (WorkerStats::sink_dropped_alerts) and
+  // dropped instead of risking a wedged or crashing engine.  One successful
+  // delivery resets the streak.
   unsigned sink_quarantine_after = 8;
 
   // Optional live alert delivery.  Called from worker threads concurrently;

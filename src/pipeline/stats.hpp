@@ -1,9 +1,11 @@
 // Aggregated counter view of a running (or finished) pipeline.
 //
-// Workers publish their counters through relaxed atomics after every batch,
-// so PipelineRuntime::stats() can be called from any thread at any time and
-// returns a coherent-enough snapshot (counts lag by at most one in-flight
-// batch per worker).
+// Each worker counts into a plain WorkerStats that only its own thread
+// touches and publishes it, field by field through the table below, into
+// relaxed atomics after every batch (and on swap adoption, ladder moves and
+// exit), so PipelineRuntime::stats() can be called from any thread at any
+// time and returns a coherent-enough snapshot (counts lag by at most one
+// in-flight batch per worker).
 #pragma once
 
 #include <cstddef>
@@ -60,6 +62,7 @@ struct WorkerStats {
   std::uint64_t degradation_transitions = 0;  // ladder moves (either direction)
   std::uint64_t heartbeats = 0;         // worker loop iterations (liveness)
   std::uint64_t sink_errors = 0;        // alert-sink deliveries that threw
+  std::uint64_t sink_dropped_alerts = 0;  // alerts dropped while quarantined
   std::uint64_t sink_quarantined = 0;   // gauge: 1 when the sink is quarantined
   // Approximate prefilter screening outcomes (zero when the prefilter is off
   // or bypassed; pass+reject <= chunks since only screened chunks count).
@@ -69,11 +72,12 @@ struct WorkerStats {
   std::uint64_t prefilter_reject_bytes = 0;
 
   // THE single enumeration of every field, with its name and kind.  Every
-  // stats surface (totals() aggregation below, the human formatter and the
-  // Prometheus exporter in telemetry/pipeline_metrics) iterates this, so a
-  // new field added here — and only here — shows up everywhere at once; one
-  // added to the struct but not the table trips the static_assert below.
-  // f(name, kind, member pointer) per field.
+  // stats surface (the worker's atomic publication, totals() aggregation
+  // below, the human formatter and the Prometheus exporter in
+  // telemetry/pipeline_metrics) iterates this, so a new field added here —
+  // and only here — shows up everywhere at once; one added to the struct but
+  // not the table trips the static_assert below.  f(name, kind, member
+  // pointer) per field.
   template <typename F>
   static void for_each_field(F&& f) {
     f("packets", StatKind::counter, &WorkerStats::packets);
@@ -106,6 +110,7 @@ struct WorkerStats {
       &WorkerStats::degradation_transitions);
     f("heartbeats", StatKind::counter, &WorkerStats::heartbeats);
     f("sink_errors", StatKind::counter, &WorkerStats::sink_errors);
+    f("sink_dropped_alerts", StatKind::counter, &WorkerStats::sink_dropped_alerts);
     f("sink_quarantined", StatKind::gauge, &WorkerStats::sink_quarantined);
     f("prefilter_pass_payloads", StatKind::counter,
       &WorkerStats::prefilter_pass_payloads);
@@ -116,9 +121,9 @@ struct WorkerStats {
       &WorkerStats::prefilter_reject_bytes);
   }
 
-  // 32 uint64 fields.  If this fires you added a field: list it in
+  // 33 uint64 fields.  If this fires you added a field: list it in
   // for_each_field (pick its StatKind deliberately) and bump the count.
-  static constexpr std::size_t kFieldCount = 32;
+  static constexpr std::size_t kFieldCount = 33;
 
   WorkerStats& operator+=(const WorkerStats& o) {
     for_each_field([&](const char*, StatKind kind, auto member) {

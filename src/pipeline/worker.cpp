@@ -12,9 +12,22 @@
 
 namespace vpm::pipeline {
 
+namespace {
+
+// A packet consumed from the ring but discarded unprocessed (ladder shed or
+// failure drain).
+void count_shed(WorkerStats& s, const net::Packet& p) {
+  ++s.packets;
+  s.payload_bytes += p.payload.size();
+  ++s.shed_packets;
+  s.shed_bytes += p.payload.size();
+}
+
+}  // namespace
+
 void GuardedSink::on_alert(const ids::Alert& alert) {
-  if (quarantined_.load(std::memory_order_relaxed)) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+  if (quarantined_) {
+    ++dropped_;
     return;
   }
   try {
@@ -24,10 +37,8 @@ void GuardedSink::on_alert(const ids::Alert& alert) {
     inner_->on_alert(alert);
     consecutive_ = 0;
   } catch (...) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    if (++consecutive_ >= quarantine_after_) {
-      quarantined_.store(true, std::memory_order_relaxed);
-    }
+    ++errors_;
+    if (++consecutive_ >= quarantine_after_) quarantined_ = true;
   }
 }
 
@@ -66,7 +77,7 @@ Worker::Worker(const PipelineConfig& cfg, const RulesChannel& channel)
         engine_.close_flow(flow_key(client));
         engine_.close_flow(flow_key(client.reversed()));
       });
-  published_.rules_generation.store(engine_.generation(), std::memory_order_relaxed);
+  publish_stats();  // stats() before start() shows the initial generation
 }
 
 Worker::~Worker() {
@@ -99,20 +110,6 @@ void Worker::enable_telemetry(telemetry::MetricsRegistry& reg, unsigned index) {
     et.group_alerts[gi] =
         &reg.counter("vpm_group_alerts_total", "Alerts raised per rule group",
                      {{"group", group}, {"worker", worker}});
-    et.prefilter_pass_payloads[gi] = &reg.counter(
-        "vpm_prefilter_pass_payloads_total",
-        "Payloads the approximate prefilter passed to the exact engine",
-        {{"group", group}, {"worker", worker}});
-    et.prefilter_reject_payloads[gi] = &reg.counter(
-        "vpm_prefilter_reject_payloads_total",
-        "Payloads the approximate prefilter rejected (exactly: no match possible)",
-        {{"group", group}, {"worker", worker}});
-    et.prefilter_pass_bytes[gi] = &reg.counter(
-        "vpm_prefilter_pass_bytes_total", "Bytes of prefilter-passed payloads",
-        {{"group", group}, {"worker", worker}});
-    et.prefilter_reject_bytes[gi] = &reg.counter(
-        "vpm_prefilter_reject_bytes_total", "Bytes of prefilter-rejected payloads",
-        {{"group", group}, {"worker", worker}});
   }
   engine_.set_telemetry(et);
 
@@ -205,21 +202,16 @@ void Worker::drain_after_failure() {
   // The engine is in an unknown state; do not touch it.  Keep consuming so
   // the producer never blocks on this shard, counting every packet as shed —
   // the drain identity (packets == processed + shed) keeps holding, it just
-  // attributes the loss honestly.
+  // attributes the loss honestly.  Publishing per batch keeps quiesce()
+  // moving; the first publication covers the failed batch.
+  publish_stats();
   PacketBatch batch;
-  const auto shed_batch = [this](const PacketBatch& b) {
-    for (const net::Packet& p : b) {
-      published_.packets.fetch_add(1, std::memory_order_relaxed);
-      published_.payload_bytes.fetch_add(p.payload.size(), std::memory_order_relaxed);
-      published_.shed_packets.fetch_add(1, std::memory_order_relaxed);
-      published_.shed_bytes.fetch_add(p.payload.size(), std::memory_order_relaxed);
-    }
-  };
   for (;;) {
     heartbeat_.fetch_add(1, std::memory_order_relaxed);
     if (ring_.try_pop(batch)) {
-      shed_batch(batch);
+      for (const net::Packet& p : batch) count_shed(stats_, p);
       batch.clear();
+      publish_stats();
       continue;
     }
     // Same end condition as run_loop.
@@ -242,9 +234,8 @@ void Worker::maybe_adopt_rules() {
   // Flushes staged chunks under the old generation, then retires this
   // worker's reference to it (the last adopter destroys it).
   engine_.swap_rules(std::move(rules), *sink_);
-  ++swaps_adopted_;
-  published_.rules_generation.store(engine_.generation(), std::memory_order_relaxed);
-  published_.rules_swaps.store(swaps_adopted_, std::memory_order_relaxed);
+  ++stats_.rules_swaps;
+  publish_stats();  // idle adoptions too: no batch follows to publish them
 }
 
 void Worker::apply_overload() {
@@ -254,10 +245,8 @@ void Worker::apply_overload() {
   const DegradationLevel prev = overload_.level();
   const DegradationLevel now = overload_.update(fill);
   if (now == prev) return;
-  published_.degradation_level.store(static_cast<std::uint64_t>(now),
-                                     std::memory_order_relaxed);
-  published_.degradation_transitions.store(overload_.transitions(),
-                                           std::memory_order_relaxed);
+  stats_.degradation_level = static_cast<std::uint64_t>(now);
+  stats_.degradation_transitions = overload_.transitions();
   // Rung 1+: shrink (or on descent restore) the reassembly buffering budget.
   if (now >= DegradationLevel::shrink_budgets) {
     const auto shrunk = static_cast<std::size_t>(
@@ -270,6 +259,7 @@ void Worker::apply_overload() {
   // the next episode judges flows on fresh behavior (and the map stays
   // empty in normal operation).
   if (now < DegradationLevel::shed_load) shed_flow_bytes_.clear();
+  publish_stats();
 }
 
 void Worker::process(PacketBatch& batch) {
@@ -291,15 +281,11 @@ void Worker::process(PacketBatch& batch) {
     // the drain identity survives a mid-batch failure; then let run()'s
     // containment boundary take over.
     for (std::size_t i = handled; i < batch.size(); ++i) {
-      const net::Packet& p = batch.packets[i];
-      published_.packets.fetch_add(1, std::memory_order_relaxed);
-      published_.payload_bytes.fetch_add(p.payload.size(), std::memory_order_relaxed);
-      published_.shed_packets.fetch_add(1, std::memory_order_relaxed);
-      published_.shed_bytes.fetch_add(p.payload.size(), std::memory_order_relaxed);
+      count_shed(stats_, batch.packets[i]);
     }
     throw;
   }
-  published_.batches.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.batches;
   publish_stats();
 }
 
@@ -317,15 +303,13 @@ bool Worker::should_shed(const net::Packet& packet) {
 
 void Worker::handle_packet(net::Packet& packet) {
   virtual_now_us_ = std::max(virtual_now_us_, packet.timestamp_us);
-  published_.packets.fetch_add(1, std::memory_order_relaxed);
-  published_.payload_bytes.fetch_add(packet.payload.size(), std::memory_order_relaxed);
-
   if (should_shed(packet)) {
-    published_.shed_packets.fetch_add(1, std::memory_order_relaxed);
-    published_.shed_bytes.fetch_add(packet.payload.size(), std::memory_order_relaxed);
+    count_shed(stats_, packet);
     return;
   }
-  published_.processed_packets.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.packets;
+  stats_.payload_bytes += packet.payload.size();
+  ++stats_.processed_packets;
 
   if (packet.tuple.proto == net::IpProto::tcp) {
     reassembler_.ingest(packet);
@@ -363,94 +347,58 @@ void Worker::sweep_idle(std::uint64_t idle_us) {
   // eviction_max_steps bounds the slots examined per sweep (rotating
   // cursor).
   const std::size_t max_steps = cfg_.eviction_max_steps;
-  evicted_ += reassembler_.evict_idle_step(virtual_now_us_, idle_us, max_steps).size();
+  stats_.flows_evicted +=
+      reassembler_.evict_idle_step(virtual_now_us_, idle_us, max_steps).size();
   udp_last_seen_.sweep_step(max_steps, [&](std::uint64_t key, std::uint64_t last_seen) {
     if (last_seen + idle_us > virtual_now_us_) return false;
     engine_.close_flow(key);
-    ++evicted_;
+    ++stats_.flows_evicted;
     return true;
   });
 }
 
 void Worker::publish_stats() {
-  const ids::EngineCounters& ec = engine_.counters();
-  published_.bytes_inspected.store(ec.bytes_inspected, std::memory_order_relaxed);
-  published_.chunks.store(ec.chunks, std::memory_order_relaxed);
-  published_.alerts.store(ec.alerts, std::memory_order_relaxed);
-  published_.flows_seen.store(ec.flows, std::memory_order_relaxed);
-  published_.flows_evicted.store(evicted_, std::memory_order_relaxed);
-  const net::ReassemblyStats& rs = reassembler_.stats();
-  published_.reassembly_drops.store(rs.dropped_segments, std::memory_order_relaxed);
-  published_.duplicate_bytes_trimmed.store(rs.overlap_bytes_trimmed(),
-                                           std::memory_order_relaxed);
-  published_.c2s_delivered_bytes.store(rs.side[0].delivered_bytes,
-                                       std::memory_order_relaxed);
-  published_.s2c_delivered_bytes.store(rs.side[1].delivered_bytes,
-                                       std::memory_order_relaxed);
-  published_.overwritten_bytes.store(
-      rs.side[0].overwritten_bytes + rs.side[1].overwritten_bytes,
-      std::memory_order_relaxed);
-  published_.discarded_on_close_bytes.store(rs.discarded_on_close_bytes,
-                                            std::memory_order_relaxed);
-  published_.connections_started.store(rs.connections_started,
-                                       std::memory_order_relaxed);
-  published_.connections_ended.store(rs.connections_ended, std::memory_order_relaxed);
-  published_.active_flows.store(engine_.active_flows(), std::memory_order_relaxed);
-  published_.tracked_connections.store(
-      reassembler_.active_flows() + udp_last_seen_.size(), std::memory_order_relaxed);
-  published_.rules_generation.store(engine_.generation(), std::memory_order_relaxed);
-  published_.rules_swaps.store(swaps_adopted_, std::memory_order_relaxed);
-  published_.prefilter_pass_payloads.store(ec.prefilter_pass_payloads,
-                                           std::memory_order_relaxed);
-  published_.prefilter_reject_payloads.store(ec.prefilter_reject_payloads,
-                                             std::memory_order_relaxed);
-  published_.prefilter_pass_bytes.store(ec.prefilter_pass_bytes,
-                                        std::memory_order_relaxed);
-  published_.prefilter_reject_bytes.store(ec.prefilter_reject_bytes,
-                                          std::memory_order_relaxed);
+  if (!failed_.load(std::memory_order_relaxed)) {
+    const ids::EngineCounters& ec = engine_.counters();
+    stats_.bytes_inspected = ec.bytes_inspected;
+    stats_.chunks = ec.chunks;
+    stats_.alerts = ec.alerts;
+    stats_.flows_seen = ec.flows;
+    stats_.prefilter_pass_payloads = ec.prefilter_pass_payloads;
+    stats_.prefilter_reject_payloads = ec.prefilter_reject_payloads;
+    stats_.prefilter_pass_bytes = ec.prefilter_pass_bytes;
+    stats_.prefilter_reject_bytes = ec.prefilter_reject_bytes;
+    stats_.active_flows = engine_.active_flows();
+    stats_.rules_generation = engine_.generation();
+    const net::ReassemblyStats& rs = reassembler_.stats();
+    stats_.reassembly_drops = rs.dropped_segments;
+    stats_.duplicate_bytes_trimmed = rs.overlap_bytes_trimmed();
+    stats_.c2s_delivered_bytes = rs.side[0].delivered_bytes;
+    stats_.s2c_delivered_bytes = rs.side[1].delivered_bytes;
+    stats_.overwritten_bytes = rs.side[0].overwritten_bytes + rs.side[1].overwritten_bytes;
+    stats_.discarded_on_close_bytes = rs.discarded_on_close_bytes;
+    stats_.connections_started = rs.connections_started;
+    stats_.connections_ended = rs.connections_ended;
+    stats_.tracked_connections = reassembler_.active_flows() + udp_last_seen_.size();
+    stats_.sink_errors = guarded_sink_.errors();
+    stats_.sink_dropped_alerts = guarded_sink_.dropped();
+    stats_.sink_quarantined = guarded_sink_.quarantined() ? 1 : 0;
+  }
+  std::size_t i = 0;
+  WorkerStats::for_each_field([&](const char*, StatKind, auto member) {
+    published_[i++].store(stats_.*member, std::memory_order_relaxed);
+  });
 }
 
 WorkerStats Worker::stats() const {
   WorkerStats s;
-  s.packets = published_.packets.load(std::memory_order_relaxed);
-  s.batches = published_.batches.load(std::memory_order_relaxed);
-  s.payload_bytes = published_.payload_bytes.load(std::memory_order_relaxed);
-  s.bytes_inspected = published_.bytes_inspected.load(std::memory_order_relaxed);
-  s.chunks = published_.chunks.load(std::memory_order_relaxed);
-  s.alerts = published_.alerts.load(std::memory_order_relaxed);
-  s.flows_seen = published_.flows_seen.load(std::memory_order_relaxed);
-  s.flows_evicted = published_.flows_evicted.load(std::memory_order_relaxed);
-  s.reassembly_drops = published_.reassembly_drops.load(std::memory_order_relaxed);
-  s.duplicate_bytes_trimmed =
-      published_.duplicate_bytes_trimmed.load(std::memory_order_relaxed);
-  s.c2s_delivered_bytes = published_.c2s_delivered_bytes.load(std::memory_order_relaxed);
-  s.s2c_delivered_bytes = published_.s2c_delivered_bytes.load(std::memory_order_relaxed);
-  s.overwritten_bytes = published_.overwritten_bytes.load(std::memory_order_relaxed);
-  s.discarded_on_close_bytes =
-      published_.discarded_on_close_bytes.load(std::memory_order_relaxed);
-  s.connections_started = published_.connections_started.load(std::memory_order_relaxed);
-  s.connections_ended = published_.connections_ended.load(std::memory_order_relaxed);
-  s.active_flows = published_.active_flows.load(std::memory_order_relaxed);
-  s.tracked_connections = published_.tracked_connections.load(std::memory_order_relaxed);
-  s.rules_generation = published_.rules_generation.load(std::memory_order_relaxed);
-  s.rules_swaps = published_.rules_swaps.load(std::memory_order_relaxed);
-  s.processed_packets = published_.processed_packets.load(std::memory_order_relaxed);
-  s.shed_packets = published_.shed_packets.load(std::memory_order_relaxed);
-  s.shed_bytes = published_.shed_bytes.load(std::memory_order_relaxed);
-  s.degradation_level = published_.degradation_level.load(std::memory_order_relaxed);
-  s.degradation_transitions =
-      published_.degradation_transitions.load(std::memory_order_relaxed);
+  std::size_t i = 0;
+  WorkerStats::for_each_field([&](const char*, StatKind, auto member) {
+    s.*member = published_[i++].load(std::memory_order_relaxed);
+  });
+  // Live, not published: the watchdog's signal moves while a batch is wedged
+  // and while the worker idles.
   s.heartbeats = heartbeat_.load(std::memory_order_relaxed);
-  s.sink_errors = guarded_sink_.errors();
-  s.sink_quarantined = guarded_sink_.quarantined() ? 1 : 0;
-  s.prefilter_pass_payloads =
-      published_.prefilter_pass_payloads.load(std::memory_order_relaxed);
-  s.prefilter_reject_payloads =
-      published_.prefilter_reject_payloads.load(std::memory_order_relaxed);
-  s.prefilter_pass_bytes =
-      published_.prefilter_pass_bytes.load(std::memory_order_relaxed);
-  s.prefilter_reject_bytes =
-      published_.prefilter_reject_bytes.load(std::memory_order_relaxed);
   return s;
 }
 

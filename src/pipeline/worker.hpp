@@ -1,13 +1,14 @@
 // One pipeline shard: a consumer thread owning a private TcpReassembler +
 // IdsEngine pair, fed packet batches through an SPSC ring.
 //
-// Shared-nothing on the hot path: the worker's flow tables, scratch, and
-// alert buffer are touched only by its thread; the ring, the atomic counter
-// mirror, and the read-only shared compiled ruleset (GroupedRulesPtr — one
-// instance per generation, shared by every worker instead of compiled per
-// worker) are the only cross-thread state.  Flow ids are the stable
-// flow_key (tuple hash), so a worker's alerts are bitwise what a
-// single-threaded engine would emit for the same flows.
+// Shared-nothing on the hot path: the worker's flow tables, scratch, alert
+// buffer and WorkerStats are touched only by its thread; the ring, the
+// published copy of the stats (one relaxed atomic per WorkerStats field,
+// stored once per batch), and the read-only shared compiled ruleset
+// (GroupedRulesPtr — one instance per generation, shared by every worker
+// instead of compiled per worker) are the only cross-thread state.  Flow
+// ids are the stable flow_key (tuple hash), so a worker's alerts are
+// bitwise what a single-threaded engine would emit for the same flows.
 //
 // Ruleset hot-swap (RCU-style): the runtime publishes a new generation into
 // the shared RulesChannel (shared_ptr slot + sequence counter).  Each worker
@@ -20,6 +21,7 @@
 // reference.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -87,8 +89,9 @@ class RulesChannel {
 // pipeline) down: each failure is counted, and after quarantine_after
 // CONSECUTIVE failures the sink is quarantined — alerts are counted and
 // dropped instead of retried forever.  One successful delivery resets the
-// streak.  on_alert runs only on the owning worker's thread; the counters
-// are atomics so stats() can read them from anywhere.
+// streak.  The sink runs only on the owning worker's thread, which copies
+// its counts into the published WorkerStats (sink_errors,
+// sink_dropped_alerts, sink_quarantined).
 class GuardedSink final : public ids::AlertSink {
  public:
   GuardedSink(ids::AlertSink* inner, unsigned quarantine_after)
@@ -97,17 +100,17 @@ class GuardedSink final : public ids::AlertSink {
 
   void on_alert(const ids::Alert& alert) override;
 
-  std::uint64_t errors() const { return errors_.load(std::memory_order_relaxed); }
-  std::uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
-  bool quarantined() const { return quarantined_.load(std::memory_order_relaxed); }
+  std::uint64_t errors() const { return errors_; }
+  std::uint64_t dropped() const { return dropped_; }
+  bool quarantined() const { return quarantined_; }
 
  private:
   ids::AlertSink* inner_;
   const unsigned quarantine_after_;
-  unsigned consecutive_ = 0;  // worker-thread-local
-  std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> dropped_{0};  // alerts swallowed while quarantined
-  std::atomic<bool> quarantined_{false};
+  unsigned consecutive_ = 0;
+  std::uint64_t errors_ = 0;
+  std::uint64_t dropped_ = 0;  // alerts swallowed while quarantined
+  bool quarantined_ = false;
 };
 
 class Worker {
@@ -133,7 +136,8 @@ class Worker {
   void request_stop();
   void join();
 
-  // Coherent-enough snapshot; callable from any thread while running.
+  // The last published counters plus the live heartbeat; callable from any
+  // thread, before start() and after join() included.
   WorkerStats stats() const;
 
   // Registers this worker's instruments (labelled worker="index") in `reg`
@@ -168,6 +172,9 @@ class Worker {
   bool should_shed(const net::Packet& packet);
   void apply_overload();
   void sweep_idle(std::uint64_t idle_us);
+  // Copies the counts the engine, the reassembler and the sink own into
+  // stats_ (skipped after a failure: the engine is then in an unknown
+  // state), then stores every stats_ field into published_.
   void publish_stats();
 
   const PipelineConfig cfg_;
@@ -199,7 +206,7 @@ class Worker {
   // bounded-step eviction (cfg.eviction_max_steps) covers UDP churn too.
   util::FlowTable<std::uint64_t, std::uint64_t, util::U64Hash> udp_last_seen_;
 
-  // Degradation ladder (worker-thread-only except the mirrored gauges).
+  // Degradation ladder (worker-thread-only).
   OverloadManager overload_;
   const std::size_t base_buffered_budget_;  // configured reassembly budget
   // Per-connection payload bytes observed while at shed_load; keyed by the
@@ -208,41 +215,11 @@ class Worker {
   // empty (and costs nothing) in normal operation.
   std::unordered_map<std::uint64_t, std::uint64_t> shed_flow_bytes_;
 
-  // Published counters (relaxed; read by stats()).
-  struct AtomicStats {
-    std::atomic<std::uint64_t> packets{0};
-    std::atomic<std::uint64_t> batches{0};
-    std::atomic<std::uint64_t> payload_bytes{0};
-    std::atomic<std::uint64_t> bytes_inspected{0};
-    std::atomic<std::uint64_t> chunks{0};
-    std::atomic<std::uint64_t> alerts{0};
-    std::atomic<std::uint64_t> flows_seen{0};
-    std::atomic<std::uint64_t> flows_evicted{0};
-    std::atomic<std::uint64_t> reassembly_drops{0};
-    std::atomic<std::uint64_t> duplicate_bytes_trimmed{0};
-    std::atomic<std::uint64_t> c2s_delivered_bytes{0};
-    std::atomic<std::uint64_t> s2c_delivered_bytes{0};
-    std::atomic<std::uint64_t> overwritten_bytes{0};
-    std::atomic<std::uint64_t> discarded_on_close_bytes{0};
-    std::atomic<std::uint64_t> connections_started{0};
-    std::atomic<std::uint64_t> connections_ended{0};
-    std::atomic<std::uint64_t> active_flows{0};
-    std::atomic<std::uint64_t> tracked_connections{0};
-    std::atomic<std::uint64_t> rules_generation{0};
-    std::atomic<std::uint64_t> rules_swaps{0};
-    std::atomic<std::uint64_t> processed_packets{0};
-    std::atomic<std::uint64_t> shed_packets{0};
-    std::atomic<std::uint64_t> shed_bytes{0};
-    std::atomic<std::uint64_t> degradation_level{0};
-    std::atomic<std::uint64_t> degradation_transitions{0};
-    std::atomic<std::uint64_t> prefilter_pass_payloads{0};
-    std::atomic<std::uint64_t> prefilter_reject_payloads{0};
-    std::atomic<std::uint64_t> prefilter_pass_bytes{0};
-    std::atomic<std::uint64_t> prefilter_reject_bytes{0};
-  };
-  AtomicStats published_;
-  std::uint64_t evicted_ = 0;  // engine+reassembler evictions (thread-local)
-  std::uint64_t swaps_adopted_ = 0;
+  // This worker's counters: stats_ is written only by the worker thread,
+  // published_ is its per-field relaxed copy (WorkerStats::for_each_field
+  // order) that stats() reads from any thread.
+  WorkerStats stats_;
+  std::array<std::atomic<std::uint64_t>, WorkerStats::kFieldCount> published_{};
 
   // Liveness + failure containment.
   std::atomic<std::uint64_t> heartbeat_{0};

@@ -263,6 +263,31 @@ TEST_F(ChaosSink, WriteFailpointDrivesQuarantineWithoutAThrowingSink) {
   EXPECT_TRUE(inner.received.empty()) << "the injected failure fires before delivery";
 }
 
+// The guard's counts reach WorkerStats: every alert a worker raised is either
+// a failed delivery or one dropped under quarantine.
+TEST_F(ChaosSink, PipelineExportsEveryQuarantineLossPerWorker) {
+  ASSERT_EQ(fp::arm("alert_sink_write=always"), "");
+  pipeline::PipelineConfig cfg;
+  cfg.workers = 2;
+  cfg.sink_quarantine_after = 2;
+  pipeline::PipelineRuntime rt(demo_db(), cfg);
+  rt.start();
+  for (std::uint32_t f = 0; f < 32; ++f) {
+    rt.submit(tcp_packet(1 + f, 40000, 100, "xxNEEDLExx", f));
+  }
+  rt.stop();
+
+  EXPECT_TRUE(rt.alerts().empty()) << "no delivery may succeed";
+  const auto stats = rt.stats();
+  expect_accounting_identity(stats);
+  for (std::size_t w = 0; w < stats.workers.size(); ++w) {
+    const pipeline::WorkerStats& ws = stats.workers[w];
+    ASSERT_GT(ws.alerts, 0u) << "the traffic must alert on worker " << w;
+    EXPECT_EQ(ws.alerts, ws.sink_errors + ws.sink_dropped_alerts) << "worker " << w;
+    EXPECT_EQ(ws.sink_quarantined, ws.alerts >= 2 ? 1u : 0u) << "worker " << w;
+  }
+}
+
 TEST_F(ChaosSink, NdjsonSurvivesWriteFailuresAndKeepsForwarding) {
   std::vector<ids::Alert> forwarded;
   ids::AlertBuffer collect(forwarded);

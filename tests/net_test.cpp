@@ -172,7 +172,7 @@ TEST(Reassembly, FlowsAreIndependent) {
 }
 
 TEST(Reassembly, BufferBudgetDropsFloods) {
-  ReassemblyLimits limits;
+  ReassemblyConfig limits;
   limits.max_buffered_bytes = 64;
   std::size_t chunks = 0;
   TcpReassembler r([&](const StreamChunk&) { ++chunks; }, limits);
@@ -234,7 +234,7 @@ TEST(Reassembly, EvictedFlowForgetsPendingAndRestartsClean) {
 // plus out-of-order floods; periodic eviction keeps the flow table bounded
 // and the drop/evict counters account for the abuse.
 TEST(Reassembly, AdversarialChurnStaysBounded) {
-  ReassemblyLimits limits;
+  ReassemblyConfig limits;
   limits.max_buffered_bytes = 2048;
   std::size_t chunks = 0;
   TcpReassembler r([&](const StreamChunk&) { ++chunks; }, limits);

@@ -2,15 +2,18 @@
 // registration, kind safety, concurrent recording — the TSan target), exact
 // histogram bucketing, the pinned Prometheus text rendering, the HTTP
 // exporter over a real loopback socket, NDJSON alert lines (escaping, tuple
-// enrichment, multiset fidelity), the field-table-driven stats surfaces, and
-// the observer property: telemetry on vs off changes zero alerts.
+// enrichment, multiset fidelity), the field-table-driven stats surfaces, the
+// observer property (telemetry on vs off changes zero alerts), and the
+// validity of the exposition a sensor serves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <arpa/inet.h>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <netinet/in.h>
+#include <sstream>
 #include <string>
 #include <sys/socket.h>
 #include <thread>
@@ -18,7 +21,9 @@
 #include <vector>
 
 #include "helpers.hpp"
+#include "ids/engine.hpp"
 #include "net/flowgen.hpp"
+#include "pattern/pattern.hpp"
 #include "pipeline/runtime.hpp"
 #include "telemetry/http_exporter.hpp"
 #include "telemetry/json.hpp"
@@ -470,6 +475,54 @@ TEST(TelemetryDifferential, NdjsonSinkPreservesTheAlertMultiset) {
   }
   EXPECT_EQ(lines, plain.size());
   EXPECT_EQ(ndjson.rfind("{\"ts_us\":", 0), 0u) << "lines start with the schema";
+}
+
+// ----------------------------------------------------- the served exposition
+
+// What pcap_sensor's /metrics serves: the registry's families followed by the
+// WorkerStats table's.  The text format allows one # TYPE line per family,
+// and sensor_bench's traced phase reads five per-worker registry series, so
+// a rename fails here rather than in the benchmark.
+TEST(ServedExposition, EveryFamilyHasOneTypeLineAndTheBenchSeriesExist) {
+  const DatabasePtr db = compile(core::Algorithm::vpatch, web_rules());
+  telemetry::MetricsRegistry registry;
+  pipeline::PipelineConfig cfg;
+  cfg.workers = 2;
+  cfg.metrics = &registry;
+  pipeline::PipelineRuntime rt(db, cfg);
+  rt.start();
+  rt.submit(std::span<const net::Packet>(web_traffic(testutil::case_seed(702))));
+  rt.stop();
+
+  std::string served = registry.render_prometheus();
+  telemetry::render_pipeline_prometheus(served, rt.stats());
+
+  std::map<std::string, unsigned> type_lines;
+  std::istringstream in(served);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("# TYPE ", 0) != 0) continue;
+    ++type_lines[line.substr(7, line.find(' ', 7) - 7)];
+  }
+  ASSERT_FALSE(type_lines.empty());
+  for (const auto& [family, n] : type_lines) {
+    EXPECT_EQ(n, 1u) << "family " << family << " has " << n << " # TYPE lines";
+  }
+
+  for (unsigned w = 0; w < cfg.workers; ++w) {
+    const std::string worker = std::to_string(w);
+    for (const char* name : {"vpm_batch_fill_packets", "vpm_ring_dwell_seconds",
+                             "vpm_scan_latency_seconds", "vpm_chunk_bytes"}) {
+      EXPECT_NE(registry.find_histogram(name, {{"worker", worker}}), nullptr)
+          << name << " for worker " << w;
+    }
+    for (std::size_t g = 0; g < ids::kEngineGroupCount; ++g) {
+      const std::string series =
+          "vpm_group_scan_bytes_total{group=\"" +
+          std::string(pattern::group_name(static_cast<pattern::Group>(g))) +
+          "\",worker=\"" + worker + "\"} ";
+      EXPECT_NE(served.find(series), std::string::npos) << series;
+    }
+  }
 }
 
 }  // namespace
