@@ -12,11 +12,7 @@
 //                                                traffic, afpacket:IFACE live
 //                                                capture (VPM_WITH_AFPACKET)
 //   ./pcap_sensor --cpu-list=0-3,8 ...           pin worker i to the i-th
-//                                                listed CPU (and replicate the
-//                                                compiled rules per NUMA node)
-//   ./pcap_sensor --numa=auto ...                derive the pin list from the
-//                                                detected topology, workers
-//                                                interleaved across nodes
+//                                                listed CPU
 //   ./pcap_sensor --workers=N ...                shard flows across N workers
 //                                                (default 1)
 //   ./pcap_sensor --batch=N ...                  packets per ring batch
@@ -36,10 +32,10 @@
 //                                                target_linux (default first)
 //
 // Demo mode synthesizes HTTP flows (with deliberately reordered segments and
-// planted attack payloads), writes a well-formed pcap to a temp file, then
-// replays it through the pipeline — proving a pattern split across TCP
-// segments is still caught, with the same alerts at any --workers=N (one
-// reassembler + engine per worker; default 1).
+// planted attack payloads), encodes them as a pcap in memory, then replays
+// it through the pipeline — proving a pattern split across TCP segments is
+// still caught, with the same alerts at any --workers=N (one reassembler +
+// engine per worker; default 1).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -78,7 +74,7 @@ struct SensorOptions {
   std::size_t batch_packets = 0;  // 0 = PipelineConfig default
   std::size_t swap_after = 0;     // 0 = no hot-swap
   std::string source_spec;        // --source= (positional pcap path otherwise)
-  std::vector<int> worker_cpus;   // --cpu-list / --numa=auto pinning
+  std::vector<int> worker_cpus;   // --cpu-list pinning
   std::size_t max_packets = 0;    // stop a live/endless source after N (0 = no cap)
   core::Algorithm algo = core::Algorithm::vpatch;
   core::PrefilterMode prefilter = core::PrefilterMode::automatic;
@@ -139,8 +135,6 @@ int run(capture::CaptureSource& source, const pattern::PatternSet& rules,
   cfg.reassembly = opt.reassembly;
   cfg.overload = opt.overload;
   cfg.worker_cpus = opt.worker_cpus;
-  // Pinned workers get per-NUMA-node replicas of the compiled ruleset.
-  cfg.numa_replicate_rules = !opt.worker_cpus.empty();
   if (opt.batch_packets > 0) cfg.batch_packets = opt.batch_packets;
   if (opt.metrics_port >= 0) cfg.metrics = &registry;
 
@@ -159,10 +153,6 @@ int run(capture::CaptureSource& source, const pattern::PatternSet& rules,
   }
 
   pipeline::PipelineRuntime rt(db, cfg);
-  if (cfg.numa_replicate_rules && rt.rules_replicas() > 1) {
-    std::printf("numa: %zu ruleset replicas across pinned nodes\n",
-                rt.rules_replicas());
-  }
 
   std::unique_ptr<capture::CaptureTelemetry> capture_metrics;
   if (opt.metrics_port >= 0) {
@@ -316,10 +306,6 @@ int run_demo(const SensorOptions& opt) {
   }
 
   const auto pcap = net::write_pcap(flows.packets);
-  const std::string path = "/tmp/vpm_demo.pcap";
-  util::write_file(path, pcap);
-  std::printf("wrote %zu packets (%zu KB) to %s\n\n", flows.packets.size(),
-              pcap.size() >> 10, path.c_str());
 
   pattern::PatternSet rules;
   rules.add("/etc/passwd", true, pattern::Group::http);
@@ -345,7 +331,7 @@ std::string algo_names() {
 void print_usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [--source=SPEC] [--workers=N] [--batch=N] [--algo=NAME] "
-               "[--prefilter=MODE] [--swap-after=N] [--cpu-list=LIST] [--numa=auto] "
+               "[--prefilter=MODE] [--swap-after=N] [--cpu-list=LIST] "
                "[--max-packets=N] "
                "[--overlap-policy=NAME] [--overload-policy=NAME] [--fail=SPEC] "
                "[--fail-seed=N] [--metrics-port=N] [--serve-seconds=N] "
@@ -353,10 +339,7 @@ void print_usage(const char* prog) {
                "  --source=SPEC    pcap:FILE | trace:mixed|evasion[,flows=N,"
                "seed=N,epochs=N] | afpacket:IFACE[,blocks=N,block_kb=N,fanout=ID] "
                "(a bare path means pcap)\n"
-               "  --cpu-list=LIST  pin worker i to the i-th CPU of LIST (0-3,8) "
-               "and replicate the ruleset per NUMA node\n"
-               "  --numa=auto      derive the pin list from sysfs topology, "
-               "interleaved across nodes\n"
+               "  --cpu-list=LIST  pin worker i to the i-th CPU of LIST (0-3,8)\n"
                "  --max-packets=N  stop after N packets (endless/live sources)\n"
                "  --algo=NAME      matcher engine (default v-patch); available on "
                "this CPU:\n                   %s\n"
@@ -408,8 +391,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       opt.worker_cpus = *cpus;
-    } else if (std::strcmp(argv[i], "--numa=auto") == 0) {
-      opt.worker_cpus = capture::CpuTopology::detect().interleaved_cpus();
     } else if (std::strncmp(argv[i], "--metrics-port=", 15) == 0) {
       opt.metrics_port = static_cast<int>(std::strtol(argv[i] + 15, nullptr, 10));
       if (opt.metrics_port < 0 || opt.metrics_port > 65535) {

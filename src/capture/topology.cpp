@@ -2,27 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
-#include <sstream>
 
 #if defined(__linux__)
 #include <sched.h>
 #endif
 
 namespace vpm::capture {
-
-namespace {
-
-// Reads a one-line sysfs file; empty string when unreadable.
-std::string read_line(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return {};
-  std::string line;
-  std::getline(in, line);
-  return line;
-}
-
-}  // namespace
 
 std::optional<std::vector<int>> parse_cpu_list(std::string_view text) {
   // Trim trailing whitespace/newline the kernel appends.
@@ -66,60 +51,6 @@ std::optional<std::vector<int>> parse_cpu_list(std::string_view text) {
   cpus.erase(std::unique(cpus.begin(), cpus.end()), cpus.end());
   return cpus;
 }
-
-int CpuTopology::node_of(int cpu) const {
-  for (const Node& n : nodes) {
-    if (std::binary_search(n.cpus.begin(), n.cpus.end(), cpu)) return n.id;
-  }
-  return -1;
-}
-
-std::vector<int> CpuTopology::all_cpus() const {
-  std::vector<int> out;
-  for (const Node& n : nodes) out.insert(out.end(), n.cpus.begin(), n.cpus.end());
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-std::vector<int> CpuTopology::interleaved_cpus() const {
-  std::vector<int> out;
-  std::size_t rank = 0;
-  for (bool any = true; any; ++rank) {
-    any = false;
-    for (const Node& n : nodes) {
-      if (rank < n.cpus.size()) {
-        out.push_back(n.cpus[rank]);
-        any = true;
-      }
-    }
-  }
-  return out;
-}
-
-CpuTopology CpuTopology::detect_at(const std::string& root) {
-  CpuTopology topo;
-  const auto node_ids =
-      parse_cpu_list(read_line(root + "/devices/system/node/online"));
-  if (node_ids && !node_ids->empty()) {
-    for (int id : *node_ids) {
-      const auto cpus = parse_cpu_list(read_line(
-          root + "/devices/system/node/node" + std::to_string(id) + "/cpulist"));
-      if (!cpus || cpus->empty()) continue;
-      topo.nodes.push_back(Node{id, *cpus});
-    }
-  }
-  if (topo.nodes.empty()) {
-    // No NUMA sysfs: one node holding every online CPU.
-    const auto cpus = parse_cpu_list(read_line(root + "/devices/system/cpu/online"));
-    Node n;
-    n.cpus = (cpus && !cpus->empty()) ? *cpus : std::vector<int>{0};
-    topo.nodes.push_back(std::move(n));
-  }
-  return topo;
-}
-
-CpuTopology CpuTopology::detect() { return detect_at("/sys"); }
 
 bool pin_current_thread(int cpu) {
 #if defined(__linux__)

@@ -1,43 +1,12 @@
-// CPU/NUMA topology discovery and thread pinning — sysfs parsing only, no
-// libnuma dependency (the container images this runs in rarely ship it, and
-// the two facts the pipeline needs — which CPUs exist and which node each
-// belongs to — are a pair of text files away).
-//
-// Used by the runtime for worker→CPU pinning (PipelineConfig::worker_cpus)
-// and per-NUMA-node GroupedRules replication, and by pcap_sensor's
-// --numa=auto placement.
+// Worker thread pinning: the --cpu-list parser and the sched_setaffinity
+// call behind PipelineConfig::worker_cpus.
 #pragma once
 
 #include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
 namespace vpm::capture {
-
-struct CpuTopology {
-  struct Node {
-    int id = 0;
-    std::vector<int> cpus;  // ascending
-  };
-  std::vector<Node> nodes;  // ascending by id; never empty after detect()
-
-  // Node id owning `cpu`, or -1 when unknown (treat as node 0).
-  int node_of(int cpu) const;
-  // Every online CPU, ascending.
-  std::vector<int> all_cpus() const;
-  // CPUs interleaved across nodes (node0[0], node1[0], node0[1], ...) — the
-  // --numa=auto placement: consecutive workers land on alternating sockets
-  // so per-node rules replication splits the fleet evenly.
-  std::vector<int> interleaved_cpus() const;
-
-  // Reads /sys/devices/system/{node,cpu}.  Hosts without NUMA sysfs (or
-  // with it hidden) come back as a single node 0 holding every online CPU;
-  // a host where even that fails yields one node with cpu 0.
-  static CpuTopology detect();
-  // Same parse against an alternate sysfs root — the test seam.
-  static CpuTopology detect_at(const std::string& sysfs_root);
-};
 
 // Parses a kernel cpulist ("0-3,8,10-11") into ascending CPU ids; nullopt on
 // malformed input.  Also the --cpu-list flag format.

@@ -25,7 +25,6 @@ std::optional<OverloadConfig> overload_policy_from_name(std::string_view name) {
     cfg.budget_factor = 0.125;
     cfg.degraded_idle_timeout_us = 250'000;
     cfg.shed_payload_bytes = 512;
-    cfg.shed_flow_total_bytes = 16 * 1024;
     return cfg;
   }
   return std::nullopt;

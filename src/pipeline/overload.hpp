@@ -16,12 +16,11 @@
 //   rung 2  evict_early     idle flows are evicted on a much shorter timeout
 //                           and sweeps run more often, bounding flow-table
 //                           growth under churn floods
-//   rung 3  shed_load       lowest-value packets are discarded before any
-//                           processing: oversized payloads and the long-tail
-//                           flows that dominated bytes during the overload
-//                           episode (an elephant flow starves thousands of
-//                           mice — shedding it frees the most capacity at
-//                           the smallest coverage loss)
+//   rung 3  shed_load       payloads larger than shed_payload_bytes are
+//                           discarded before any processing: one oversized
+//                           segment costs as much scan time as dozens of
+//                           small ones, so shedding it frees the most
+//                           capacity at the smallest coverage loss
 //
 // Transitions move ONE rung per evaluation (a batch boundary), with
 // hysteresis: the ladder climbs at enter_fill[rung] and only descends below
@@ -76,18 +75,14 @@ struct OverloadConfig {
   // and sweeps run every eviction_sweep_packets/4 packets.
   std::uint64_t degraded_idle_timeout_us = 1'000'000;  // 1 s of capture time
 
-  // Rung 3 shed criteria: a packet is shed when its payload exceeds
-  // shed_payload_bytes, or when its connection has already contributed more
-  // than shed_flow_total_bytes of payload during this overload episode
-  // (per-connection byte counts start at rung 3 and reset on descent, so
-  // the tracking map is empty in normal operation).
+  // Rung 3 sheds exactly the packets whose payload exceeds
+  // shed_payload_bytes; payloads at or below it are always processed.
   std::size_t shed_payload_bytes = 1200;
-  std::uint64_t shed_flow_total_bytes = 64 * 1024;
 };
 
 // Named policies for CLI/config surfaces: "off", "conservative" (the
 // OverloadConfig defaults, enabled), "aggressive" (earlier watermarks,
-// deeper budget cut, tighter shed criteria).  Unknown names -> nullopt.
+// deeper budget cut, lower shed bound).  Unknown names -> nullopt.
 std::optional<OverloadConfig> overload_policy_from_name(std::string_view name);
 
 class OverloadManager {

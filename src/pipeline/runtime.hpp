@@ -44,28 +44,15 @@
 #include "pipeline/watchdog.hpp"
 #include "pipeline/worker.hpp"
 
-namespace vpm::capture {
-struct CpuTopology;
-}
-
 namespace vpm::pipeline {
-
-// Worker i -> ruleset-replica slot under cfg.numa_replicate_rules: workers
-// pinned (cfg.worker_cpus, cycled) to CPUs of one node of `topo` share a
-// slot, and a CPU `topo` does not know counts as node 0.  Slots are numbered
-// in first-seen order, so slot 0 is always populated; every worker reads
-// slot 0 when cfg.worker_cpus is empty.  The runtime passes
-// CpuTopology::detect(); tests pass fabricated multi-node topologies.
-std::vector<std::size_t> numa_rule_slots(const PipelineConfig& cfg,
-                                         const capture::CpuTopology& topo);
 
 class PipelineRuntime {
  public:
   // Builds the shared grouped ruleset from `db` (one compile, shared
-  // read-only by every worker — not one compile per worker; plus one replica
-  // per extra NUMA node under cfg.numa_replicate_rules) and one
-  // reassembler/engine pair per worker.  workers, batch_packets and
-  // eviction_max_steps are clamped to >= 1.
+  // read-only by every worker through one RulesChannel — not one compile
+  // per worker) and one reassembler/engine pair per worker, each pinned to
+  // its cfg.worker_cpus entry when that list is set.  workers,
+  // batch_packets and eviction_max_steps are clamped to >= 1.
   PipelineRuntime(DatabasePtr db, PipelineConfig cfg = {});
 
   ~PipelineRuntime();  // stops and joins if still running
@@ -127,19 +114,10 @@ class PipelineRuntime {
   // stop(); empty when cfg.alert_sink routed alerts elsewhere.
   const std::vector<ids::Alert>& alerts() const { return alerts_; }
 
-  // Ruleset replicas backing the workers: 1 normally; one per NUMA node
-  // covered by cfg.worker_cpus when cfg.numa_replicate_rules is set
-  // (replicas share the master pattern bytes through the database but carry
-  // node-local compiled matcher tables).
-  std::size_t rules_replicas() const { return rules_channels_.size(); }
-
  private:
   PipelineConfig cfg_;
-  // One channel per ruleset replica.  Slot 0 always exists; worker i reads
-  // worker_slot_[i].  unique_ptr: RulesChannel holds atomics/mutex and must
-  // not move once workers hold pointers into it.
-  std::vector<std::unique_ptr<RulesChannel>> rules_channels_;
-  std::vector<std::size_t> worker_slot_;
+  // Declared before workers_: every worker holds a reference to it.
+  RulesChannel rules_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::unique_ptr<ShardRouter> router_;
   std::unique_ptr<Watchdog> watchdog_;  // null when cfg.watchdog_interval_ms == 0

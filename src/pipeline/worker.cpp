@@ -255,10 +255,6 @@ void Worker::apply_overload() {
   } else {
     reassembler_.set_max_buffered_bytes(base_buffered_budget_);
   }
-  // Leaving rung 3 ends the shed episode: forget its flow byte counts so
-  // the next episode judges flows on fresh behavior (and the map stays
-  // empty in normal operation).
-  if (now < DegradationLevel::shed_load) shed_flow_bytes_.clear();
   publish_stats();
 }
 
@@ -289,16 +285,9 @@ void Worker::process(PacketBatch& batch) {
   publish_stats();
 }
 
-bool Worker::should_shed(const net::Packet& packet) {
-  if (overload_.level() != DegradationLevel::shed_load) return false;
-  const OverloadConfig& oc = cfg_.overload;
-  // Oversized payloads first: one elephant segment costs as much scan time
-  // as dozens of mice.
-  if (packet.payload.size() > oc.shed_payload_bytes) return true;
-  // Then the flows that dominated bytes during this overload episode.
-  std::uint64_t& seen = shed_flow_bytes_[packet.tuple.conn_hash()];
-  seen += packet.payload.size();
-  return seen > oc.shed_flow_total_bytes;
+bool Worker::should_shed(const net::Packet& packet) const {
+  return overload_.level() == DegradationLevel::shed_load &&
+         packet.payload.size() > cfg_.overload.shed_payload_bytes;
 }
 
 void Worker::handle_packet(net::Packet& packet) {

@@ -27,7 +27,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "util/flow_table.hpp"
@@ -169,7 +168,7 @@ class Worker {
   void maybe_adopt_rules();
   void process(PacketBatch& batch);
   void handle_packet(net::Packet& packet);
-  bool should_shed(const net::Packet& packet);
+  bool should_shed(const net::Packet& packet) const;
   void apply_overload();
   void sweep_idle(std::uint64_t idle_us);
   // Copies the counts the engine, the reassembler and the sink own into
@@ -209,11 +208,6 @@ class Worker {
   // Degradation ladder (worker-thread-only).
   OverloadManager overload_;
   const std::size_t base_buffered_budget_;  // configured reassembly budget
-  // Per-connection payload bytes observed while at shed_load; keyed by the
-  // direction-symmetric conn_hash so both sides of an elephant flow count
-  // together.  Populated only at rung 3 and cleared on descent, so it is
-  // empty (and costs nothing) in normal operation.
-  std::unordered_map<std::uint64_t, std::uint64_t> shed_flow_bytes_;
 
   // This worker's counters: stats_ is written only by the worker thread,
   // published_ is its per-field relaxed copy (WorkerStats::for_each_field

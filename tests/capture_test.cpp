@@ -2,9 +2,9 @@
 // against the in-process MockRing (frame walk, mid-block resume, drop/freeze
 // accounting, snaplen truncation), the open-addressing FlowTable (collision
 // chains, bounded incremental sweeps, tombstone rebuilds, million-entry
-// churn), sysfs topology parsing, --source spec parsing, and the capture
-// telemetry bridge.  Everything runs deterministically without root, a NIC,
-// or NUMA hardware.
+// churn), --cpu-list parsing, --source spec parsing, and the capture
+// telemetry bridge.  Everything runs deterministically without root or a
+// NIC.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -307,7 +307,7 @@ TEST(FlowTable, MillionEntryChurnWithBoundedSweeps) {
   EXPECT_LE(calls, capacity / kStep + 1);
 }
 
-// --- Topology: sysfs parsing and CPU lists ---------------------------------
+// --- Topology: CPU lists ----------------------------------------------------
 
 TEST(Topology, ParseCpuList) {
   const auto cpus = parse_cpu_list("0-3,8,10-11");
@@ -322,52 +322,6 @@ TEST(Topology, ParseCpuList) {
   EXPECT_EQ(parse_cpu_list("3-1"), std::nullopt);
   EXPECT_EQ(parse_cpu_list("1,,2"), std::nullopt);
   EXPECT_EQ(parse_cpu_list("-5"), std::nullopt);
-}
-
-TEST(Topology, DetectAtFabricatedSysfs) {
-  namespace fs = std::filesystem;
-  const fs::path root = fs::path(::testing::TempDir()) / "vpm_sysfs_two_nodes";
-  fs::create_directories(root / "devices/system/node/node0");
-  fs::create_directories(root / "devices/system/node/node1");
-  auto write_file = [](const fs::path& p, std::string_view text) {
-    std::ofstream(p) << text << "\n";
-  };
-  write_file(root / "devices/system/node/online", "0-1");
-  write_file(root / "devices/system/node/node0/cpulist", "0,2");
-  write_file(root / "devices/system/node/node1/cpulist", "1,3");
-
-  const CpuTopology topo = CpuTopology::detect_at(root.string());
-  ASSERT_EQ(topo.nodes.size(), 2u);
-  EXPECT_EQ(topo.nodes[0].cpus, (std::vector<int>{0, 2}));
-  EXPECT_EQ(topo.nodes[1].cpus, (std::vector<int>{1, 3}));
-  EXPECT_EQ(topo.node_of(2), 0);
-  EXPECT_EQ(topo.node_of(3), 1);
-  EXPECT_EQ(topo.node_of(99), -1);
-  EXPECT_EQ(topo.all_cpus(), (std::vector<int>{0, 1, 2, 3}));
-  // --numa=auto placement: alternate sockets, node order within each rank.
-  EXPECT_EQ(topo.interleaved_cpus(), (std::vector<int>{0, 1, 2, 3}));
-
-  // No NUMA sysfs at all: degrade to one node holding the online CPUs.
-  const fs::path flat = fs::path(::testing::TempDir()) / "vpm_sysfs_flat";
-  fs::create_directories(flat / "devices/system/cpu");
-  write_file(flat / "devices/system/cpu/online", "0-5");
-  const CpuTopology single = CpuTopology::detect_at(flat.string());
-  ASSERT_EQ(single.nodes.size(), 1u);
-  EXPECT_EQ(single.nodes[0].id, 0);
-  EXPECT_EQ(single.nodes[0].cpus, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-
-  // Even an empty root yields a usable topology (cpu 0, node 0).
-  const CpuTopology fallback = CpuTopology::detect_at(
-      (fs::path(::testing::TempDir()) / "vpm_sysfs_missing").string());
-  ASSERT_EQ(fallback.nodes.size(), 1u);
-  EXPECT_FALSE(fallback.nodes[0].cpus.empty());
-}
-
-TEST(Topology, InterleavedCpusAlternatesNodes) {
-  CpuTopology topo;
-  topo.nodes.push_back({0, {0, 1, 2}});
-  topo.nodes.push_back({1, {4, 5}});
-  EXPECT_EQ(topo.interleaved_cpus(), (std::vector<int>{0, 4, 1, 5, 2}));
 }
 
 // --- Source specs ----------------------------------------------------------

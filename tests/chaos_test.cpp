@@ -391,13 +391,19 @@ TEST_F(ChaosOverload, ShedLoadAccountsEveryPacketAndByte) {
   // Force the climb: every evaluation sees fill >= enter, never below exit.
   for (double& e : cfg.overload.enter_fill) e = 0.0;
   for (double& e : cfg.overload.exit_fill) e = -1.0;
-  cfg.overload.shed_payload_bytes = 8;  // every 32-byte payload is oversized
+  cfg.overload.shed_payload_bytes = 8;
 
   pipeline::PipelineRuntime rt(demo_db(), cfg);
   rt.start();
-  const std::string payload(32, 'x');
+  // Alternate oversized 32-byte payloads with 8-byte payloads that sit
+  // exactly at the bound; each flow (i % 8) keeps one size, so its sequence
+  // numbers stay contiguous.
+  const std::string oversized(32, 'x');
+  const std::string at_bound(8, 'y');
   for (std::uint32_t i = 0; i < 200; ++i) {
-    rt.submit(tcp_packet(1 + i % 8, 40000, 100 + (i / 8) * 32, payload, i));
+    const std::string& payload = i % 2 == 0 ? oversized : at_bound;
+    const auto len = static_cast<std::uint32_t>(payload.size());
+    rt.submit(tcp_packet(1 + i % 8, 40000, 100 + (i / 8) * len, payload, i));
   }
   rt.stop();
 
@@ -405,7 +411,9 @@ TEST_F(ChaosOverload, ShedLoadAccountsEveryPacketAndByte) {
   expect_accounting_identity(stats);
   const auto totals = stats.totals();
   EXPECT_GT(totals.shed_packets, 0u) << "rung 3 must shed oversized payloads";
-  EXPECT_EQ(totals.shed_bytes, totals.shed_packets * payload.size());
+  // Every shed packet is an oversized one: no payload at or below the bound
+  // is ever shed.
+  EXPECT_EQ(totals.shed_bytes, totals.shed_packets * oversized.size());
   EXPECT_EQ(totals.degradation_level, 3u) << "gauge mirrors the top rung";
   EXPECT_GE(totals.degradation_transitions, 3u);
 }

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <thread>
 
-#include "capture/topology.hpp"
 #include "helpers.hpp"
 #include "net/flowgen.hpp"
 #include "pipeline/runtime.hpp"
@@ -256,32 +255,6 @@ TEST(PipelineRuntime, ThreadSafeAlertSinkReceivesEverything) {
   EXPECT_TRUE(rt.alerts().empty()) << "alerts were routed to the external sink";
   EXPECT_EQ(sink.alerts.size(), 12u);
   EXPECT_EQ(rt.stats().totals().alerts, 12u);
-}
-
-// Per-node rule replicas: worker i reads the slot of its pinned CPU's node.
-// Fabricated topologies stand in for multi-socket hosts.
-TEST(PipelineRuntime, NumaRuleSlotsFollowTopology) {
-  const capture::CpuTopology two_nodes{{{0, {0, 2}}, {1, {1, 3}}}};
-  PipelineConfig cfg;
-  cfg.workers = 4;
-  cfg.worker_cpus = {0, 1};
-  EXPECT_EQ(numa_rule_slots(cfg, two_nodes), (std::vector<std::size_t>{0, 1, 0, 1}));
-  // Slots follow first-seen order, not node ids: node 1 comes first here.
-  cfg.workers = 5;
-  cfg.worker_cpus = {3, 1, 2};
-  EXPECT_EQ(numa_rule_slots(cfg, two_nodes), (std::vector<std::size_t>{0, 0, 1, 0, 0}));
-  // A CPU the topology does not know shares node 0's slot.
-  cfg.workers = 3;
-  cfg.worker_cpus = {1, 9, 0};
-  EXPECT_EQ(numa_rule_slots(cfg, two_nodes), (std::vector<std::size_t>{0, 1, 1}));
-  // Sparse node ids: three nodes give three slots.
-  const capture::CpuTopology three_nodes{{{0, {0}}, {2, {4}}, {5, {7}}}};
-  cfg.workers = 4;
-  cfg.worker_cpus = {7, 4, 0, 4};
-  EXPECT_EQ(numa_rule_slots(cfg, three_nodes), (std::vector<std::size_t>{0, 1, 2, 1}));
-  // No pinning: one slot.
-  cfg.worker_cpus.clear();
-  EXPECT_EQ(numa_rule_slots(cfg, three_nodes), (std::vector<std::size_t>(4, 0)));
 }
 
 TEST(PipelineRuntime, IsOneShot) {
