@@ -1,7 +1,7 @@
 // Compile-path latency: how long vpm::compile() takes to turn a rule set
 // into an immutable Database, per algorithm and ruleset size, plus the
-// compiled footprint (Database::memory_bytes — engine tables + owned pattern
-// copy).  This is the control-plane cost a hot-swap pays before publishing a
+// compiled footprint (Database::memory_bytes — owned patterns plus each
+// distinct per-group working set and signature, counted once).  This is the control-plane cost a hot-swap pays before publishing a
 // new generation, so the trajectory tracks it the same way the scan benches
 // track data-plane throughput.
 //
@@ -37,9 +37,9 @@ int main_impl(int argc, char** argv) {
     for (const core::Algorithm algo : core::available_algorithms()) {
       // One warm-up compile (first-touch page faults, allocator growth),
       // then `runs` timed compiles of fresh databases.  engine() is touched
-      // inside the timed region: the whole-set engine materializes lazily,
-      // and this bench reports the full pattern-copy + engine-build cost a
-      // Scanner-path reload pays.
+      // inside the timed region: unless one working set holds every pattern
+      // the whole-set engine materializes lazily, and this bench reports the
+      // full pattern-copy + engine-build cost a Scanner-path reload pays.
       DatabasePtr db = compile(algo, s.patterns);
       db->engine();
       std::vector<double> ms;

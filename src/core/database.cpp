@@ -1,5 +1,6 @@
 #include "core/database.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 
@@ -12,6 +13,22 @@ namespace {
 std::uint64_t next_generation() {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::size_t pattern_bytes(const pattern::PatternSet& set) {
+  std::size_t bytes = 0;
+  for (const pattern::Pattern& p : set) bytes += sizeof(pattern::Pattern) + p.bytes.capacity();
+  return bytes;
+}
+
+// Sum of f(slot) over the distinct non-null pointers of a per-group array.
+template <typename Slots, typename F>
+std::size_t sum_distinct(const Slots& slots, F f) {
+  std::size_t total = 0;
+  for (auto it = slots.begin(); it != slots.end(); ++it) {
+    if (*it != nullptr && std::find(slots.begin(), it, *it) == it) total += f(**it);
+  }
+  return total;
 }
 
 }  // namespace
@@ -40,31 +57,57 @@ Database::Database(Private, core::Algorithm algorithm, pattern::PatternSet patte
                              std::string(core::algorithm_name(algorithm_)) +
                              "' is unavailable on this CPU");
   }
-  // Per-group signatures over the same pattern subset each GroupedRules
-  // entry scans (the group's own patterns plus the generic group).
-  for (std::size_t g = 0; g < core::kPrefilterGroupCount; ++g) {
+  // Each group's working set is its own patterns plus the generic ones; the
+  // generic group sees only generic patterns.  A composition equal to an
+  // earlier group's reuses that set and its signature.
+  for (std::size_t g = 0; g < sets_.size(); ++g) {
     const auto group = static_cast<pattern::Group>(g);
-    prefilters_[g] =
-        core::build_prefilter(patterns_.filter_groups({group, pattern::Group::generic}));
+    std::vector<std::uint32_t> to_master;
+    for (const pattern::Pattern& p : patterns_) {
+      if (p.group == group || p.group == pattern::Group::generic) to_master.push_back(p.id);
+    }
+    const auto earlier = std::find_if(sets_.begin(), sets_.begin() + g, [&](const auto& set) {
+      return set->to_master == to_master;
+    });
+    if (earlier != sets_.begin() + g) {
+      sets_[g] = *earlier;
+      prefilters_[g] = prefilters_[static_cast<std::size_t>(earlier - sets_.begin())];
+      continue;
+    }
+    auto set = std::make_shared<WorkingSet>();
+    for (const std::uint32_t id : to_master) {
+      const pattern::Pattern& p = patterns_[id];
+      set->patterns.add(p.bytes, p.nocase, p.group);
+      set->lengths.push_back(static_cast<std::uint32_t>(p.size()));
+      set->max_len = std::max(set->max_len, p.size());
+    }
+    set->to_master = std::move(to_master);
+    set->matcher = core::make_matcher(
+        set->patterns.empty() ? core::Algorithm::naive : algorithm_, set->patterns);
+    prefilters_[g] = core::build_prefilter(set->patterns);
+    sets_[g] = std::move(set);
   }
 }
 
 const Matcher& Database::engine() const {
+  for (const auto& set : sets_) {
+    if (!set->to_master.empty() && set->to_master.size() == patterns_.size()) {
+      return *set->matcher;
+    }
+  }
   std::call_once(engine_once_,
                  [this] { engine_ = core::make_matcher(algorithm_, patterns_); });
   return *engine_;
 }
 
 std::size_t Database::memory_bytes() const {
-  std::size_t pattern_bytes = 0;
-  for (const pattern::Pattern& p : patterns_) {
-    pattern_bytes += sizeof(pattern::Pattern) + p.bytes.capacity();
-  }
-  std::size_t prefilter_bytes = 0;
-  for (const core::PrefilterPtr& f : prefilters_) {
-    if (f != nullptr) prefilter_bytes += f->memory_bytes();
-  }
-  return engine().memory_bytes() + pattern_bytes + prefilter_bytes;
+  const std::size_t sets = sum_distinct(sets_, [](const WorkingSet& set) {
+    return set.matcher->memory_bytes() + pattern_bytes(set.patterns) +
+           (set.to_master.capacity() + set.lengths.capacity()) * sizeof(std::uint32_t);
+  });
+  const std::size_t signatures =
+      sum_distinct(prefilters_, [](const core::Prefilter& f) { return f.memory_bytes(); });
+  return pattern_bytes(patterns_) + sets + signatures;
 }
 
 util::Bytes Database::save_patterns() const {

@@ -25,8 +25,10 @@
 //   scanner.scan_batch(payloads, batch_sink);
 #pragma once
 
+#include <array>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "core/matcher_factory.hpp"
 #include "core/prefilter.hpp"
@@ -39,6 +41,19 @@ namespace vpm {
 class Database;
 using DatabasePtr = std::shared_ptr<const Database>;
 
+// What a stream of one protocol group is scanned against (paper §V-A): the
+// group's own patterns plus the generic ones, compiled once per distinct
+// composition.  Local ids index `patterns`; alerts report to_master[local].
+struct WorkingSet {
+  pattern::PatternSet patterns;
+  std::vector<std::uint32_t> to_master;  // local id -> Database pattern id
+  std::vector<std::uint32_t> lengths;    // local id -> pattern byte length
+  std::size_t max_len = 0;
+  // Built over `patterns`, so a set never moves once built.  A set with no
+  // patterns gets the naive engine: some engines reject an empty set.
+  MatcherPtr matcher;
+};
+
 class Database {
   struct Private {};  // compile()/from_serialized() are the only builders
 
@@ -48,7 +63,9 @@ class Database {
   core::Algorithm algorithm() const { return algorithm_; }
   std::string_view algorithm_name() const { return core::algorithm_name(algorithm_); }
   std::size_t pattern_count() const { return patterns_.size(); }
-  // Engine tables plus the owned pattern storage.
+  // What the sensor holds: the owned patterns, each distinct working set
+  // (engine and tables) and each distinct signature, each counted once.
+  // Builds nothing; a separately built engine() is not counted.
   std::size_t memory_bytes() const;
 
   // Process-monotonic compile id (never reused; assigned per compile()).
@@ -60,10 +77,16 @@ class Database {
   // The owned pattern copy (ids are the ids engines report).
   const pattern::PatternSet& patterns() const { return patterns_; }
 
-  // Per-group approximate q-gram signatures, built eagerly at compile time
-  // over each group's own + generic patterns (the same composition
-  // GroupedRules scans).  Null slot = no usable signature for that group
-  // (empty, or contains a sub-3-byte pattern).  Serialized inside
+  // The working set streams of protocol `group` are scanned against.
+  // Groups whose compositions are equal share one set (same address).
+  const WorkingSet& working_set(pattern::Group group) const {
+    return *sets_[static_cast<std::size_t>(group)];
+  }
+
+  // Per-group approximate q-gram signatures over each group's working set,
+  // built once per distinct set (groups sharing a set share its slot's
+  // pointer).  Null slot = no usable signature for that group (empty, or
+  // contains a sub-3-byte pattern).  Serialized per group inside
   // save_patterns() and restored — checksummed — by from_serialized(), so a
   // loaded database screens identically to the compiling process.
   const core::GroupPrefilters& prefilters() const { return prefilters_; }
@@ -73,12 +96,13 @@ class Database {
 
   // The compiled whole-set engine.  Scanning through it directly is valid
   // (scan / scan_batch are const and thread-safe with caller-owned
-  // scratch); Scanner packages exactly that.  Built lazily on first access
-  // (std::call_once, so concurrent first readers are safe): consumers that
-  // only need the pattern artifact — GroupedRules/IdsEngine/the pipeline
-  // compile their own per-group matchers — never pay for or hold the
-  // unused whole-set tables.  Availability of the algorithm is validated
-  // eagerly in compile(), so this cannot throw for a missing kernel.
+  // scratch); Scanner packages exactly that.  When one working set holds
+  // every pattern its ids are the Database ids, and this is that set's
+  // matcher.  Otherwise it is built lazily on first access (std::call_once,
+  // so concurrent first readers are safe): IdsEngine and the pipeline scan
+  // the working sets and never pay for it.  Availability of the algorithm
+  // is validated eagerly in compile(), so this cannot throw for a missing
+  // kernel.
   const Matcher& engine() const;
 
   // Serialized v2 pattern database carrying this database's fingerprint and
@@ -107,6 +131,9 @@ class Database {
                                           const core::Algorithm* algorithm_override);
 
   pattern::PatternSet patterns_;  // outlives engine_: the engine is built over it
+  // One slot per group; equal compositions share one set.
+  std::array<std::shared_ptr<const WorkingSet>, static_cast<std::size_t>(pattern::Group::count)>
+      sets_;
   mutable std::once_flag engine_once_;
   mutable MatcherPtr engine_;  // lazily built; logically part of the const artifact
   core::GroupPrefilters prefilters_;

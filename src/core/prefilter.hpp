@@ -55,8 +55,8 @@ struct PrefilterConfig {
   std::size_t min_patterns = 8;   // advised() gate for PrefilterMode::automatic
 };
 
-// Immutable built signature; shared (like GroupedRules) across engines and
-// threads — screening state lives in caller-owned ScanScratch.
+// Immutable built signature; shared (like the Database that holds it) across
+// engines and threads — screening state lives in caller-owned ScanScratch.
 class Prefilter {
  public:
   // Built by build_prefilter / parse_prefilter_section only.
@@ -118,10 +118,10 @@ inline constexpr std::size_t kPrefilterGroupCount =
 // signature: empty, or a pattern shorter than any workable q).
 using GroupPrefilters = std::array<PrefilterPtr, kPrefilterGroupCount>;
 
-// Builds the signature over `set` (the group's own + generic patterns, as
-// GroupedRules composes them).  Returns null when no exact signature exists:
-// the set is empty or its shortest pattern is under 3 bytes (every 1-2 byte
-// pattern would force the screen to pass everything).
+// Builds the signature over `set` (a group's working set: its own + generic
+// patterns, as Database composes them).  Returns null when no exact
+// signature exists: the set is empty or its shortest pattern is under 3
+// bytes (every 1-2 byte pattern would force the screen to pass everything).
 PrefilterPtr build_prefilter(const pattern::PatternSet& set,
                              const PrefilterConfig& cfg = {});
 

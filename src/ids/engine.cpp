@@ -21,33 +21,28 @@ struct ScanGuard {
 };
 }  // namespace
 
-IdsEngine::IdsEngine(DatabasePtr db)
-    : rules_(std::make_shared<const GroupedRules>(std::move(db))) {}
-
-IdsEngine::IdsEngine(GroupedRulesPtr rules) : rules_(std::move(rules)) {
-  if (rules_ == nullptr) throw std::invalid_argument("IdsEngine: null rules");
+IdsEngine::IdsEngine(DatabasePtr db) : db_(std::move(db)) {
+  if (db_ == nullptr) throw std::invalid_argument("IdsEngine: null database");
 }
 
-void IdsEngine::swap_rules(GroupedRulesPtr rules, AlertSink& sink) {
+void IdsEngine::swap_rules(DatabasePtr db, AlertSink& sink) {
   assert(!in_scan_ && "swap_rules() called from an AlertSink mid-scan");
-  if (rules == nullptr) throw std::invalid_argument("IdsEngine::swap_rules: null rules");
+  if (db == nullptr) throw std::invalid_argument("IdsEngine::swap_rules: null database");
   // Staged chunks belong to the old generation: scan them under the old
   // rules before the boundary.
   flush_batch(sink);
-  // Clean stream boundary: per-flow carry is tied to the old rules' group
-  // matchers and pattern-length tables, so every flow restarts fresh under
-  // the new generation (counters_.flows keeps counting distinct arrivals).
+  // Clean stream boundary: per-flow carry is tied to the old rules' working
+  // sets, so every flow restarts fresh under the new generation
+  // (counters_.flows keeps counting distinct arrivals).
   flows_.clear();
-  rules_ = std::move(rules);
+  db_ = std::move(db);
   // New signatures, new traffic regime: restart the auto-mode sampling.
   pf_auto_.fill({});
 }
 
 IdsEngine::FlowState& IdsEngine::flow_for(std::uint64_t flow_id, pattern::Group protocol) {
   auto [flow, inserted] = flows_.find_or_emplace(flow_id, [&] {
-    return FlowState{protocol, StreamScanner(rules_->matcher_for(protocol),
-                                             rules_->max_pattern_length(protocol),
-                                             rules_->pattern_lengths(protocol))};
+    return FlowState{protocol, StreamScanner(db_->working_set(protocol))};
   });
   if (inserted) ++counters_.flows;
   return *flow;
@@ -72,7 +67,7 @@ void IdsEngine::inspect(std::uint64_t flow_id, pattern::Group protocol, util::By
   // sampling coherent.  The batch path's alert multiset per chunk is
   // identical to the feed below, so callers can't tell — except that the
   // prefilter counters now move on the per-chunk API too.
-  if (const core::PrefilterPtr& pf = rules_->prefilter_for(flow->protocol);
+  if (const core::PrefilterPtr& pf = db_->prefilter_for(flow->protocol);
       pf != nullptr &&
       (prefilter_mode_ == core::PrefilterMode::on ||
        (prefilter_mode_ == core::PrefilterMode::automatic && pf->advised()))) {
@@ -83,18 +78,18 @@ void IdsEngine::inspect(std::uint64_t flow_id, pattern::Group protocol, util::By
 
   struct MatchToAlert final : MatchSink {
     AlertSink* out = nullptr;
-    const GroupedRules* rules = nullptr;
+    const Database* db = nullptr;
     std::uint64_t flow_id = 0;
     pattern::Group protocol{};
     std::uint64_t emitted = 0;
     void on_match(const Match& m) override {
-      out->on_alert(Alert{flow_id, rules->master_id(protocol, m.pattern_id), m.pos,
-                          protocol, rules->generation()});
+      out->on_alert(Alert{flow_id, db->working_set(protocol).to_master[m.pattern_id], m.pos,
+                          protocol, db->generation()});
       ++emitted;
     }
   } sink;
   sink.out = &out;
-  sink.rules = rules_.get();
+  sink.db = db_.get();
   sink.flow_id = flow_id;
   sink.protocol = flow->protocol;
 
@@ -167,7 +162,7 @@ void IdsEngine::flush_batch_impl(AlertSink& out) {
     // Approximate screen ahead of the exact engine.  `off` never screens;
     // `on` screens whenever the group has a signature; `automatic` screens
     // advised groups, minus the adaptive-bypass stretches.
-    const core::PrefilterPtr& pf = rules_->prefilter_for(group);
+    const core::PrefilterPtr& pf = db_->prefilter_for(group);
     bool engaged = false;
     if (pf != nullptr && prefilter_mode_ != core::PrefilterMode::off) {
       if (prefilter_mode_ == core::PrefilterMode::on) {
@@ -227,8 +222,8 @@ void IdsEngine::flush_batch_impl(AlertSink& out) {
       void on_match(std::uint32_t packet, const Match& m) override {
         const Staged& s = self->pending_[to_staged[packet]];
         if (s.flow->scanner.already_reported(m, s.carry)) return;
-        out->on_alert(Alert{s.flow_id, self->rules_->master_id(group, m.pattern_id),
-                            s.base + m.pos, group, self->rules_->generation()});
+        out->on_alert(Alert{s.flow_id, self->db_->working_set(group).to_master[m.pattern_id],
+                            s.base + m.pos, group, self->db_->generation()});
         ++emitted;
       }
     } sink;
@@ -238,7 +233,7 @@ void IdsEngine::flush_batch_impl(AlertSink& out) {
     sink.group = group;
 
     if (!scan_views.empty()) {
-      rules_->matcher_for(group).scan_batch(scan_views, sink, scratch_[gi]);
+      db_->working_set(group).matcher->scan_batch(scan_views, sink, scratch_[gi]);
     }
     counters_.alerts += sink.emitted;
     if (telemetry::Counter* c = telemetry_.group_scan_bytes[gi]; c != nullptr) {

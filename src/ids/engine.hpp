@@ -1,16 +1,16 @@
-// The end-to-end inspection engine: grouped rules + per-flow streaming scan
-// + alert production.  This is the application layer a NIDS would embed; the
-// examples and integration tests drive it.
+// The end-to-end inspection engine: per-group working sets + per-flow
+// streaming scan + alert production.  This is the application layer a NIDS
+// would embed; the examples and integration tests drive it.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <vector>
 
+#include "core/database.hpp"
 #include "core/prefilter.hpp"
 #include "ids/alert.hpp"
 #include "ids/flow.hpp"
-#include "ids/rule_group.hpp"
 #include "util/flow_table.hpp"
 
 namespace vpm::telemetry {
@@ -52,25 +52,24 @@ struct EngineTelemetry {
 
 class IdsEngine {
  public:
-  // Compiles protocol groups keyed off a shared database; alerts carry
-  // db->generation().
+  // Scans each flow against its protocol group's working set in `db`,
+  // compiling nothing: the pipeline shares one database per ruleset
+  // generation among every worker's engine (scan state lives in per-engine
+  // scratch, so concurrent engines over one database are safe).  Alerts
+  // carry db->generation().  Throws std::invalid_argument on a null
+  // database.
   explicit IdsEngine(DatabasePtr db);
-
-  // Adopts an already-compiled grouped ruleset.  This is the pipeline's
-  // form: one GroupedRules per ruleset generation, compiled once and shared
-  // immutably by every worker's engine (scan state lives in per-engine
-  // scratch, so concurrent engines over one GroupedRules are safe).
-  explicit IdsEngine(GroupedRulesPtr rules);
 
   // Ruleset hot-swap: flushes any staged chunks under the OLD rules
   // (delivering their alerts to `sink`), resets all per-flow stream state —
   // a swap is a clean stream boundary; a pattern spanning the swap point is
-  // attributed to neither generation — then adopts `rules`.  Must not be
-  // called from an AlertSink callback mid-scan.
-  void swap_rules(GroupedRulesPtr rules, AlertSink& sink);
+  // attributed to neither generation — then adopts `db`.  Must not be
+  // called from an AlertSink callback mid-scan.  Throws
+  // std::invalid_argument on a null database.
+  void swap_rules(DatabasePtr db, AlertSink& sink);
 
   // The generation of the currently adopted rules (tags every alert).
-  std::uint64_t generation() const { return rules_->generation(); }
+  std::uint64_t generation() const { return db_->generation(); }
 
   // Inspects the next payload chunk of `flow_id` (protocol fixed per flow at
   // first sight); delivers alerts to `sink` as they are found.
@@ -114,8 +113,8 @@ class IdsEngine {
   std::size_t active_flows() const { return flows_.size(); }
 
   const EngineCounters& counters() const { return counters_; }
-  const GroupedRules& rules() const { return *rules_; }
-  const GroupedRulesPtr& rules_ptr() const { return rules_; }
+  const Database& database() const { return *db_; }
+  const DatabasePtr& database_ptr() const { return db_; }
 
   // Installs instrumentation handles (copied; the pointed-to instruments must
   // outlive the engine).  Not synchronized against concurrent scans — set it
@@ -151,7 +150,7 @@ class IdsEngine {
 
   FlowState& flow_for(std::uint64_t flow_id, pattern::Group protocol);
 
-  GroupedRulesPtr rules_;
+  DatabasePtr db_;
   // Open-addressing flow table (util::FlowTable): flat probing instead of
   // per-node chasing, stable FlowState pointers for Staged::flow, and the
   // structure the pipeline's bounded-step idle eviction scales on.

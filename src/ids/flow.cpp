@@ -4,12 +4,6 @@
 
 namespace vpm::ids {
 
-StreamScanner::StreamScanner(const Matcher& matcher, std::size_t max_pattern_len,
-                             std::vector<std::uint32_t> pattern_lengths)
-    : matcher_(&matcher),
-      carry_capacity_(max_pattern_len > 0 ? max_pattern_len - 1 : 0),
-      lengths_(std::move(pattern_lengths)) {}
-
 util::ByteView StreamScanner::prepare(util::ByteView chunk) {
   // Assemble carry + chunk; the view stays valid until commit() (the buffer
   // is not touched in between).
@@ -24,7 +18,8 @@ util::ByteView StreamScanner::prepare(util::ByteView chunk) {
 void StreamScanner::commit() {
   consumed_ += staged_chunk_len_;
   // Retain the tail as the next carry.
-  carry_len_ = std::min(carry_capacity_, buffer_.size());
+  const std::size_t carry_capacity = set_->max_len > 0 ? set_->max_len - 1 : 0;
+  carry_len_ = std::min(carry_capacity, buffer_.size());
   if (carry_len_ > 0) {
     std::copy(buffer_.end() - static_cast<long>(carry_len_), buffer_.end(), buffer_.begin());
   }
@@ -50,7 +45,7 @@ void StreamScanner::feed(util::ByteView chunk, MatchSink& sink) {
   dedup.base = staged_base();
   dedup.carry = staged_carry();
 
-  matcher_->scan(view, dedup);
+  set_->matcher->scan(view, dedup);
   commit();
 }
 

@@ -1,25 +1,26 @@
 // Streaming scan over a flow's reassembled byte stream.
 //
 // NIDS payloads arrive in chunks; a pattern may straddle a chunk boundary.
-// StreamScanner keeps the last (max_pattern_len - 1) bytes of the previous
-// data as carry, scans carry+chunk, and reports each match exactly once with
+// StreamScanner keeps the last (max_len - 1) bytes of the previous data as
+// carry, scans carry+chunk, and reports each match exactly once with
 // absolute stream offsets: a match that ends inside the carry region was
-// already reported by the previous feed and is suppressed.
+// already reported by the previous feed and is suppressed.  The scanner
+// points at its group's WorkingSet (engine and pattern-length table) and
+// copies none of it, so a tracked stream costs its carry buffer plus a few
+// words.
 #pragma once
 
 #include <cstdint>
 
-#include "match/matcher.hpp"
+#include "core/database.hpp"
 #include "util/bytes.hpp"
 
 namespace vpm::ids {
 
 class StreamScanner {
  public:
-  // `matcher` must outlive the scanner; `max_pattern_len` bounds the carry.
-  // `pattern_lengths` (pattern id -> byte length) is copied.
-  StreamScanner(const Matcher& matcher, std::size_t max_pattern_len,
-                std::vector<std::uint32_t> pattern_lengths);
+  // `set` must outlive the scanner; its max_len bounds the carry.
+  explicit StreamScanner(const WorkingSet& set) : set_(&set) {}
 
   // Scans the next chunk; emits matches (absolute stream offsets) to sink.
   void feed(util::ByteView chunk, MatchSink& sink);
@@ -41,7 +42,7 @@ class StreamScanner {
   // The carry-dedup rule shared by feed() and the engine's batched flush: a
   // match ending inside the carry was already reported by the previous feed.
   bool already_reported(const Match& m, std::size_t carry) const {
-    return m.pos + lengths_[m.pattern_id] <= carry;
+    return m.pos + set_->lengths[m.pattern_id] <= carry;
   }
 
   // Total bytes consumed so far.
@@ -50,10 +51,8 @@ class StreamScanner {
   void reset();
 
  private:
-  const Matcher* matcher_;
-  std::size_t carry_capacity_;
-  std::vector<std::uint32_t> lengths_;  // pattern id -> byte length
-  util::Bytes buffer_;                         // carry + current chunk
+  const WorkingSet* set_;
+  util::Bytes buffer_;  // carry + current chunk
   std::size_t carry_len_ = 0;
   std::uint64_t consumed_ = 0;
   std::size_t carry_at_stage_ = 0;  // carry length captured by prepare()

@@ -27,7 +27,7 @@ pattern::Group classify_port(std::uint16_t dst_port);
 
 // Parses `pcap_bytes`, reassembles every TCP flow bidirectionally (each side
 // scans as its own stream; UDP payloads are scanned per-datagram), and
-// inspects each stream with the grouped rules compiled from `db` (alerts
+// inspects each stream against its group's working set in `db` (alerts
 // carry db->generation()).
 PcapPipelineResult inspect_pcap(util::ByteView pcap_bytes, DatabasePtr db);
 

@@ -76,10 +76,4 @@ PatternSet PatternSet::random_subset(std::size_t n, std::uint64_t seed) const {
   return out;
 }
 
-std::size_t PatternSet::max_pattern_length() const {
-  std::size_t m = 0;
-  for (const Pattern& p : patterns_) m = std::max(m, p.size());
-  return m;
-}
-
 }  // namespace vpm::pattern

@@ -59,8 +59,6 @@ class PatternSet {
   // Deterministic random subset of n patterns (n clamped to size()).
   PatternSet random_subset(std::size_t n, std::uint64_t seed) const;
 
-  std::size_t max_pattern_length() const;
-
  private:
   struct KeyHash {
     std::size_t operator()(const std::pair<util::Bytes, bool>& k) const;

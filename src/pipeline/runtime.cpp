@@ -8,10 +8,11 @@
 namespace vpm::pipeline {
 
 PipelineRuntime::PipelineRuntime(DatabasePtr db, PipelineConfig cfg) : cfg_(cfg) {
+  if (db == nullptr) throw std::invalid_argument("PipelineRuntime: null database");
   if (cfg_.workers == 0) cfg_.workers = 1;
   if (cfg_.batch_packets == 0) cfg_.batch_packets = 1;
   if (cfg_.eviction_max_steps == 0) cfg_.eviction_max_steps = 1;
-  rules_.set_initial(std::make_shared<const ids::GroupedRules>(db));
+  rules_.set_initial(std::move(db));
 
   workers_.reserve(cfg_.workers);
   for (unsigned i = 0; i < cfg_.workers; ++i) {
@@ -39,10 +40,10 @@ void PipelineRuntime::swap_database(DatabasePtr db) {
     throw std::runtime_error(
         "PipelineRuntime::swap_database: injected publish failure (failpoint)");
   }
-  // Control-plane compile; the scan path never blocks on it.  publish()
-  // orders the slot write before the seq bump, pairing with the workers'
-  // seq-then-slot reads: observing the bump implies observing the rules.
-  rules_.publish(std::make_shared<const ids::GroupedRules>(db));
+  // publish() orders the slot write before the seq bump, pairing with the
+  // workers' seq-then-slot reads: observing the bump implies observing the
+  // rules.
+  rules_.publish(std::move(db));
 }
 
 std::uint64_t PipelineRuntime::generation() const {

@@ -18,10 +18,11 @@
 // workers and per-flow order is preserved through the FIFO rings.  The
 // differential test suite enforces this across worker counts and algorithms.
 //
-// Hot-swap contract: swap_database() compiles the new grouped ruleset on the
-// calling thread (control plane), publishes it RCU-style (shared_ptr store +
-// sequence bump; no locks on the scan path), and every worker adopts it at a
-// batch boundary.  No packet is dropped by a swap: packets in flight finish
+// Hot-swap contract: compile() builds the new database's per-group working
+// sets on the caller's thread (control plane); swap_database() compiles
+// nothing, publishes the database RCU-style (shared_ptr store + sequence
+// bump; no locks on the scan path), and every worker adopts it at a batch
+// boundary.  No packet is dropped by a swap: packets in flight finish
 // under the generation that was current when their batch was popped, and
 // every alert is tagged with the generation that produced it.  A swap is a
 // clean stream boundary (per-flow carry resets), so a pattern spanning the
@@ -48,11 +49,11 @@ namespace vpm::pipeline {
 
 class PipelineRuntime {
  public:
-  // Builds the shared grouped ruleset from `db` (one compile, shared
-  // read-only by every worker through one RulesChannel — not one compile
-  // per worker) and one reassembler/engine pair per worker, each pinned to
-  // its cfg.worker_cpus entry when that list is set.  workers,
-  // batch_packets and eviction_max_steps are clamped to >= 1.
+  // Shares `db` read-only with every worker through one RulesChannel (no
+  // compile here, none per worker) and builds one reassembler/engine pair
+  // per worker, each pinned to its cfg.worker_cpus entry when that list is
+  // set.  workers, batch_packets and eviction_max_steps are clamped to
+  // >= 1.  Throws std::invalid_argument on a null database.
   PipelineRuntime(DatabasePtr db, PipelineConfig cfg = {});
 
   ~PipelineRuntime();  // stops and joins if still running
@@ -81,10 +82,10 @@ class PipelineRuntime {
   void flush();
 
   // Publishes a new compiled database to every worker (zero-drop ruleset
-  // hot-swap).  Compiles the grouped ruleset here, on the calling thread;
-  // workers adopt at their next batch boundary.  Callable from any thread,
-  // before or while running; with concurrent callers the last publication
-  // wins.  Throws std::invalid_argument on a null database.
+  // hot-swap).  Compiles nothing; workers adopt at their next batch
+  // boundary.  Callable from any thread, before or while running; with
+  // concurrent callers the last publication wins.  Throws
+  // std::invalid_argument on a null database.
   void swap_database(DatabasePtr db);
 
   // The most recently published ruleset generation (workers may briefly lag

@@ -228,12 +228,12 @@ void Worker::maybe_adopt_rules() {
   // mutex is touched only when a publication actually happened.
   const std::uint64_t seq = swaps_.sequence();
   if (seq == adopted_seq_) return;
-  ids::GroupedRulesPtr rules = swaps_.current();
+  DatabasePtr db = swaps_.current();
   adopted_seq_ = seq;
-  if (rules == engine_.rules_ptr()) return;
+  if (db == engine_.database_ptr()) return;
   // Flushes staged chunks under the old generation, then retires this
   // worker's reference to it (the last adopter destroys it).
-  engine_.swap_rules(std::move(rules), *sink_);
+  engine_.swap_rules(std::move(db), *sink_);
   ++stats_.rules_swaps;
   publish_stats();  // idle adoptions too: no batch follows to publish them
 }

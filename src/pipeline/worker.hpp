@@ -4,11 +4,11 @@
 // Shared-nothing on the hot path: the worker's flow tables, scratch, alert
 // buffer and WorkerStats are touched only by its thread; the ring, the
 // published copy of the stats (one relaxed atomic per WorkerStats field,
-// stored once per batch), and the read-only shared compiled ruleset
-// (GroupedRulesPtr — one instance per generation, shared by every worker
-// instead of compiled per worker) are the only cross-thread state.  Flow
-// ids are the stable flow_key (tuple hash), so a worker's alerts are
-// bitwise what a single-threaded engine would emit for the same flows.
+// stored once per batch), and the read-only compiled database (DatabasePtr
+// — one instance per generation, shared by every worker instead of
+// compiled per worker) are the only cross-thread state.  Flow ids are the
+// stable flow_key (tuple hash), so a worker's alerts are bitwise what a
+// single-threaded engine would emit for the same flows.
 //
 // Ruleset hot-swap (RCU-style): the runtime publishes a new generation into
 // the shared RulesChannel (shared_ptr slot + sequence counter).  Each worker
@@ -57,29 +57,29 @@ class RulesChannel {
  public:
   std::uint64_t sequence() const { return seq_.load(std::memory_order_acquire); }
 
-  ids::GroupedRulesPtr current() const {
+  DatabasePtr current() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return slot_;
   }
 
   // Publishes without bumping seq (the initial ruleset workers are born
   // with).
-  void set_initial(ids::GroupedRulesPtr rules) {
+  void set_initial(DatabasePtr db) {
     std::lock_guard<std::mutex> lock(mutex_);
-    slot_ = std::move(rules);
+    slot_ = std::move(db);
   }
 
-  void publish(ids::GroupedRulesPtr rules) {
+  void publish(DatabasePtr db) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      slot_ = std::move(rules);
+      slot_ = std::move(db);
     }
     seq_.fetch_add(1, std::memory_order_release);
   }
 
  private:
   mutable std::mutex mutex_;
-  ids::GroupedRulesPtr slot_;
+  DatabasePtr slot_;
   std::atomic<std::uint64_t> seq_{0};
 };
 

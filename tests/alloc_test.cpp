@@ -4,7 +4,10 @@
 // more rounds under churny batch- and chunk-size variation and asserts the
 // allocation counter does not move.  This is the zero-alloc contract the
 // pipeline worker's scan loop relies on under sustained small-packet load.
+// The same allocator tracks live heap bytes, which bounds what one tracked
+// stream costs.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -16,24 +19,39 @@
 #include "core/matcher_factory.hpp"
 #include "helpers.hpp"
 #include "ids/engine.hpp"
+#include "pattern/ruleset_gen.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/failpoint.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+// Heap bytes currently held through operator new, as malloc_usable_size
+// reports them (allocator rounding included).
+std::atomic<std::int64_t> g_live_bytes{0};
 
-void* counted_alloc(std::size_t n) {
+void* counted(void* p) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(n != 0 ? n : 1);
-  if (p == nullptr) throw std::bad_alloc();
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
   return p;
 }
 
+void counted_free(void* p) noexcept {
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
+
+void* counted_alloc(std::size_t n) {
+  void* p = std::malloc(n != 0 ? n : 1);
+  if (p == nullptr) throw std::bad_alloc();
+  return counted(p);
+}
+
 void* counted_alloc_aligned(std::size_t n, std::size_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
   void* p = nullptr;
   if (posix_memalign(&p, align, n != 0 ? n : align) != 0) throw std::bad_alloc();
-  return p;
+  return counted(p);
 }
 }  // namespace
 
@@ -49,23 +67,23 @@ void* operator new[](std::size_t n, std::align_val_t a) {
 // leaving them to the default implementation would pair a foreign new with
 // our free-based delete — an alloc/dealloc mismatch under ASan.
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n != 0 ? n : 1);
+  return counted(std::malloc(n != 0 ? n : 1));
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n != 0 ? n : 1);
+  return counted(std::malloc(n != 0 ? n : 1));
 }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { counted_free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { counted_free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  counted_free(p);
+}
 
 namespace vpm {
 namespace {
@@ -208,6 +226,53 @@ TEST(AllocTest, EnginePrefilterScreenSteadyStateIsAllocationFree) {
   EXPECT_GT(counters.prefilter_pass_payloads + counters.prefilter_reject_payloads, 0u)
       << "the screen must actually have run to be meaningful";
   EXPECT_GT(sink.alerts, 0u) << "workload must produce alerts to be meaningful";
+}
+
+// Bounded per-stream state: a tracked stream holds its carry, its chunk and
+// a fixed header (flow-table slot, scanner, allocator rounding), never a
+// copy of its group's tables.  S1-web on V-PATCH is the sensor benchmark's
+// http ruleset; 4096 streams of four 64-byte chunks each, staged 32 to a
+// batch, is small-packet churn.
+TEST(AllocTest, TrackedStreamHoldsCarryChunkAndHeaderOnly) {
+  const auto rules = pattern::generate_ruleset(pattern::s1_config()).web_patterns();
+  ids::IdsEngine engine(compile(core::Algorithm::vpatch, rules));
+  CountingAlertSink sink;
+  const std::size_t max_len = rules.length_stats().max_len;  // the http set holds them all
+  constexpr std::size_t kChunk = 64;
+  constexpr std::size_t kHeader = 256;
+  constexpr std::size_t kBatch = 32;
+  constexpr std::uint64_t kStreams = 4096;
+
+  const util::Bytes pool = testutil::random_text(1 << 16, case_seed(307));
+  std::size_t staged = 0;
+  // Four chunks on each of `count` fresh http streams, one chunk per stream
+  // per batch.
+  const auto open_streams = [&](std::uint64_t first, std::uint64_t count) {
+    for (std::uint64_t chunk = 0; chunk < 4; ++chunk) {
+      for (std::uint64_t flow = first; flow < first + count; ++flow) {
+        const std::size_t offset = (flow * 977 + chunk * 131) % (pool.size() - kChunk);
+        engine.stage(flow, pattern::Group::http, {pool.data() + offset, kChunk}, sink);
+        if (++staged % kBatch == 0) engine.flush_batch(sink);
+      }
+    }
+    engine.flush_batch(sink);
+  };
+
+  // Throwaway flows bring the batch scratch to its high-water mark.
+  open_streams(kStreams, kBatch);
+  for (std::uint64_t flow = kStreams; flow < kStreams + kBatch; ++flow) {
+    engine.close_flow(flow);
+  }
+
+  const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  open_streams(0, kStreams);
+  const std::int64_t after = g_live_bytes.load(std::memory_order_relaxed);
+  ASSERT_EQ(engine.active_flows(), kStreams);
+  const double per_stream =
+      static_cast<double>(after - before) / static_cast<double>(kStreams);
+  EXPECT_LE(per_stream, static_cast<double>((max_len - 1) + kChunk + kHeader))
+      << "live heap bytes per tracked stream (max_len " << max_len << ")";
+  RecordProperty("bytes_per_stream", std::to_string(per_stream));
 }
 
 // The disarmed failpoint check sits on the hottest paths (every ring push

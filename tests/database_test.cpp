@@ -4,8 +4,10 @@
 // the v2 serialized form round-trips the fingerprint + algorithm hint.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "core/database.hpp"
 #include "helpers.hpp"
@@ -114,10 +116,44 @@ TEST(Database, GenerationsAreUniqueAndMonotonic) {
   EXPECT_NE(a->fingerprint(), d->fingerprint());
 }
 
-TEST(Database, MemoryBytesCoversEngineAndPatterns) {
-  const auto set = small_set();
+// memory_bytes() counts what the sensor holds — each distinct working set
+// and signature once — and builds nothing: the whole-set engine, which only
+// engine() callers use, stays out of the count even once it is built.
+TEST(Database, MemoryBytesCountsWorkingSetsAndBuildsNothing) {
+  using pattern::Group;
+  pattern::PatternSet set;
+  set.add("GET /admin", false, Group::http);
+  set.add("Host: evil", true, Group::http);
+  set.add("RCPT TO:<root>", false, Group::smtp);
+  set.add("MAIL FROM:<>", true, Group::smtp);
+  // No generic patterns: no working set holds both groups, so engine() has
+  // to build its own.
   const DatabasePtr db = compile(Algorithm::aho_corasick, set);
-  EXPECT_GT(db->memory_bytes(), db->engine().memory_bytes());
+  const std::size_t bytes = db->memory_bytes();
+
+  std::vector<const WorkingSet*> sets;
+  std::vector<const core::Prefilter*> signatures;
+  std::size_t held = 0;
+  for (std::size_t g = 0; g < static_cast<std::size_t>(Group::count); ++g) {
+    const WorkingSet* ws = &db->working_set(static_cast<Group>(g));
+    if (std::find(sets.begin(), sets.end(), ws) == sets.end()) {
+      sets.push_back(ws);
+      held += ws->matcher->memory_bytes();
+    }
+    const core::Prefilter* pf = db->prefilter_for(static_cast<Group>(g)).get();
+    if (pf != nullptr && std::find(signatures.begin(), signatures.end(), pf) ==
+                             signatures.end()) {
+      signatures.push_back(pf);
+      held += pf->memory_bytes();
+    }
+  }
+  EXPECT_EQ(sets.size(), 3u);  // http, smtp, and one empty set for the rest
+  EXPECT_EQ(signatures.size(), 2u);
+  EXPECT_GE(bytes, held);
+
+  const Matcher& whole = db->engine();
+  for (const WorkingSet* ws : sets) EXPECT_NE(&whole, ws->matcher.get());
+  EXPECT_EQ(db->memory_bytes(), bytes);
 }
 
 TEST(Database, SaveLoadRoundTripsFingerprintAndAlgorithm) {

@@ -1,45 +1,37 @@
-// Mini-NIDS layer tests: streaming scan with carry, rule grouping, and the
-// end-to-end engine.
+// Mini-NIDS layer tests: streaming scan with carry, per-group working sets,
+// and the end-to-end engine.
 #include <gtest/gtest.h>
 
-#include "core/matcher_factory.hpp"
 #include "helpers.hpp"
 #include "ids/engine.hpp"
 #include "ids/flow.hpp"
-#include "ids/rule_group.hpp"
 
 namespace vpm::ids {
 namespace {
 
-std::vector<std::uint32_t> lengths_of(const pattern::PatternSet& set) {
-  std::vector<std::uint32_t> lengths;
-  for (const pattern::Pattern& p : set) lengths.push_back(static_cast<std::uint32_t>(p.size()));
-  return lengths;
-}
-
 // ---- StreamScanner -------------------------------------------------------
+// Every pattern here is generic, so the generic working set holds the whole
+// set and its local ids are the set's ids.
 
 TEST(StreamScanner, WholeBufferEqualsSingleFeed) {
-  const auto set = testutil::boundary_set();
-  const auto m = core::make_matcher(core::Algorithm::spatch, set);
-  const auto lengths = lengths_of(set);
+  const auto db = compile(core::Algorithm::spatch, testutil::boundary_set());
+  const WorkingSet& set = db->working_set(pattern::Group::generic);
   const auto text = testutil::random_text(5000, 1);
 
-  StreamScanner scanner(*m, set.max_pattern_length(), lengths);
+  StreamScanner scanner(set);
   CollectingSink streamed;
   scanner.feed(text, streamed);
-  EXPECT_EQ(streamed.sorted(), m->find_matches(text));
+  EXPECT_EQ(streamed.sorted(), set.matcher->find_matches(text));
 }
 
 TEST(StreamScanner, ChunkedFeedEqualsWholeBuffer) {
-  const auto set = testutil::random_set(60, 8, 2);
-  const auto m = core::make_matcher(core::Algorithm::vpatch, set);
-  const auto lengths = lengths_of(set);
+  const auto db = compile(core::Algorithm::vpatch, testutil::random_set(60, 8, 2));
+  const WorkingSet& set = db->working_set(pattern::Group::generic);
   const auto text = testutil::random_text(20000, 3);
-  const auto expected = m->find_matches(text);
+  const auto expected = set.matcher->find_matches(text);
 
   for (std::size_t chunk_len : {1u, 7u, 100u, 1024u, 9999u}) {
-    StreamScanner scanner(*m, set.max_pattern_length(), lengths);
+    StreamScanner scanner(set);
     CollectingSink sink;
     for (std::size_t off = 0; off < text.size(); off += chunk_len) {
       const std::size_t len = std::min(chunk_len, text.size() - off);
@@ -52,8 +44,8 @@ TEST(StreamScanner, ChunkedFeedEqualsWholeBuffer) {
 TEST(StreamScanner, MatchStraddlingChunkBoundaryFoundOnce) {
   pattern::PatternSet set;
   set.add("straddle");
-  const auto m = core::make_matcher(core::Algorithm::spatch, set);
-  StreamScanner scanner(*m, set.max_pattern_length(), lengths_of(set));
+  const auto db = compile(core::Algorithm::spatch, set);
+  StreamScanner scanner(db->working_set(pattern::Group::generic));
   CollectingSink sink;
   scanner.feed(util::as_view("xxxxstra"), sink);
   scanner.feed(util::as_view("ddlexxxx"), sink);
@@ -65,8 +57,8 @@ TEST(StreamScanner, MatchInsideCarryNotDuplicated) {
   pattern::PatternSet set;
   set.add("dup");
   set.add("abcdefghij");  // long max-len -> deep carry
-  const auto m = core::make_matcher(core::Algorithm::spatch, set);
-  StreamScanner scanner(*m, set.max_pattern_length(), lengths_of(set));
+  const auto db = compile(core::Algorithm::spatch, set);
+  StreamScanner scanner(db->working_set(pattern::Group::generic));
   CollectingSink sink;
   scanner.feed(util::as_view("xxdupxx"), sink);   // match fully in first chunk
   scanner.feed(util::as_view("yyyyyyy"), sink);   // carry re-scan must not re-report
@@ -77,8 +69,8 @@ TEST(StreamScanner, MatchInsideCarryNotDuplicated) {
 TEST(StreamScanner, OffsetsAreAbsolute) {
   pattern::PatternSet set;
   set.add("mark");
-  const auto m = core::make_matcher(core::Algorithm::spatch, set);
-  StreamScanner scanner(*m, set.max_pattern_length(), lengths_of(set));
+  const auto db = compile(core::Algorithm::spatch, set);
+  StreamScanner scanner(db->working_set(pattern::Group::generic));
   CollectingSink sink;
   scanner.feed(util::as_view("0123456789"), sink);
   scanner.feed(util::as_view("0123mark89"), sink);
@@ -90,8 +82,8 @@ TEST(StreamScanner, OffsetsAreAbsolute) {
 TEST(StreamScanner, ResetForgetsHistory) {
   pattern::PatternSet set;
   set.add("join");
-  const auto m = core::make_matcher(core::Algorithm::spatch, set);
-  StreamScanner scanner(*m, set.max_pattern_length(), lengths_of(set));
+  const auto db = compile(core::Algorithm::spatch, set);
+  StreamScanner scanner(db->working_set(pattern::Group::generic));
   CollectingSink sink;
   scanner.feed(util::as_view("xxjo"), sink);
   scanner.reset();
@@ -99,7 +91,7 @@ TEST(StreamScanner, ResetForgetsHistory) {
   EXPECT_TRUE(sink.matches().empty());
 }
 
-// ---- GroupedRules -------------------------------------------------------------
+// ---- Working sets -------------------------------------------------------------
 
 pattern::PatternSet grouped_set() {
   pattern::PatternSet set;
@@ -110,38 +102,63 @@ pattern::PatternSet grouped_set() {
   return set;
 }
 
-TEST(GroupedRules, HttpGroupSeesHttpAndGeneric) {
+TEST(WorkingSet, HttpGroupSeesHttpAndGeneric) {
   const auto master = grouped_set();
-  const GroupedRules rules(compile(core::Algorithm::spatch, master));
-  const auto& http = rules.patterns_for(pattern::Group::http);
+  const auto db = compile(core::Algorithm::spatch, master);
+  const auto& http = db->working_set(pattern::Group::http).patterns;
   EXPECT_EQ(http.size(), 2u);
   EXPECT_TRUE(http.contains(util::as_view("GET /evil"), false));
   EXPECT_TRUE(http.contains(util::as_view("generic-attack"), false));
   EXPECT_FALSE(http.contains(util::as_view("EHLO spam"), false));
 }
 
-TEST(GroupedRules, GenericGroupSeesOnlyGeneric) {
+TEST(WorkingSet, GenericGroupSeesOnlyGeneric) {
   const auto master = grouped_set();
-  const GroupedRules rules(compile(core::Algorithm::spatch, master));
-  EXPECT_EQ(rules.patterns_for(pattern::Group::generic).size(), 1u);
+  const auto db = compile(core::Algorithm::spatch, master);
+  EXPECT_EQ(db->working_set(pattern::Group::generic).patterns.size(), 1u);
 }
 
-TEST(GroupedRules, MasterIdMappingRoundTrips) {
+TEST(WorkingSet, MasterIdMappingRoundTrips) {
   const auto master = grouped_set();
-  const GroupedRules rules(compile(core::Algorithm::spatch, master));
-  const auto& smtp = rules.patterns_for(pattern::Group::smtp);
-  for (std::uint32_t local = 0; local < smtp.size(); ++local) {
-    const auto master_id = rules.master_id(pattern::Group::smtp, local);
-    EXPECT_EQ(master[master_id].bytes, smtp[local].bytes);
+  const auto db = compile(core::Algorithm::spatch, master);
+  const WorkingSet& smtp = db->working_set(pattern::Group::smtp);
+  for (std::uint32_t local = 0; local < smtp.patterns.size(); ++local) {
+    const auto master_id = smtp.to_master[local];
+    EXPECT_EQ(master[master_id].bytes, smtp.patterns[local].bytes);
   }
 }
 
-TEST(GroupedRules, HttpMatcherIgnoresSmtpPattern) {
+TEST(WorkingSet, HttpMatcherIgnoresSmtpPattern) {
   const auto master = grouped_set();
-  const GroupedRules rules(compile(core::Algorithm::spatch, master));
-  const auto& m = rules.matcher_for(pattern::Group::http);
+  const auto db = compile(core::Algorithm::spatch, master);
+  const auto& m = *db->working_set(pattern::Group::http).matcher;
   EXPECT_EQ(m.count_matches(util::as_view("EHLO spam")), 0u);
   EXPECT_EQ(m.count_matches(util::as_view("GET /evil generic-attack")), 2u);
+}
+
+TEST(WorkingSet, EqualWorkingSetsShareOneCompile) {
+  using pattern::Group;
+  const auto db = compile(core::Algorithm::spatch, grouped_set());
+  // dns has no patterns of its own: its working set is the generic one.
+  EXPECT_EQ(&db->working_set(Group::dns), &db->working_set(Group::generic));
+  EXPECT_EQ(db->prefilter_for(Group::dns), db->prefilter_for(Group::generic));
+  for (const Group g : {Group::http, Group::smtp, Group::ftp}) {
+    EXPECT_NE(&db->working_set(g), &db->working_set(Group::generic))
+        << pattern::group_name(g);
+    for (const Group other : {Group::http, Group::smtp, Group::ftp}) {
+      if (other != g) {
+        EXPECT_NE(&db->working_set(g), &db->working_set(other));
+      }
+    }
+  }
+
+  // All generic: one set serves every group, and it is the whole-set engine.
+  const auto all_generic = compile(core::Algorithm::spatch, testutil::boundary_set());
+  const WorkingSet& set = all_generic->working_set(Group::generic);
+  for (std::size_t g = 0; g < static_cast<std::size_t>(Group::count); ++g) {
+    EXPECT_EQ(&all_generic->working_set(static_cast<Group>(g)), &set);
+  }
+  EXPECT_EQ(&all_generic->engine(), set.matcher.get());
 }
 
 // ---- IdsEngine --------------------------------------------------------------------

@@ -669,11 +669,9 @@ TEST(PcapPipeline, EndToEndMatchesDirectScan) {
   EXPECT_EQ(result.reassembly.dropped_segments, 0u);
 
   // Ground truth: scan each stream directly with the http-group matcher.
-  const GroupedRules grouped(db);
+  const Matcher& http = *db->working_set(pattern::Group::http).matcher;
   std::size_t expected = 0;
-  for (const auto& s : repacked.streams) {
-    expected += grouped.matcher_for(pattern::Group::http).count_matches(s);
-  }
+  for (const auto& s : repacked.streams) expected += http.count_matches(s);
   EXPECT_EQ(result.alerts.size(), expected);
   // The planted marker must be among the alerts.
   bool planted_found = false;

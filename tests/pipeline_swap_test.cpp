@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -87,7 +88,7 @@ using SwapPoint = std::pair<std::size_t, DatabasePtr>;
 std::vector<ids::Alert> reference_with_swaps(const std::vector<net::Packet>& packets,
                                              const DatabasePtr& db_initial,
                                              const std::vector<SwapPoint>& swaps) {
-  ids::IdsEngine engine(std::make_shared<const ids::GroupedRules>(db_initial));
+  ids::IdsEngine engine(db_initial);
   std::vector<ids::Alert> alerts;
   ids::AlertBuffer sink(alerts);
   net::TcpReassembler reassembler([&](const net::StreamChunk& chunk) {
@@ -100,9 +101,7 @@ std::vector<ids::Alert> reference_with_swaps(const std::vector<net::Packet>& pac
   });
   for (std::size_t i = 0; i < packets.size(); ++i) {
     for (const SwapPoint& s : swaps) {
-      if (i == s.first) {
-        engine.swap_rules(std::make_shared<const ids::GroupedRules>(s.second), sink);
-      }
+      if (i == s.first) engine.swap_rules(s.second, sink);
     }
     const net::Packet& p = packets[i];
     if (p.tuple.proto == net::IpProto::tcp) {
@@ -287,6 +286,25 @@ TEST(PipelineSwapExtra, ConcurrentSwapsWhileStreaming) {
     EXPECT_TRUE(known) << "alert carries unpublished generation " << a.generation;
   }
   EXPECT_EQ(rt.stats().totals().rules_generation, db_final->generation());
+}
+
+// Every entry point that adopts a database rejects a null one, the swaps
+// included: a worker must never be handed rules it cannot scan with.
+TEST(PipelineSwapExtra, NullDatabasesAreRejected) {
+  const DatabasePtr db = compile(core::Algorithm::vpatch, ruleset_a());
+  ids::IdsEngine engine(db);
+  std::vector<ids::Alert> alerts;
+  ids::AlertBuffer sink(alerts);
+  EXPECT_THROW(ids::IdsEngine{nullptr}, std::invalid_argument);
+  EXPECT_THROW(engine.swap_rules(nullptr, sink), std::invalid_argument);
+  EXPECT_EQ(engine.database_ptr(), db);
+
+  PipelineConfig cfg;
+  cfg.workers = 1;
+  EXPECT_THROW(PipelineRuntime(nullptr, cfg), std::invalid_argument);
+  PipelineRuntime rt(db, cfg);
+  EXPECT_THROW(rt.swap_database(nullptr), std::invalid_argument);
+  EXPECT_EQ(rt.generation(), db->generation());
 }
 
 }  // namespace
