@@ -12,6 +12,7 @@
 // waste on the hot path.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 
@@ -21,13 +22,17 @@ namespace vpm::core {
 
 // Grow-only array of uninitialized trivially-copyable storage.  Growth
 // discards previous contents (callers fill from scratch after ensure()).
+// It grows to the next power of two: batch byte totals vary with content
+// (a stream's carry length does), so exact-size growth would reallocate at
+// every new high-water mark long after warm-up.
 template <class T>
 class UninitArray {
  public:
   void ensure(std::size_t need) {
     if (capacity_ < need) {
-      data_ = std::make_unique_for_overwrite<T[]>(need);
-      capacity_ = need;
+      const std::size_t capacity = std::bit_ceil(need);
+      data_ = std::make_unique_for_overwrite<T[]>(capacity);
+      capacity_ = capacity;
     }
   }
   T* data() { return data_.get(); }

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <stdexcept>
 
+#include "util/bytes.hpp"
 #include "util/hash.hpp"
 
 namespace vpm {
@@ -19,6 +21,27 @@ std::size_t pattern_bytes(const pattern::PatternSet& set) {
   std::size_t bytes = 0;
   for (const pattern::Pattern& p : set) bytes += sizeof(pattern::Pattern) + p.bytes.capacity();
   return bytes;
+}
+
+// Fills the gram sets WorkingSet::carry_after() reads.  `window` holds the
+// folded bytes i-3..i little-endian, as util::load_u32 reads them.
+void build_carry_grams(WorkingSet& set) {
+  std::size_t total = 0;
+  for (const pattern::Pattern& p : set.patterns) total += p.size();
+  const auto bits = total > 0 ? static_cast<unsigned>(std::bit_width(16 * total - 1)) : 0u;
+  set.gram4_bits = std::clamp(bits, 12u, 24u);
+  set.byte_set = util::BitArray(256);
+  set.bigram_set = util::BitArray(std::size_t{1} << 16);
+  set.gram4_set = util::BitArray(std::size_t{1} << set.gram4_bits);
+  for (const pattern::Pattern& p : set.patterns) {
+    std::uint32_t window = 0;
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      window = (window >> 8) | (std::uint32_t{util::ascii_lower(p.bytes[i])} << 24);
+      set.byte_set.set(window >> 24);
+      if (i >= 1) set.bigram_set.set(window >> 16);
+      if (i >= 3) set.gram4_set.set(util::multiplicative_hash(window, set.gram4_bits));
+    }
+  }
 }
 
 // Sum of f(slot) over the distinct non-null pointers of a per-group array.
@@ -84,9 +107,23 @@ Database::Database(Private, core::Algorithm algorithm, pattern::PatternSet patte
     set->to_master = std::move(to_master);
     set->matcher = core::make_matcher(
         set->patterns.empty() ? core::Algorithm::naive : algorithm_, set->patterns);
+    build_carry_grams(*set);
     prefilters_[g] = core::build_prefilter(set->patterns);
     sets_[g] = std::move(set);
   }
+}
+
+std::size_t WorkingSet::carry_after(util::ByteView buffer) const {
+  const std::size_t limit = std::min(buffer.size(), max_carry());
+  std::size_t k = 0;  // steps passed; the next step reads byte n - 1 - k
+  for (std::uint32_t window = 0; k < limit; ++k) {
+    window = (window << 8) | util::ascii_lower(buffer[buffer.size() - 1 - k]);
+    if (!byte_set.test(window & 0xFFu) || (k >= 1 && !bigram_set.test(window & 0xFFFFu)) ||
+        (k >= 3 && !gram4_set.test(util::multiplicative_hash(window, gram4_bits)))) {
+      break;
+    }
+  }
+  return k;
 }
 
 const Matcher& Database::engine() const {
@@ -103,7 +140,8 @@ const Matcher& Database::engine() const {
 std::size_t Database::memory_bytes() const {
   const std::size_t sets = sum_distinct(sets_, [](const WorkingSet& set) {
     return set.matcher->memory_bytes() + pattern_bytes(set.patterns) +
-           (set.to_master.capacity() + set.lengths.capacity()) * sizeof(std::uint32_t);
+           (set.to_master.capacity() + set.lengths.capacity()) * sizeof(std::uint32_t) +
+           set.byte_set.byte_size() + set.bigram_set.byte_size() + set.gram4_set.byte_size();
   });
   const std::size_t signatures =
       sum_distinct(prefilters_, [](const core::Prefilter& f) { return f.memory_bytes(); });

@@ -35,6 +35,7 @@
 #include "match/matcher.hpp"
 #include "pattern/pattern_set.hpp"
 #include "pattern/serialize.hpp"
+#include "util/bitarray.hpp"
 
 namespace vpm {
 
@@ -52,6 +53,27 @@ struct WorkingSet {
   // Built over `patterns`, so a set never moves once built.  A set with no
   // patterns gets the naive engine: some engines reject an empty set.
   MatcherPtr matcher;
+  // The grams of `patterns`, case-folded (util::ascii_lower): every byte,
+  // every bigram, and every 4-gram hashed by util::multiplicative_hash into
+  // 2^gram4_bits bits, where gram4_bits = ceil(log2(16 x pattern bytes))
+  // clamped to [12, 24].  carry_after() reads them.
+  util::BitArray byte_set;
+  util::BitArray bigram_set;
+  util::BitArray gram4_set;
+  unsigned gram4_bits = 0;
+
+  // The longest stream suffix a match can start in and not end in: a
+  // proper prefix of the longest pattern.
+  std::size_t max_carry() const { return max_len > 0 ? max_len - 1 : 0; }
+
+  // How many trailing bytes of a stream buffer a match could still start
+  // in: the length of the run, walked backward from the end, of positions
+  // whose folded byte, bigram (from the second step on) and 4-gram (from
+  // the fourth) are all grams of some pattern; at most min(size,
+  // max_carry()).  A stream suffix that is a proper prefix of a pattern is
+  // made of that pattern's grams, so the run covers it; a false hit only
+  // lengthens the run.
+  std::size_t carry_after(util::ByteView buffer) const;
 };
 
 class Database {
@@ -64,8 +86,9 @@ class Database {
   std::string_view algorithm_name() const { return core::algorithm_name(algorithm_); }
   std::size_t pattern_count() const { return patterns_.size(); }
   // What the sensor holds: the owned patterns, each distinct working set
-  // (engine and tables) and each distinct signature, each counted once.
-  // Builds nothing; a separately built engine() is not counted.
+  // (engine, tables and gram sets) and each distinct signature, each
+  // counted once.  Builds nothing; a separately built engine() is not
+  // counted.
   std::size_t memory_bytes() const;
 
   // Process-monotonic compile id (never reused; assigned per compile()).

@@ -1,13 +1,14 @@
 // Streaming scan over a flow's reassembled byte stream.
 //
 // NIDS payloads arrive in chunks; a pattern may straddle a chunk boundary.
-// StreamScanner keeps the last (max_len - 1) bytes of the previous data as
-// carry, scans carry+chunk, and reports each match exactly once with
-// absolute stream offsets: a match that ends inside the carry region was
-// already reported by the previous feed and is suppressed.  The scanner
-// points at its group's WorkingSet (engine and pattern-length table) and
-// copies none of it, so a tracked stream costs its carry buffer plus a few
-// words.
+// StreamScanner keeps as carry the tail of the previous data that a match
+// could still start in (WorkingSet::carry_after: a backward walk over the
+// set's pattern grams, at most max_len - 1 bytes), scans carry+chunk, and
+// reports each match exactly once with absolute stream offsets: a match
+// that ends inside the carry region was already reported by the previous
+// feed and is suppressed.  The scanner points at its group's WorkingSet
+// (engine, pattern-length table and gram sets) and copies none of it, so a
+// tracked stream costs its carry buffer plus a few words.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +20,7 @@ namespace vpm::ids {
 
 class StreamScanner {
  public:
-  // `set` must outlive the scanner; its max_len bounds the carry.
+  // `set` must outlive the scanner; its carry_after() sizes the carry.
   explicit StreamScanner(const WorkingSet& set) : set_(&set) {}
 
   // Scans the next chunk; emits matches (absolute stream offsets) to sink.

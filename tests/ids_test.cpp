@@ -53,6 +53,24 @@ TEST(StreamScanner, MatchStraddlingChunkBoundaryFoundOnce) {
   EXPECT_EQ(sink.matches()[0].pos, 4u);
 }
 
+// The carry is the stream suffix a match could still start in, not a fixed
+// max_len - 1 bytes: "stra" is a live prefix of "straddle", the x's and z's
+// are no pattern's bytes.
+TEST(StreamScanner, CarryKeepsOnlyALivePrefix) {
+  pattern::PatternSet set;
+  set.add("straddle");
+  const auto db = compile(core::Algorithm::spatch, set);
+  StreamScanner scanner(db->working_set(pattern::Group::generic));
+  scanner.prepare(util::as_view("xxxxstra"));
+  scanner.commit();
+  scanner.prepare(util::as_view("zzzz"));
+  EXPECT_EQ(scanner.staged_carry(), 4u);
+  scanner.commit();
+  scanner.prepare(util::as_view("ddle"));
+  EXPECT_EQ(scanner.staged_carry(), 0u);
+  scanner.commit();
+}
+
 TEST(StreamScanner, MatchInsideCarryNotDuplicated) {
   pattern::PatternSet set;
   set.add("dup");

@@ -6,13 +6,17 @@
 //       verification-table geometry;
 //   P2  every engine is exact on adversarial byte-content classes;
 //   P3  injected pattern copies are always found (completeness lower bound);
-//   P4  filter-only candidate counts are ISA-invariant.
+//   P4  filter-only candidate counts are ISA-invariant;
+//   P5  a stream cut into random chunks reports the matches of one scan of
+//       the whole stream, on every engine.
 #include <gtest/gtest.h>
 
+#include "core/database.hpp"
 #include "core/matcher_factory.hpp"
 #include "core/spatch.hpp"
 #include "core/vpatch.hpp"
 #include "helpers.hpp"
+#include "ids/engine.hpp"
 #include "pattern/ruleset_gen.hpp"
 #include "pattern/serialize.hpp"
 #include "simd/cpu_features.hpp"
@@ -177,6 +181,139 @@ TEST(FilterInvariance, CandidateCountsAcrossIsas) {
         << isa_name(isa) << " (" << testutil::seed_note() << ")";
     EXPECT_EQ(got.long_candidates, ref.long_candidates)
         << isa_name(isa) << " (" << testutil::seed_note() << ")";
+  }
+}
+
+// ---- P5: chunked streams equal one whole-stream scan -----------------------------
+//
+// Through StreamScanner::feed and through IdsEngine's staged batches, with
+// several flows interleaved and each chunked its own way.  The patterns are
+// cut from the text across the chunk cuts, so matches straddle boundaries,
+// and nested prefixes of them give WorkingSet::carry_after live prefixes of
+// every length to keep.
+
+// Chunk lengths covering `total` bytes, tiny (1-8 B) and larger (to 300 B)
+// chunks mixed.
+std::vector<std::size_t> random_chunking(std::size_t total, util::Rng& rng) {
+  std::vector<std::size_t> lens;
+  for (std::size_t off = 0; off < total; off += lens.back()) {
+    const std::size_t len = rng.chance(0.5) ? 1 + rng.below(8) : 1 + rng.below(300);
+    lens.push_back(std::min(len, total - off));
+  }
+  return lens;
+}
+
+// The longest suffix of `buf` that equals, case-folded, a proper prefix of a
+// pattern in `set`: the least a carry must keep.
+std::size_t longest_live_prefix(util::ByteView buf, const pattern::PatternSet& set) {
+  std::size_t best = 0;
+  for (const pattern::Pattern& p : set) {
+    for (std::size_t len = std::min(buf.size(), p.size() - 1); len > best; --len) {
+      if (util::bytes_equal(buf.data() + buf.size() - len, p.bytes.data(), len, true)) {
+        best = len;
+        break;
+      }
+    }
+  }
+  return best;
+}
+
+class ChunkedStreams : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChunkedStreams, ::testing::Range(0, 8));
+
+TEST_P(ChunkedStreams, MatchOneWholeStreamScanOnEveryEngine) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  util::Rng rng(testutil::case_seed(700 + seed));
+  const util::Bytes text = testutil::random_text(3000, testutil::case_seed(720 + seed), 6);
+  const std::vector<std::size_t> chunks = random_chunking(text.size(), rng);
+
+  // A 30% share is nocase, with its letters' case scrambled against the text.
+  pattern::PatternSet set;
+  const auto add = [&](util::ByteView bytes) {
+    util::Bytes p(bytes.begin(), bytes.end());
+    const bool nocase = rng.chance(0.3);
+    for (std::uint8_t& c : p) {
+      if (nocase && rng.chance(0.5)) c ^= 0x20;  // the text is letters only
+    }
+    set.add(std::move(p), nocase);
+  };
+  std::size_t cut = 0;
+  for (std::size_t i = 0; i + 1 < chunks.size(); ++i) {
+    cut += chunks[i];
+    const std::size_t len = 2 + rng.below(40);
+    const std::size_t before = 1 + rng.below(len - 1);  // bytes left of the cut
+    if (before > cut || cut - before + len > text.size()) continue;
+    // The straddling pattern, then a chain of ever shorter prefixes of it.
+    for (std::size_t n = len;; n = 1 + rng.below(n - 1)) {
+      add({text.data() + cut - before, n});
+      if (n == 1 || rng.chance(0.5)) break;
+    }
+  }
+  ASSERT_FALSE(set.empty());
+  const NaiveMatcher oracle(set);
+  const std::vector<Match> expected = oracle.find_matches(text);
+  const std::string note = "seed=" + std::to_string(seed) + " (" + testutil::seed_note() + ")";
+
+  for (const Algorithm algo : available_algorithms()) {
+    const DatabasePtr db = compile(algo, set);
+    // Every pattern is generic, so the set's ids are the Database ids.
+    const WorkingSet& ws = db->working_set(pattern::Group::generic);
+    const std::string_view name = algorithm_name(algo);
+
+    ids::StreamScanner scanner(ws);
+    CollectingSink fed;
+    std::size_t off = 0;
+    for (const std::size_t len : chunks) {
+      scanner.feed({text.data() + off, len}, fed);
+      off += len;
+    }
+    EXPECT_EQ(fed.sorted(), expected) << name << " feed() " << note;
+
+    // Flow 0 is cut as above, flows 1 and 2 their own ways; chunks are
+    // staged in random flow order and flushed at random points.
+    constexpr std::size_t kFlows = 3;
+    std::vector<std::vector<std::size_t>> cuts{chunks};
+    while (cuts.size() < kFlows) cuts.push_back(random_chunking(text.size(), rng));
+    std::vector<std::size_t> next(kFlows, 0);
+    std::vector<std::size_t> offset(kFlows, 0);
+    ids::IdsEngine engine(db);
+    std::vector<ids::Alert> alerts;
+    ids::AlertBuffer sink(alerts);
+    for (std::size_t left = text.size() * kFlows; left > 0;) {
+      std::size_t flow = rng.below(kFlows);
+      while (next[flow] == cuts[flow].size()) flow = (flow + 1) % kFlows;
+      const std::size_t len = cuts[flow][next[flow]++];
+      engine.stage(flow, pattern::Group::generic, {text.data() + offset[flow], len}, sink);
+      offset[flow] += len;
+      left -= len;
+      if (rng.chance(0.3)) engine.flush_batch(sink);
+    }
+    engine.flush_batch(sink);
+    for (std::size_t flow = 0; flow < kFlows; ++flow) {
+      std::vector<Match> got;
+      for (const ids::Alert& a : alerts) {
+        if (a.flow_id == flow) got.push_back({a.pattern_id, a.stream_offset});
+      }
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, expected) << name << " stage/flush_batch flow " << flow << " " << note;
+    }
+  }
+
+  // The carry bounds, on the text up to each cut and on a short window
+  // ending there.
+  const DatabasePtr db = compile(Algorithm::naive, set);
+  const WorkingSet& ws = db->working_set(pattern::Group::generic);
+  cut = 0;
+  for (const std::size_t len : chunks) {
+    cut += len;
+    const std::size_t window = std::min(cut, 1 + rng.below(2 * ws.max_len));
+    for (const std::size_t start : {std::size_t{0}, cut - window}) {
+      const util::ByteView buf(text.data() + start, cut - start);
+      const std::size_t carry = ws.carry_after(buf);
+      EXPECT_LE(carry, std::min(buf.size(), ws.max_len - 1)) << "cut=" << cut << " " << note;
+      EXPECT_GE(carry, longest_live_prefix(buf, set)) << "cut=" << cut << " " << note;
+    }
   }
 }
 
