@@ -66,7 +66,7 @@ constexpr std::uint32_t kAutoBypassPayloads = 31 * 64;
 void one_pass(const Matcher& matcher, const core::Prefilter& pf,
               core::PrefilterMode mode, std::span<const util::ByteView> views,
               std::size_t bytes, bool record, ScanScratch& scan_scratch,
-              ScanScratch& screen_scratch, std::vector<std::uint8_t>& verdicts,
+              std::vector<std::uint8_t>& verdicts,
               std::vector<util::ByteView>& passed, ModeResult& result) {
   CountingBatchSink sink;
   std::uint64_t pass = 0, reject = 0;
@@ -84,7 +84,7 @@ void one_pass(const Matcher& matcher, const core::Prefilter& pf,
       matcher.scan_batch(batch, sink, scan_scratch);
       continue;
     }
-    pf.screen_batch(batch, verdicts.data(), screen_scratch);
+    pf.screen_batch(batch, verdicts.data());
     passed.clear();
     for (std::size_t i = 0; i < batch.size(); ++i) {
       if (verdicts[i] != 0) passed.push_back(batch[i]);
@@ -167,7 +167,7 @@ int run_set(const char* label, const pattern::PatternSet& rules,
       // Interleaved measurement: every run times all three modes back to
       // back so machine-state drift cancels out of the speedup ratios.
       const std::size_t bytes = views.size() * payload;
-      ScanScratch scan_scratch, screen_scratch;
+      ScanScratch scan_scratch;
       std::vector<std::uint8_t> verdicts(kBatch);
       std::vector<util::ByteView> passed;
       passed.reserve(kBatch);
@@ -175,7 +175,7 @@ int run_set(const char* label, const pattern::PatternSet& rules,
       for (unsigned r = 0; r <= opt.runs; ++r) {  // run 0 is the warm-up
         for (std::size_t mi = 0; mi < std::size(kModes); ++mi) {
           one_pass(*matcher, *pf, kModes[mi], views, bytes, r > 0, scan_scratch,
-                   screen_scratch, verdicts, passed, results[mi]);
+                   verdicts, passed, results[mi]);
         }
       }
 

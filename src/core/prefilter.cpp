@@ -7,7 +7,6 @@
 #include <string>
 #include <unordered_set>
 
-#include "core/candidates.hpp"
 #include "core/prefilter_kernels.hpp"
 #include "simd/cpu_features.hpp"
 #include "util/hash.hpp"
@@ -46,12 +45,17 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   throw std::invalid_argument(std::string("prefilter section: ") + what);
 }
 
-// Per-thread staging for screen_batch: one folded copy of every staged
-// payload, each followed by kPrefilterPad zeroed slack bytes (the vector
-// kernels' read contract).
-struct PrefilterBatchState final : ScanScratch::State {
-  UninitArray<std::uint8_t> folded;
-};
+PrefilterView view_of(const Prefilter& pf) {
+  return {pf.words().data(), static_cast<std::uint32_t>(pf.words().size() - 1), pf.q(),
+          pf.threshold()};
+}
+
+// A whole-payload screen of a raw view with len >= q.
+using ScreenKernel = bool (*)(const PrefilterView&, const std::uint8_t*, std::size_t);
+
+bool screen_scalar(const PrefilterView& v, const std::uint8_t* data, std::size_t len) {
+  return prefilter_screen_tail(v, data, len, 0);
+}
 
 }  // namespace
 
@@ -78,8 +82,7 @@ Prefilter::Prefilter(Parts parts)
       bits_log2_(parts.bits_log2),
       pattern_count_(parts.pattern_count),
       gram_count_(parts.gram_count),
-      min_patterns_(parts.min_patterns),
-      scratch_owner_id_(next_scratch_owner_id()) {}
+      min_patterns_(parts.min_patterns) {}
 
 double Prefilter::occupancy() const {
   std::uint64_t set_bits = 0;
@@ -89,71 +92,25 @@ double Prefilter::occupancy() const {
 }
 
 bool Prefilter::screen(util::ByteView payload) const {
-  const std::size_t len = payload.size();
-  if (len < min_payload()) return false;
-  const PrefilterView v{words_.data(), static_cast<std::uint32_t>(words_.size() - 1),
-                        q_, threshold_};
-  // Strided probing on raw payload memory: grams are assembled byte-wise
-  // (folding as we go), so no 4-byte load ever reaches past the payload —
-  // unlike the kernels, this path has no staging slack to lean on.
-  const std::uint8_t* d = payload.data();
-  const auto gram_at = [&](std::size_t p) {
-    std::uint32_t gram = 0;
-    for (unsigned k = 0; k < q_; ++k) {
-      gram |= static_cast<std::uint32_t>(util::ascii_lower(d[p + k])) << (8u * k);
-    }
-    return gram;
-  };
-  const std::size_t positions = len - q_ + 1;
-  for (std::size_t p = 0; p < positions; p += threshold_) {
-    if (!prefilter_probe(v, gram_at(p))) continue;
-    // Neighborhood verify, bounded by threshold (see prefilter_verify_run).
-    std::size_t l = p;
-    std::size_t r = p + 1;
-    while (l > 0 && r - l < threshold_ && prefilter_probe(v, gram_at(l - 1))) --l;
-    while (r < positions && r - l < threshold_ && prefilter_probe(v, gram_at(r))) ++r;
-    if (r - l >= threshold_) return true;
-  }
-  return false;
+  return payload.size() >= min_payload() &&
+         screen_scalar(view_of(*this), payload.data(), payload.size());
 }
 
 void Prefilter::screen_batch(std::span<const util::ByteView> payloads,
-                             std::uint8_t* verdicts, ScanScratch& scratch) const {
+                             std::uint8_t* verdicts) const {
   const simd::CpuFeatures& cpu = simd::cpu();
-  const bool use512 = cpu.has_avx512_kernel();
-  const bool use256 = !use512 && cpu.has_avx2_kernel();
-  if (!use512 && !use256) {
-    for (std::size_t i = 0; i < payloads.size(); ++i) {
-      verdicts[i] = screen(payloads[i]) ? 1 : 0;
-    }
-    return;
+  ScreenKernel kernel = screen_scalar;
+  if (cpu.has_avx512_kernel()) {
+    kernel = prefilter_screen_avx512;
+  } else if (cpu.has_avx2_kernel()) {
+    kernel = prefilter_screen_avx2;
   }
-
+  const PrefilterView v = view_of(*this);
   const std::size_t min_len = min_payload();
-  std::size_t total = 0;
-  for (const util::ByteView& p : payloads) {
-    if (p.size() >= min_len) total += p.size() + kPrefilterPad;
-  }
-  PrefilterBatchState& st = scratch.state_for<PrefilterBatchState>(scratch_owner_id_);
-  st.folded.ensure(total);
-
-  const PrefilterView v{words_.data(), static_cast<std::uint32_t>(words_.size() - 1),
-                        q_, threshold_};
-  std::size_t off = 0;
   for (std::size_t i = 0; i < payloads.size(); ++i) {
     const util::ByteView p = payloads[i];
-    if (p.size() < min_len) {  // cannot hold any pattern: exact reject
-      verdicts[i] = 0;
-      continue;
-    }
-    std::uint8_t* dst = st.folded.data() + off;
-    for (std::size_t j = 0; j < p.size(); ++j) dst[j] = util::ascii_lower(p[j]);
-    std::memset(dst + p.size(), 0, kPrefilterPad);
-    verdicts[i] = (use512 ? prefilter_screen_avx512(v, dst, p.size())
-                          : prefilter_screen_avx2(v, dst, p.size()))
-                      ? 1
-                      : 0;
-    off += p.size() + kPrefilterPad;
+    // Shorter than min_payload: cannot hold any pattern, exact reject.
+    verdicts[i] = p.size() >= min_len && kernel(v, p.data(), p.size()) ? 1 : 0;
   }
 }
 

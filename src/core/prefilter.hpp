@@ -27,8 +27,8 @@
 #include <string_view>
 #include <vector>
 
-#include "match/matcher.hpp"
 #include "pattern/pattern_set.hpp"
+#include "util/bytes.hpp"
 
 namespace vpm::core {
 
@@ -56,7 +56,7 @@ struct PrefilterConfig {
 };
 
 // Immutable built signature; shared (like the Database that holds it) across
-// engines and threads — screening state lives in caller-owned ScanScratch.
+// engines and threads — screening keeps no state.
 class Prefilter {
  public:
   // Built by build_prefilter / parse_prefilter_section only.
@@ -76,12 +76,12 @@ class Prefilter {
   // reject.
   bool screen(util::ByteView payload) const;
 
-  // Vectorized batch screen: stages case-folded copies of all payloads into
-  // `scratch` (grow-to-high-water; zero steady-state allocations) and writes
+  // Vectorized batch screen: reads every payload in place, folding case in
+  // registers (no copy, and no read past a view's end), and writes
   // verdicts[i] = 1 (might match — scan it) / 0 (cannot match — skip).
   // Verdicts are identical to screen() payload-by-payload on every ISA.
-  void screen_batch(std::span<const util::ByteView> payloads, std::uint8_t* verdicts,
-                    ScanScratch& scratch) const;
+  void screen_batch(std::span<const util::ByteView> payloads,
+                    std::uint8_t* verdicts) const;
 
   std::uint32_t q() const { return q_; }
   std::uint32_t threshold() const { return threshold_; }
@@ -107,7 +107,6 @@ class Prefilter {
   std::uint32_t pattern_count_;
   std::uint32_t gram_count_;
   std::size_t min_patterns_;
-  std::uint64_t scratch_owner_id_;
 };
 
 using PrefilterPtr = std::shared_ptr<const Prefilter>;

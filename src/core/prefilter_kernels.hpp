@@ -20,12 +20,13 @@
 // its neighborhood for the full run.  On the dominant reject path this cuts
 // the probe count (and the signature gathers) by a factor of threshold.
 //
-// Read contract of the vector kernels and of the folded helpers: the folded
-// payload copy must be readable up to data[len + kPrefilterPad - 1] (the
-// staging buffer zero-fills that slack, exactly like the AC lane kernels'
-// kStagePad).  The kernels are compiled per-ISA in prefilter_avx2.cpp /
-// prefilter_avx512.cpp with abort stubs on narrower toolchains; dispatch
-// goes through simd::cpu() and never reaches a stub.
+// Read contract: every screen reads the payload in place, and every read
+// of every path (vector block, scalar tail, neighborhood verify) stays
+// inside [data, data + len) of the view it screens: no padding, no copy.
+// The vector kernels fold ASCII case in registers; the scalar paths fold
+// through prefilter_gram.  The kernels are compiled per-ISA in
+// prefilter_avx2.cpp / prefilter_avx512.cpp with abort stubs on narrower
+// toolchains; dispatch goes through simd::cpu() and never reaches a stub.
 #pragma once
 
 #include <cstddef>
@@ -34,12 +35,6 @@
 #include "util/hash.hpp"
 
 namespace vpm::core {
-
-// Zeroed staging slack past the folded payload end, in bytes.  Every folded
-// access — the kernels' gram gathers and the verify/tail 4-byte loads — reads
-// data[p .. p+3] for a position p <= len - q, so reads reach at most
-// data[len] (q = 3); the pad keeps a wide margin on top of that.
-inline constexpr std::size_t kPrefilterPad = 16;
 
 // The probe-side view of a built signature (points into Prefilter storage).
 struct PrefilterView {
@@ -55,11 +50,24 @@ inline bool prefilter_probe(const PrefilterView& v, std::uint32_t gram) {
   return ((w >> (h & 31u)) & (w >> ((h >> 5) & 31u)) & 1u) != 0;
 }
 
-// The q-gram at position p of an already-FOLDED payload copy (4-byte load
-// even for q = 3: requires the kPrefilterPad slack).
-inline std::uint32_t prefilter_gram_folded(const PrefilterView& v,
-                                           const std::uint8_t* data, std::size_t p) {
-  return util::load_u32(data + p) & (v.q == 4 ? 0xFFFFFFFFu : 0x00FFFFFFu);
+// Folds ASCII upper case in each byte of a little-endian word: bytes 'A'..'Z'
+// get +0x20 and nothing else changes (util::ascii_lower, four at a time).
+constexpr std::uint32_t prefilter_fold4(std::uint32_t x) {
+  const std::uint32_t low7 = x & 0x7F7F7F7Fu;
+  const std::uint32_t ge_a = low7 + 0x3F3F3F3Fu;  // high bit: low7 >= 'A'
+  const std::uint32_t gt_z = low7 + 0x25252525u;  // high bit: low7 > 'Z'
+  const std::uint32_t upper = (ge_a ^ gt_z) & ~x & 0x80808080u;
+  return x | (upper >> 2);
+}
+
+// The folded q-gram at position p <= len - q of a raw payload: loads
+// min(4, len - p) bytes, so it never reads past data[len - 1].  Serves the
+// scalar screen, the kernels' tails and the neighborhood verify.
+inline std::uint32_t prefilter_gram(const PrefilterView& v, const std::uint8_t* data,
+                                    std::size_t p, std::size_t len) {
+  const std::uint32_t raw =
+      len - p >= 4 ? util::load_u32(data + p) : util::load_le(data + p, 3);
+  return prefilter_fold4(raw) & (v.q == 4 ? 0xFFFFFFFFu : 0x00FFFFFFu);
 }
 
 // Verify step after a strided hit at position p (which must itself hit):
@@ -67,38 +75,40 @@ inline std::uint32_t prefilter_gram_folded(const PrefilterView& v,
 // breaks.  Extension stops as soon as the run qualifies, so the scan cost is
 // bounded by threshold regardless of how long the true run is.
 inline bool prefilter_verify_run(const PrefilterView& v, const std::uint8_t* data,
-                                 std::size_t positions, std::size_t p) {
+                                 std::size_t len, std::size_t p) {
+  const std::size_t positions = len - v.q + 1;
   std::size_t l = p;
   std::size_t r = p + 1;
   while (l > 0 && r - l < v.threshold &&
-         prefilter_probe(v, prefilter_gram_folded(v, data, l - 1))) {
+         prefilter_probe(v, prefilter_gram(v, data, l - 1, len))) {
     --l;
   }
   while (r < positions && r - l < v.threshold &&
-         prefilter_probe(v, prefilter_gram_folded(v, data, r))) {
+         prefilter_probe(v, prefilter_gram(v, data, r, len))) {
     ++r;
   }
   return r - l >= v.threshold;
 }
 
-// Scalar strided screen over FOLDED bytes from position `start` (which must
-// be a multiple of threshold, so the stride lattice stays aligned with the
-// callers' vector blocks) to the end.  Serves as the kernels' tail and as
-// the whole-payload fallback for staged copies.
-inline bool prefilter_screen_folded_tail(const PrefilterView& v, const std::uint8_t* data,
-                                         std::size_t positions, std::size_t start) {
+// Scalar strided screen of a raw payload (len >= q) from position `start`
+// (a multiple of threshold, so the stride lattice stays aligned with the
+// callers' vector blocks) to the end.  The whole scalar screen is this from
+// position 0; the kernels finish their last partial block with it.
+inline bool prefilter_screen_tail(const PrefilterView& v, const std::uint8_t* data,
+                                  std::size_t len, std::size_t start) {
+  const std::size_t positions = len - v.q + 1;
   for (std::size_t p = start; p < positions; p += v.threshold) {
-    if (prefilter_probe(v, prefilter_gram_folded(v, data, p)) &&
-        prefilter_verify_run(v, data, positions, p)) {
+    if (prefilter_probe(v, prefilter_gram(v, data, p, len)) &&
+        prefilter_verify_run(v, data, len, p)) {
       return true;
     }
   }
   return false;
 }
 
-// Vectorized whole-payload screens over a folded copy (see the read
-// contract above).  Defined in the ISA-split translation units; must only
-// be called when simd::cpu() reports the matching kernel.
+// Vectorized whole-payload screens of a raw payload with len >= q (see the
+// read contract above).  Defined in the ISA-split translation units; must
+// only be called when simd::cpu() reports the matching kernel.
 bool prefilter_screen_avx2(const PrefilterView& v, const std::uint8_t* data,
                            std::size_t len);
 bool prefilter_screen_avx512(const PrefilterView& v, const std::uint8_t* data,

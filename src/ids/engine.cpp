@@ -179,7 +179,7 @@ void IdsEngine::flush_batch_impl(AlertSink& out) {
     }
     if (engaged) {
       verdicts_.resize(g.views.size());
-      pf->screen_batch(g.views, verdicts_.data(), pf_scratch_[gi]);
+      pf->screen_batch(g.views, verdicts_.data());
       std::uint64_t pass_bytes = 0;
       std::uint64_t reject_bytes = 0;
       for (std::size_t i = 0; i < g.views.size(); ++i) {

@@ -170,10 +170,6 @@ class IdsEngine {
   std::vector<Staged> pending_;
   std::array<GroupGather, kGroups> gather_;
   std::array<ScanScratch, kGroups> scratch_;
-  // The prefilter stages folded payload copies in its own scratch: sharing
-  // scratch_[gi] would make screen and scan evict each other's state_for
-  // slot every flush (the slot is keyed per owner).
-  std::array<ScanScratch, kGroups> pf_scratch_;
   std::vector<std::uint8_t> verdicts_;
   core::PrefilterMode prefilter_mode_ = core::PrefilterMode::automatic;
   // PrefilterMode::automatic adaptive bypass: sample the screen's pass ratio

@@ -4,7 +4,7 @@
 // one worker shard, so per-flow packet order is preserved without locks on
 // the hot path, and every worker owns a private TcpReassembler + IdsEngine
 // pair (shared-nothing; the only cross-thread structures are the SPSC rings
-// and the stats counters).
+// — one forward and one return ring per worker — and the stats counters).
 #pragma once
 
 #include <cstddef>
@@ -27,6 +27,11 @@ namespace vpm::pipeline {
 // amortize queue synchronization over many small segments.  The router
 // stamps enqueue_ns (steady-clock) as it pushes when telemetry is enabled,
 // so the consuming worker can histogram ring dwell time; 0 = unstamped.
+//
+// A batch makes a round trip: the producer fills it, its shard's worker
+// drains it and hands it back, packets intact, through the return ring, and
+// the producer clear()s it and refills the same vector.  Every payload is
+// therefore allocated and freed on the producer thread (see ShardRouter).
 struct PacketBatch {
   std::vector<net::Packet> packets;
   std::uint64_t enqueue_ns = 0;
@@ -67,6 +72,7 @@ struct PipelineConfig {
   unsigned workers = 2;              // shard / worker-thread count (>= 1)
   std::size_t batch_packets = 32;    // packets per batch before a ring push
   std::size_t ring_batches = 256;    // per-worker ring capacity, in batches
+                                     // (forward and return ring alike)
   BackpressurePolicy backpressure = BackpressurePolicy::block;
 
   // Idle-flow eviction keeps per-worker flow tables bounded under churn.

@@ -22,9 +22,9 @@ PipelineRuntime::PipelineRuntime(DatabasePtr db, PipelineConfig cfg) : cfg_(cfg)
     }
     if (cfg_.metrics != nullptr) workers_.back()->enable_telemetry(*cfg_.metrics, i);
   }
-  std::vector<ShardRouter::Ring*> rings;
+  std::vector<ShardRouter::ShardRings> rings;
   rings.reserve(workers_.size());
-  for (auto& w : workers_) rings.push_back(&w->ring());
+  for (auto& w : workers_) rings.push_back({&w->ring(), &w->returns()});
   // Telemetry on => the router stamps batches so workers can measure dwell.
   router_ = std::make_unique<ShardRouter>(std::move(rings), cfg_.batch_packets,
                                           cfg_.backpressure, cfg_.metrics != nullptr);

@@ -94,9 +94,10 @@ class PipelineRuntime {
   std::uint64_t generation() const;
 
   // Blocks until every packet submitted so far has been consumed from the
-  // rings (flushes partial batches first).  Same single-producer rule as
-  // submit().  The quiesce-then-swap recipe gives an exact packet partition
-  // between ruleset generations.
+  // rings and its batch handed back to the producer (flushes partial
+  // batches first).  Same single-producer rule as submit().  The
+  // quiesce-then-swap recipe gives an exact packet partition between
+  // ruleset generations.
   void quiesce();
 
   // Drains: flushes, lets every worker consume its ring to empty, joins the

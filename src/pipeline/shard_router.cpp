@@ -17,7 +17,7 @@ unsigned shard_of(const net::FiveTuple& tuple, unsigned shards) {
   return static_cast<unsigned>(z % shards);
 }
 
-ShardRouter::ShardRouter(std::vector<Ring*> rings, std::size_t batch_packets,
+ShardRouter::ShardRouter(std::vector<ShardRings> rings, std::size_t batch_packets,
                          BackpressurePolicy policy, bool stamp_enqueue_time)
     : rings_(std::move(rings)),
       pending_(rings_.size()),
@@ -43,34 +43,39 @@ void ShardRouter::flush() {
 
 bool ShardRouter::push_batch(std::size_t shard) {
   PacketBatch& batch = pending_[shard];
+  const ShardRings& rings = rings_[shard];
   const std::size_t n = batch.size();
   // Stamped before the push attempt, so a blocked push counts its wait as
   // dwell — from the consumer's perspective the batch WAS queued that long.
   if (stamp_enqueue_time_) batch.enqueue_ns = util::monotonic_ns();
+  bool pushed = true;
   if (policy_ == BackpressurePolicy::block) {
     // Spin briefly, then yield: the consumer is another thread on this host,
     // so the queue-full condition clears in microseconds unless the worker
     // is genuinely saturated.
     unsigned spins = 0;
-    while (!rings_[shard]->try_push(batch)) {
+    while (!rings.forward->try_push(batch)) {
       if (++spins >= 64) {
         std::this_thread::yield();
         spins = 0;
       }
     }
   } else {
-    if (!rings_[shard]->try_push(batch)) {
-      dropped_.fetch_add(n, std::memory_order_relaxed);
-      batch.clear();
-      batch.reserve(batch_packets_);
-      return false;
-    }
+    pushed = rings.forward->try_push(batch);
   }
-  routed_.fetch_add(n, std::memory_order_relaxed);
-  // try_push moved the vector out; restore a usable buffer.
-  batch = PacketBatch();
+  if (pushed) {
+    routed_.fetch_add(n, std::memory_order_relaxed);
+    // try_push moved the vector out: take back a batch the worker drained.
+    rings.returns->try_pop(batch);
+  } else {
+    dropped_.fetch_add(n, std::memory_order_relaxed);
+  }
+  // The pending batch is now a returned one, the dropped one, or moved-from.
+  // Clearing frees its payloads on this thread, which allocated them; the
+  // reserve allocates only when no drained batch was waiting.
+  batch.clear();
   batch.reserve(batch_packets_);
-  return true;
+  return pushed;
 }
 
 }  // namespace vpm::pipeline

@@ -8,6 +8,14 @@
 // directions of a TCP connection — and any two tuples that collide in the
 // key — land on the same worker and behave exactly as they would
 // single-threaded.
+//
+// Packet ownership: the producer thread allocates every payload and every
+// batch vector, and it also frees them.  Each shard has a ring pair: the
+// forward ring carries full batches to the worker, and the return ring
+// carries the worker's drained batches back.  After each push the router
+// takes one returned batch, clears it here (freeing its payloads on the
+// thread that allocated them) and reuses its vector as the shard's next
+// pending batch.  It allocates a vector only when none is waiting.
 #pragma once
 
 #include <atomic>
@@ -28,11 +36,19 @@ class ShardRouter {
  public:
   using Ring = SpscRing<PacketBatch>;
 
-  // `rings[i]` receives shard i's batches; pointers must outlive the router.
+  // One shard's ring pair: `forward` carries batches to the worker (this
+  // router is its only producer); `returns` carries drained batches back
+  // (this router is its only consumer).
+  struct ShardRings {
+    Ring* forward = nullptr;
+    Ring* returns = nullptr;
+  };
+
+  // `rings[i]` is shard i's pair; the rings must outlive the router.
   // `stamp_enqueue_time` makes every pushed batch carry a steady-clock
   // timestamp (PacketBatch::enqueue_ns) so consumers can measure ring dwell;
   // off by default — the uninstrumented path pays no clock reads.
-  ShardRouter(std::vector<Ring*> rings, std::size_t batch_packets,
+  ShardRouter(std::vector<ShardRings> rings, std::size_t batch_packets,
               BackpressurePolicy policy, bool stamp_enqueue_time = false);
 
   // Routes one packet; pushes its shard's batch when full.  Returns false
@@ -49,7 +65,7 @@ class ShardRouter {
  private:
   bool push_batch(std::size_t shard);
 
-  std::vector<Ring*> rings_;
+  std::vector<ShardRings> rings_;
   std::vector<PacketBatch> pending_;  // one partial batch per shard
   std::size_t batch_packets_;
   BackpressurePolicy policy_;

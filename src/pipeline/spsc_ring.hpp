@@ -1,11 +1,13 @@
 // Bounded single-producer / single-consumer ring queue.
 //
 // The pipeline moves packet batches from the ingest thread to each worker
-// through one of these: exactly one thread pushes and exactly one thread
-// pops, so the only synchronization needed is a release store / acquire load
-// pair on each index.  Both sides keep a cached copy of the opposing index
-// so the common case (queue neither full nor empty) touches no cross-core
-// cache line.  Capacity is rounded up to a power of two.
+// through one of these, and each drained batch back through a second one
+// (the worker's return ring): exactly one thread pushes and exactly one
+// thread pops each ring, so the only synchronization needed is a release
+// store / acquire load pair on each index.  Both sides keep a cached copy
+// of the opposing index so the common case (queue neither full nor empty)
+// touches no cross-core cache line.  Capacity is rounded up to a power of
+// two.
 #pragma once
 
 #include <atomic>

@@ -2,10 +2,10 @@
 //
 // Each worker counts into a plain WorkerStats that only its own thread
 // touches and publishes it, field by field through the table below, into
-// relaxed atomics after every batch (and on swap adoption, ladder moves and
-// exit), so PipelineRuntime::stats() can be called from any thread at any
-// time and returns a coherent-enough snapshot (counts lag by at most one
-// in-flight batch per worker).
+// release-stored atomics after every batch (and on swap adoption, ladder
+// moves and exit), so PipelineRuntime::stats() can be called from any
+// thread at any time and returns a coherent-enough snapshot (counts lag by
+// at most one in-flight batch per worker).
 #pragma once
 
 #include <cstddef>

@@ -45,6 +45,7 @@ void GuardedSink::on_alert(const ids::Alert& alert) {
 Worker::Worker(const PipelineConfig& cfg, const RulesChannel& channel)
     : cfg_(cfg),
       ring_(cfg.ring_batches > 0 ? cfg.ring_batches : 1),
+      returns_(ring_.capacity()),
       reassembler_(
           [this](const net::StreamChunk& chunk) {
             // Staged, not scanned: the chunk is copied into the flow's
@@ -176,7 +177,14 @@ void Worker::run_loop() {
       // pushed.
       maybe_adopt_rules();
       process(batch);
-      batch.clear();
+      // Hand the drained batch back so the producer frees its payloads.  A
+      // full return ring (or the ring_push failpoint) falls back to clearing
+      // it here; the worker never blocks on the producer.
+      if (!returns_.try_push(batch)) batch.clear();
+      // Published after the return: a snapshot counting this batch implies
+      // the producer can already pop it back (quiesce() relies on that).
+      ++stats_.batches;
+      publish_stats();
       idle_spins = 0;
       continue;
     }
@@ -281,8 +289,6 @@ void Worker::process(PacketBatch& batch) {
     }
     throw;
   }
-  ++stats_.batches;
-  publish_stats();
 }
 
 bool Worker::should_shed(const net::Packet& packet) const {
@@ -373,9 +379,10 @@ void Worker::publish_stats() {
     stats_.sink_dropped_alerts = guarded_sink_.dropped();
     stats_.sink_quarantined = guarded_sink_.quarantined() ? 1 : 0;
   }
+  // Release, paired with stats()' acquire loads (see the header).
   std::size_t i = 0;
   WorkerStats::for_each_field([&](const char*, StatKind, auto member) {
-    published_[i++].store(stats_.*member, std::memory_order_relaxed);
+    published_[i++].store(stats_.*member, std::memory_order_release);
   });
 }
 
@@ -383,7 +390,7 @@ WorkerStats Worker::stats() const {
   WorkerStats s;
   std::size_t i = 0;
   WorkerStats::for_each_field([&](const char*, StatKind, auto member) {
-    s.*member = published_[i++].load(std::memory_order_relaxed);
+    s.*member = published_[i++].load(std::memory_order_acquire);
   });
   // Live, not published: the watchdog's signal moves while a batch is wedged
   // and while the worker idles.

@@ -1,14 +1,17 @@
 // One pipeline shard: a consumer thread owning a private TcpReassembler +
-// IdsEngine pair, fed packet batches through an SPSC ring.
+// IdsEngine pair, fed packet batches through an SPSC ring and handing each
+// drained batch back through a second one.
 //
 // Shared-nothing on the hot path: the worker's flow tables, scratch, alert
-// buffer and WorkerStats are touched only by its thread; the ring, the
-// published copy of the stats (one relaxed atomic per WorkerStats field,
-// stored once per batch), and the read-only compiled database (DatabasePtr
-// — one instance per generation, shared by every worker instead of
-// compiled per worker) are the only cross-thread state.  Flow ids are the
-// stable flow_key (tuple hash), so a worker's alerts are bitwise what a
-// single-threaded engine would emit for the same flows.
+// buffer and WorkerStats are touched only by its thread; the forward and
+// return rings, the published copy of the stats (one atomic per
+// WorkerStats field, stored once per batch), and the read-only compiled
+// database (DatabasePtr — one instance per generation, shared by every
+// worker instead of compiled per worker) are the only cross-thread state.
+// The worker neither allocates nor frees packets: the producer owns them,
+// and the return ring brings each batch back to it (see ShardRouter).  Flow
+// ids are the stable flow_key (tuple hash), so a worker's alerts are
+// bitwise what a single-threaded engine would emit for the same flows.
 //
 // Ruleset hot-swap (RCU-style): the runtime publishes a new generation into
 // the shared RulesChannel (shared_ptr slot + sequence counter).  Each worker
@@ -123,6 +126,9 @@ class Worker {
   Worker& operator=(const Worker&) = delete;
 
   SpscRing<PacketBatch>& ring() { return ring_; }
+  // Drained batches, packets intact, on their way back to the producer;
+  // same capacity as ring().
+  SpscRing<PacketBatch>& returns() { return returns_; }
 
   // Pins the worker thread to `cpu` when it starts (sched_setaffinity; -1 =
   // unpinned).  Call before start().  A failed pin is non-fatal: the worker
@@ -173,11 +179,15 @@ class Worker {
   void sweep_idle(std::uint64_t idle_us);
   // Copies the counts the engine, the reassembler and the sink own into
   // stats_ (skipped after a failure: the engine is then in an unknown
-  // state), then stores every stats_ field into published_.
+  // state), then release-stores every stats_ field into published_: a
+  // stats() snapshot that reads a published value also sees everything this
+  // thread did before publishing it, the return of the batches it counts
+  // included.
   void publish_stats();
 
   const PipelineConfig cfg_;
   SpscRing<PacketBatch> ring_;
+  SpscRing<PacketBatch> returns_;
   net::TcpReassembler reassembler_;
   ids::IdsEngine engine_;
   std::vector<ids::Alert> alerts_;
@@ -210,8 +220,8 @@ class Worker {
   const std::size_t base_buffered_budget_;  // configured reassembly budget
 
   // This worker's counters: stats_ is written only by the worker thread,
-  // published_ is its per-field relaxed copy (WorkerStats::for_each_field
-  // order) that stats() reads from any thread.
+  // published_ is its per-field copy (WorkerStats::for_each_field order)
+  // that stats() reads from any thread.
   WorkerStats stats_;
   std::array<std::atomic<std::uint64_t>, WorkerStats::kFieldCount> published_{};
 

@@ -5,7 +5,8 @@
 // allocation counter does not move.  This is the zero-alloc contract the
 // pipeline worker's scan loop relies on under sustained small-packet load.
 // The same allocator tracks live heap bytes, which bounds what one tracked
-// stream costs.
+// stream costs, and attributes news and deletes to the thread a test marks
+// as its own versus every other thread (the pipeline's workers).
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -20,6 +21,7 @@
 #include "helpers.hpp"
 #include "ids/engine.hpp"
 #include "pattern/ruleset_gen.hpp"
+#include "pipeline/runtime.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/failpoint.hpp"
 
@@ -28,15 +30,23 @@ std::atomic<std::uint64_t> g_allocations{0};
 // Heap bytes currently held through operator new, as malloc_usable_size
 // reports them (allocator rounding included).
 std::atomic<std::int64_t> g_live_bytes{0};
+// Per-thread attribution: set on the thread a test marks as its own.
+thread_local bool t_marked_thread = false;
+std::atomic<std::uint64_t> g_marked_allocations{0};
+std::atomic<std::uint64_t> g_other_allocations{0};
+std::atomic<std::uint64_t> g_other_frees{0};
 
 void* counted(void* p) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  (t_marked_thread ? g_marked_allocations : g_other_allocations)
+      .fetch_add(1, std::memory_order_relaxed);
   g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
                          std::memory_order_relaxed);
   return p;
 }
 
 void counted_free(void* p) noexcept {
+  if (p != nullptr && !t_marked_thread) g_other_frees.fetch_add(1, std::memory_order_relaxed);
   g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
                          std::memory_order_relaxed);
   std::free(p);
@@ -99,6 +109,14 @@ struct CountingBatchSink final : BatchSink {
 struct CountingAlertSink final : ids::AlertSink {
   std::uint64_t alerts = 0;
   void on_alert(const ids::Alert&) override { ++alerts; }
+};
+
+// Thread-safe: a pipeline's workers deliver into it concurrently.
+struct AtomicCountingAlertSink final : ids::AlertSink {
+  std::atomic<std::uint64_t> alerts{0};
+  void on_alert(const ids::Alert&) override {
+    alerts.fetch_add(1, std::memory_order_relaxed);
+  }
 };
 
 // Matcher-level: scan_batch with a reused scratch, batch size churning
@@ -186,9 +204,10 @@ TEST(AllocTest, EngineStageFlushSteadyStateIsAllocationFree) {
   }
 }
 
-// Engine-level with the approximate prefilter forced on: the screen stages
-// case-folded payload copies and emits verdicts every flush — all of it
-// grow-to-high-water, so the steady state must stay allocation-free.  The
+// Engine-level with the approximate prefilter forced on: the screen reads
+// the staged payloads in place and emits verdicts every flush — the verdict
+// and gather arrays grow to a high-water mark, so the steady state must stay
+// allocation-free.  The
 // ruleset has a length floor (random_set's 1-byte patterns would null the
 // signatures and silently skip the screen path).
 TEST(AllocTest, EnginePrefilterScreenSteadyStateIsAllocationFree) {
@@ -232,6 +251,99 @@ TEST(AllocTest, EnginePrefilterScreenSteadyStateIsAllocationFree) {
   EXPECT_GT(counters.prefilter_pass_payloads + counters.prefilter_reject_payloads, 0u)
       << "the screen must actually have run to be meaningful";
   EXPECT_GT(sink.alerts, 0u) << "workload must produce alerts to be meaningful";
+}
+
+// Packet ownership across the pipeline: the submitting thread allocates every
+// payload, and the return rings bring each drained batch back so that thread
+// frees it too.  Long-lived in-order TCP flows (no FIN or RST, eviction off)
+// and a counting sink keep the workers' own steady state allocation-free, so
+// after a warm-up the workers must make no allocation and no free at all, and
+// the test thread's only allocations are its K payload copies: the runtime
+// adds none, not even a batch vector per push.
+TEST(AllocTest, PipelineFreesEachPacketOnTheSubmittingThread) {
+  struct MarkThread {
+    MarkThread() { t_marked_thread = true; }
+    ~MarkThread() { t_marked_thread = false; }
+  } mark;
+  constexpr unsigned kWorkers = 2;
+  constexpr std::size_t kBatch = 8;
+  constexpr std::size_t kFlowsPerShard = 4;
+  constexpr std::size_t kPayload = 512;
+
+  AtomicCountingAlertSink sink;
+  pipeline::PipelineConfig cfg;
+  cfg.workers = kWorkers;
+  cfg.batch_packets = kBatch;
+  cfg.idle_timeout_us = 0;
+  cfg.alert_sink = &sink;
+  pipeline::PipelineRuntime rt(
+      compile(core::Algorithm::vpatch, testutil::random_set(200, 6, case_seed(308))), cfg);
+
+  // kFlowsPerShard client flows on each shard, so one round of kBatch packets
+  // per shard fills exactly one batch per shard.
+  std::vector<net::Packet> flows;  // tuple and next sequence number per flow
+  std::size_t per_shard[kWorkers] = {};
+  for (std::uint16_t port = 40000; flows.size() < kWorkers * kFlowsPerShard; ++port) {
+    net::Packet p;
+    p.tuple.src_ip = 0x0A000001;
+    p.tuple.dst_ip = 0xC0A80001;
+    p.tuple.src_port = port;
+    p.tuple.dst_port = 80;
+    p.tuple.proto = net::IpProto::tcp;
+    std::size_t& n = per_shard[pipeline::shard_of(p.tuple, kWorkers)];
+    if (n < kFlowsPerShard) {
+      ++n;
+      flows.push_back(p);
+    }
+  }
+
+  const util::Bytes pool = testutil::random_text(1 << 16, case_seed(309));
+  std::uint64_t now_us = 0;
+  std::size_t submitted = 0;
+  // One round: kBatch / kFlowsPerShard in-order segments on every flow, then
+  // quiesce(), after which every batch of the round is back on this thread.
+  const auto round = [&] {
+    for (std::size_t seg = 0; seg < kBatch / kFlowsPerShard; ++seg) {
+      for (net::Packet& flow : flows) {
+        net::Packet p;
+        p.timestamp_us = ++now_us;
+        p.tuple = flow.tuple;
+        p.tcp_seq = flow.tcp_seq;
+        const std::size_t offset = (submitted * 977) % (pool.size() - kPayload);
+        p.payload.assign(pool.begin() + static_cast<std::ptrdiff_t>(offset),
+                         pool.begin() + static_cast<std::ptrdiff_t>(offset + kPayload));
+        flow.tcp_seq += static_cast<std::uint32_t>(kPayload);
+        rt.submit(std::move(p));
+        ++submitted;
+      }
+    }
+    rt.quiesce();
+  };
+
+  rt.start();
+  for (int r = 0; r < 50; ++r) round();  // warm-up: flows, scratch, batches
+
+  const auto read = [](const std::atomic<std::uint64_t>& c) {
+    return c.load(std::memory_order_relaxed);
+  };
+  const std::uint64_t marked_before = read(g_marked_allocations);
+  const std::uint64_t other_before = read(g_other_allocations);
+  const std::uint64_t frees_before = read(g_other_frees);
+  const std::size_t first = submitted;
+  for (int r = 0; r < 100; ++r) round();
+  const std::uint64_t k = submitted - first;
+  const std::uint64_t marked = read(g_marked_allocations) - marked_before;
+  const std::uint64_t other = read(g_other_allocations) - other_before;
+  const std::uint64_t frees = read(g_other_frees) - frees_before;
+  rt.stop();
+
+  EXPECT_EQ(other, 0u) << "worker threads allocated in steady state (" << seed_note() << ")";
+  EXPECT_EQ(frees, 0u) << "worker threads freed in steady state (" << seed_note() << ")";
+  EXPECT_EQ(marked, k) << "the runtime allocated on the submitting thread beyond its "
+                       << k << " payload copies (" << seed_note() << ")";
+  const auto stats = rt.stats();
+  EXPECT_EQ(stats.totals().processed_packets, submitted);
+  EXPECT_GT(sink.alerts.load(), 0u) << "workload must produce alerts to be meaningful";
 }
 
 // Bounded per-stream state: a tracked stream holds its carry, its chunk and

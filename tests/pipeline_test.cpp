@@ -127,7 +127,8 @@ TEST(ShardRouter, DropPolicyCountsDiscardedPackets) {
   // Router + ring without a consumer: the ring fills, then drops are counted
   // and route() reports them.
   SpscRing<PacketBatch> ring(2);
-  ShardRouter router({&ring}, /*batch_packets=*/1, BackpressurePolicy::drop);
+  SpscRing<PacketBatch> returns(2);
+  ShardRouter router({{&ring, &returns}}, /*batch_packets=*/1, BackpressurePolicy::drop);
   int accepted = 0, rejected = 0;
   for (std::uint32_t i = 0; i < 10; ++i) {
     if (router.route(tcp_packet(1, 40000, i * 4, "abcd"))) {
@@ -144,7 +145,8 @@ TEST(ShardRouter, DropPolicyCountsDiscardedPackets) {
 
 TEST(ShardRouter, FlushDeliversPartialBatches) {
   SpscRing<PacketBatch> ring(8);
-  ShardRouter router({&ring}, /*batch_packets=*/64, BackpressurePolicy::block);
+  SpscRing<PacketBatch> returns(8);
+  ShardRouter router({{&ring, &returns}}, /*batch_packets=*/64, BackpressurePolicy::block);
   for (std::uint32_t i = 0; i < 5; ++i) {
     router.route(tcp_packet(1, 40000, i * 4, "abcd"));
   }
@@ -154,6 +156,31 @@ TEST(ShardRouter, FlushDeliversPartialBatches) {
   ASSERT_TRUE(ring.try_pop(batch));
   EXPECT_EQ(batch.size(), 5u);
   EXPECT_EQ(router.routed(), 5u);
+}
+
+TEST(ShardRouter, ReusesAReturnedBatchAsTheNextPendingBatch) {
+  SpscRing<PacketBatch> ring(8);
+  SpscRing<PacketBatch> returns(8);
+  ShardRouter router({{&ring, &returns}}, /*batch_packets=*/2, BackpressurePolicy::block);
+  router.route(tcp_packet(1, 40000, 0, "abcd"));
+  router.route(tcp_packet(1, 40000, 4, "efgh"));
+  PacketBatch first;
+  ASSERT_TRUE(ring.try_pop(first));
+  const net::Packet* storage = first.packets.data();
+  ASSERT_TRUE(returns.try_push(first));  // the worker's hand-back
+
+  // The next push takes the returned batch back, cleared, as the pending one.
+  router.route(tcp_packet(1, 40000, 8, "ijkl"));
+  router.route(tcp_packet(1, 40000, 12, "mnop"));
+  EXPECT_TRUE(returns.empty_approx());
+  PacketBatch batch;
+  ASSERT_TRUE(ring.try_pop(batch));
+  router.route(tcp_packet(1, 40000, 16, "qrst"));
+  router.flush();
+  ASSERT_TRUE(ring.try_pop(batch));
+  EXPECT_EQ(batch.packets.data(), storage) << "the returned vector was reused";
+  ASSERT_EQ(batch.size(), 1u) << "and cleared before reuse";
+  EXPECT_EQ(batch.packets[0].tcp_seq, 16u);
 }
 
 // ---- runtime --------------------------------------------------------------

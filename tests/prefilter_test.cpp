@@ -6,9 +6,12 @@
 // must agree with the scalar screen verdict-for-verdict on every ISA (the
 // _scalar rerun of this suite forces the portable kernel).
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "core/matcher_factory.hpp"
 #include "core/naive.hpp"
 #include "core/prefilter.hpp"
+#include "core/prefilter_kernels.hpp"
 #include "helpers.hpp"
 #include "ids/engine.hpp"
 #include "net/flowgen.hpp"
@@ -219,50 +223,164 @@ TEST(PrefilterScreen, NoFalseNegativesFuzz) {
 
 // ---- batch screen == scalar screen ---------------------------------------
 
+// The in-register fold of the scalar paths is util::ascii_lower, byte for
+// byte, in every byte lane.
+TEST(PrefilterScreen, WordFoldIsAsciiLowerInEveryLane) {
+  for (unsigned b = 0; b < 256; ++b) {
+    const std::uint32_t lower = util::ascii_lower(static_cast<std::uint8_t>(b));
+    for (unsigned lane = 0; lane < 4; ++lane) {
+      // The other lanes hold bytes that fold ('Z') and that do not ('[').
+      const std::uint32_t others = 0x5B5A5B5Au & ~(0xFFu << (8 * lane));
+      const std::uint32_t others_folded = 0x5B7A5B7Au & ~(0xFFu << (8 * lane));
+      EXPECT_EQ(core::prefilter_fold4(others | (b << (8 * lane))),
+                others_folded | (lower << (8 * lane)))
+          << "byte " << b << " lane " << lane;
+    }
+  }
+}
+
+// One signature per (q, threshold) pair the build produces: shortest
+// pattern lengths 3-8, each with the default q and with q = 3 forced, give
+// q in {3, 4} x threshold in {1, 2, 3, 4}.  A third of the patterns are
+// upper case and a third mixed case; 30% are nocase.
+struct ScreenCase {
+  pattern::PatternSet set;
+  core::PrefilterPtr pf;
+};
+
+std::vector<ScreenCase> screen_matrix(std::uint64_t seed) {
+  std::vector<ScreenCase> out;
+  std::set<std::pair<unsigned, unsigned>> covered;
+  for (std::size_t min_len = 3; min_len <= 8; ++min_len) {
+    for (const unsigned q : {0u, 3u}) {
+      const auto lower = random_long_set(40, min_len, min_len + 6, seed + 16 * min_len + q);
+      ScreenCase c;
+      c.set.add(util::Bytes(min_len, std::uint8_t{'a'}));  // pins the shortest length
+      for (const pattern::Pattern& pat : lower) {
+        util::Bytes b = pat.bytes;
+        for (std::size_t i = 0; i < b.size(); ++i) {
+          const bool upper = pat.id % 3 == 1 || (pat.id % 3 == 2 && i % 2 == 0);
+          if (upper) b[i] = util::ascii_upper(b[i]);
+        }
+        c.set.add(std::move(b), pat.nocase);
+      }
+      core::PrefilterConfig cfg;
+      cfg.q = q;
+      c.pf = core::build_prefilter(c.set, cfg);
+      if (c.pf == nullptr) continue;  // reported by the coverage check below
+      covered.emplace(c.pf->q(), c.pf->threshold());
+      out.push_back(std::move(c));
+    }
+  }
+  EXPECT_EQ(covered.size(), 8u) << "(q, threshold) pairs covered";
+  return out;
+}
+
+// Payload flavours for the screen tests: 0 mostly-reject text, 1 mostly-hit
+// text (both a quarter upper case), 2 all upper case, 3 a planted pattern,
+// 4 a planted pattern upper-cased, 5 raw bytes around a planted pattern.
+constexpr int kFlavours = 6;
+
+util::Bytes screen_payload(std::size_t len, int flavour, const pattern::PatternSet& set,
+                           util::Rng& rng) {
+  util::Bytes text = testutil::random_text(len, rng(), flavour == 0 ? 8 : 4);
+  if (flavour == 2) {
+    for (std::uint8_t& c : text) c = util::ascii_upper(c);
+  } else if (flavour == 5) {
+    for (std::uint8_t& c : text) c = static_cast<std::uint8_t>(rng.below(256));
+  }
+  if (flavour >= 3) {
+    util::Bytes pat = set.patterns()[rng.below(set.size())].bytes;
+    if (flavour == 4) {
+      for (std::uint8_t& c : pat) c = util::ascii_upper(c);
+    }
+    if (pat.size() <= text.size()) {
+      const std::size_t room = text.size() - pat.size();
+      plant(text, pat, rng.chance(0.3) ? room : rng.below(room + 1));
+    }
+  }
+  return text;
+}
+
 TEST(PrefilterScreen, BatchVerdictsMatchScalarScreen) {
   const std::uint64_t seed = case_seed(420);
-  const auto set = random_long_set(40, 3, 9, seed);
-  const auto pf = core::build_prefilter(set);
-  ASSERT_NE(pf, nullptr) << seed_note();
-
   // Every size class the kernels treat differently: empty, below
   // min_payload, block-boundary straddlers, and full MTU payloads.
   const std::size_t sizes[] = {0,  1,  2,   3,   5,   7,   8,    15,  16,  17,
                                31, 32, 33,  63,  64,  65,  127,  128, 129, 255,
                                256, 600, 1024, 1499, 1500};
-  std::vector<util::Bytes> store;
   util::Rng rng(seed ^ 0xBEEF);
-  for (std::size_t len : sizes) {
-    for (int rep = 0; rep < 4; ++rep) {
-      // Mix of far-alphabet text (mostly rejects), near-alphabet text, and
-      // planted occurrences (must pass).
-      util::Bytes text = testutil::random_text(len, seed + 13 * store.size() + 1,
-                                               rep % 2 == 0 ? 8 : 4);
-      const auto& pat = set.patterns()[rng.below(set.size())];
-      if (rep == 3 && text.size() >= pat.bytes.size()) {
-        plant(text, pat.bytes, rng.below(text.size() - pat.bytes.size() + 1));
+  for (const ScreenCase& c : screen_matrix(seed)) {
+    const core::Prefilter& pf = *c.pf;
+    std::vector<util::Bytes> store;
+    for (std::size_t len : sizes) {
+      for (int flavour = 0; flavour < kFlavours; ++flavour) {
+        store.push_back(screen_payload(len, flavour, c.set, rng));
       }
-      store.push_back(std::move(text));
+    }
+    std::vector<util::ByteView> views(store.begin(), store.end());
+
+    std::vector<std::uint8_t> verdicts(views.size(), 0xFF);
+    // Two passes over the same payloads: the screen keeps no state, so both
+    // must agree with the scalar screen.
+    for (int pass = 0; pass < 2; ++pass) {
+      pf.screen_batch(views, verdicts.data());
+      std::size_t passed = 0;
+      for (std::size_t i = 0; i < views.size(); ++i) {
+        EXPECT_EQ(verdicts[i] != 0, pf.screen(views[i]))
+            << "batch/scalar divergence at payload " << i << " size " << views[i].size()
+            << " q " << pf.q() << " threshold " << pf.threshold() << " pass " << pass
+            << " (" << seed_note() << ")";
+        passed += verdicts[i] != 0 ? 1 : 0;
+      }
+      // The workload must exercise both verdicts to be meaningful.
+      EXPECT_GT(passed, 0u) << seed_note();
+      EXPECT_LT(passed, views.size()) << seed_note();
     }
   }
-  std::vector<util::ByteView> views(store.begin(), store.end());
+}
 
-  ScanScratch scratch;
-  std::vector<std::uint8_t> verdicts(views.size(), 0xFF);
-  // Two passes over the same scratch: the second exercises steady-state
-  // staging reuse, and both must agree with the scalar screen.
-  for (int pass = 0; pass < 2; ++pass) {
-    pf->screen_batch(views, verdicts.data(), scratch);
-    std::size_t passed = 0;
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      EXPECT_EQ(verdicts[i] != 0, pf->screen(views[i]))
-          << "batch/scalar divergence at payload " << i << " size " << views[i].size()
-          << " pass " << pass << " (" << seed_note() << ")";
-      passed += verdicts[i] != 0 ? 1 : 0;
+// The read contract of the in-place screen: every payload is placed with its
+// last byte right before a PROT_NONE page, and again with its first byte
+// right after one, so a read outside [data, data + len) faults the test.
+// Lengths min_payload() .. min_payload() + 200 hit every block remainder of
+// both vector kernels (16 or 8 lanes, threshold <= 4 positions apart).
+TEST(PrefilterScreen, BatchScreenNeverReadsPastAPayload) {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  // leading guard | one readable page | trailing guard
+  void* mem = mmap(nullptr, 3 * page, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                   -1, 0);
+  ASSERT_NE(mem, MAP_FAILED);
+  struct Unmap {
+    void* mem;
+    std::size_t size;
+    ~Unmap() { munmap(mem, size); }
+  } unmap{mem, 3 * page};
+  auto* const base = static_cast<std::uint8_t*>(mem);
+  ASSERT_EQ(mprotect(base, page, PROT_NONE), 0);
+  ASSERT_EQ(mprotect(base + 2 * page, page, PROT_NONE), 0);
+  std::uint8_t* const first = base + page;     // right after the leading guard
+  std::uint8_t* const end = base + 2 * page;   // the trailing guard
+
+  const std::uint64_t seed = case_seed(421);
+  util::Rng rng(seed ^ 0xFACE);
+  for (const ScreenCase& c : screen_matrix(seed)) {
+    const core::Prefilter& pf = *c.pf;
+    ASSERT_LE(pf.min_payload() + 200, page);
+    for (std::size_t len = pf.min_payload(); len <= pf.min_payload() + 200; ++len) {
+      for (int flavour = 0; flavour < kFlavours; ++flavour) {
+        const util::Bytes text = screen_payload(len, flavour, c.set, rng);
+        for (std::uint8_t* at : {first, end - len}) {
+          std::copy(text.begin(), text.end(), at);
+          const util::ByteView view(at, len);
+          std::uint8_t verdict = 0xFF;
+          pf.screen_batch({&view, 1}, &verdict);
+          EXPECT_EQ(verdict != 0, pf.screen(view))
+              << "size " << len << " q " << pf.q() << " threshold " << pf.threshold()
+              << " (" << seed_note() << ")";
+        }
+      }
     }
-    // The workload must exercise both verdicts to be meaningful.
-    EXPECT_GT(passed, 0u) << seed_note();
-    EXPECT_LT(passed, views.size()) << seed_note();
   }
 }
 
