@@ -1,4 +1,5 @@
-// Ablation bench for the V-PATCH design choices DESIGN.md §5 calls out:
+// Ablation bench for the V-PATCH design choices, each against its
+// alternative:
 //   * filter merging (one gather for F1+F2) vs separate gathers;
 //   * 2x unroll vs straight loop;
 //   * speculative all-lane Filter 3 vs per-lane scalar probes;

@@ -6,8 +6,9 @@
 //   fig5a_pattern_sweep [--mb=N] [--runs=N] [--seed=N] [--quick] [--f3=BITS]
 //
 // --f3 sets log2 of the Filter-3 bit count (default 16 = 8 KB, the paper's
-// L1-resident choice; larger values trade cache residency for selectivity at
-// high pattern counts — see EXPERIMENTS.md).
+// L1-resident choice; larger values trade cache residency for selectivity,
+// since at high pattern counts a fuller Filter 3 passes more candidates to
+// verification).
 #include <cstdio>
 #include <cstring>
 

@@ -1,6 +1,6 @@
 // Figure 7 (a/b): the wide-vector experiment.  The paper runs on Xeon Phi
-// (512-bit VPU, W = 16); our stand-in is the AVX-512 kernel on the host
-// (same width, same gather semantics — see DESIGN.md substitutions).  The
+// (512-bit VPU, W = 16); our stand-in is the AVX-512 kernel on the host,
+// which has the same width and the same 32-bit gather semantics.  The
 // claim under test is the *scaling shape*: V-PATCH's advantage over the
 // scalar engines roughly doubles relative to the W = 8 configuration.
 //

@@ -1,22 +1,11 @@
-// Throughput of the sharded multi-worker pipeline runtime: generated TCP
-// flows (with light reordering, so reassembly does real work) are packetized
-// once, then replayed through PipelineRuntime sweeping worker counts and
-// algorithms.  Reported Gbps is end-to-end — routing, ring transfer,
-// reassembly, and grouped inspection included — which is the number a
-// deployed sensor would see, unlike the matcher-only figure benches.
+// The capture-path scale benches of the sharded pipeline runtime: steady
+// live ingestion and million-flow churn.  End-to-end sensor throughput and
+// its per-stage split are sensorbench/'s job; the matcher-only figures are
+// the fig* benches'.
 //
-//   pipeline_throughput [--mb=N] [--runs=N] [--seed=N] [--quick] [--json=FILE]
-//                       [--flows=N] [--reorder=PCT] [--evasion] [--telemetry]
-//
-// --evasion switches the generator to the adversarial corpus (handshakes,
-// wrap-adjacent ISNs, conflicting retransmits, keep-alive probes,
-// bidirectional streams, FIN/RST teardown) — a soak of the reassembler's
-// slow paths under load rather than a best-case segment stream.
-//
-// --telemetry switches to the instrumentation-overhead mode: the same replay
-// with the metrics registry off vs on, reporting the throughput delta
-// (recorded, not gated: the run fails only when the alert count changes)
-// plus p50/p99 scan latency and ring dwell from the recorded histograms.
+//   pipeline_throughput --source=trace --soak-seconds=N [--flows=N]
+//                       [--evict-steps=K] [--seed=N] [--json=FILE]
+//   pipeline_throughput --churn=N [--evict-steps=K] [--seed=N] [--json=FILE]
 //
 // --source=trace --soak-seconds=N switches to the live-ingestion soak: an
 // endless TraceSource (fresh flows every epoch) feeds the pipeline for N
@@ -27,6 +16,8 @@
 // streamed through one worker with bounded-step eviction, proving the
 // tables sustain >= 1M tracked flows, plus a direct FlowTable measurement
 // of the full-sweep latency spike vs the bounded-step bound.
+//
+// With neither --soak-seconds nor --churn, it prints this usage and exits 2.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -34,111 +25,13 @@
 
 #include "capture/trace_source.hpp"
 #include "common.hpp"
-#include "net/flowgen.hpp"
 #include "pipeline/runtime.hpp"
-#include "telemetry/metrics.hpp"
 #include "util/flow_table.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
 
 namespace vpm::bench {
 namespace {
-
-// Aggregate quantile across every worker's instance of one histogram family
-// (same bucket layout by construction — one registration site).
-telemetry::HistogramSnapshot merged_snapshot(const telemetry::MetricsRegistry& reg,
-                                             const char* name, unsigned workers) {
-  telemetry::HistogramSnapshot merged;
-  for (unsigned w = 0; w < workers; ++w) {
-    const telemetry::Histogram* h =
-        reg.find_histogram(name, {{"worker", std::to_string(w)}});
-    if (h == nullptr) continue;
-    const telemetry::HistogramSnapshot s = h->snapshot();
-    if (merged.bounds.empty()) {
-      merged = s;
-    } else {
-      for (std::size_t i = 0; i < merged.counts.size(); ++i) merged.counts[i] += s.counts[i];
-      merged.count += s.count;
-      merged.sum += s.sum;
-    }
-  }
-  return merged;
-}
-
-int telemetry_mode(const Options& opt, const pattern::PatternSet& rules,
-                   const std::vector<net::Packet>& packets,
-                   std::uint64_t payload_bytes) {
-  const unsigned workers = std::min(4u, std::max(2u, std::thread::hardware_concurrency() / 2));
-  std::printf("=== Telemetry overhead: %zu patterns, %zu packets, %u workers ===\n",
-              rules.size(), packets.size(), workers);
-  const std::vector<int> widths{22, 12, 12, 12, 12, 12, 12};
-  print_row({"algorithm", "Gbps off", "Gbps on", "overhead%", "scan p50us",
-             "scan p99us", "dwell p99us"},
-            widths);
-
-  JsonReport report("telemetry_overhead", opt);
-  for (core::Algorithm algo :
-       {core::Algorithm::aho_corasick, core::Algorithm::dfc, core::Algorithm::vpatch}) {
-    if (!core::algorithm_available(algo)) continue;
-    const DatabasePtr db = compile(algo, rules);
-
-    util::RunningStats gbps_by_mode[2];  // [0]=off, [1]=on
-    std::uint64_t alerts_by_mode[2] = {0, 0};
-    telemetry::HistogramSnapshot scan_latency, ring_dwell;
-    for (int mode = 0; mode < 2; ++mode) {
-      for (unsigned r = 0; r <= opt.runs; ++r) {  // run 0 is the warm-up
-        // Fresh registry per run so the final run's histograms describe one
-        // replay, not an accumulation over warm-ups.
-        telemetry::MetricsRegistry registry;
-        pipeline::PipelineConfig cfg;
-        cfg.workers = workers;
-        if (mode == 1) cfg.metrics = &registry;
-        pipeline::PipelineRuntime rt(db, cfg);
-        rt.start();
-        util::Timer timer;
-        rt.submit(std::span<const net::Packet>(packets));
-        rt.stop();
-        const double secs = timer.seconds();
-        if (r == 0) continue;
-        gbps_by_mode[mode].add(util::gbps(payload_bytes, secs));
-        alerts_by_mode[mode] = rt.stats().totals().alerts;
-        if (mode == 1) {
-          scan_latency = merged_snapshot(registry, "vpm_scan_latency_seconds", workers);
-          ring_dwell = merged_snapshot(registry, "vpm_ring_dwell_seconds", workers);
-        }
-      }
-    }
-    // Telemetry must be an observer: identical alert totals off vs on (the
-    // full multiset equality lives in telemetry_test).
-    if (alerts_by_mode[0] != alerts_by_mode[1]) {
-      std::fprintf(stderr, "FATAL: alert count changed with telemetry on (%llu vs %llu)\n",
-                   static_cast<unsigned long long>(alerts_by_mode[0]),
-                   static_cast<unsigned long long>(alerts_by_mode[1]));
-      return 1;
-    }
-    const double off = gbps_by_mode[0].mean();
-    const double on = gbps_by_mode[1].mean();
-    const double overhead_pct = off > 0 ? (off - on) / off * 100.0 : 0.0;
-    const double p50_us = scan_latency.quantile(0.50) * 1e6;
-    const double p99_us = scan_latency.quantile(0.99) * 1e6;
-    const double dwell_p99_us = ring_dwell.quantile(0.99) * 1e6;
-    print_row({std::string(core::algorithm_name(algo)), fmt(off), fmt(on),
-               fmt(overhead_pct), fmt(p50_us), fmt(p99_us), fmt(dwell_p99_us)},
-              widths);
-    report.add({{"algorithm", std::string(core::algorithm_name(algo))}},
-               {{"gbps_off", off},
-                {"gbps_on", on},
-                {"overhead_pct", overhead_pct},
-                {"scan_latency_p50_us", p50_us},
-                {"scan_latency_p99_us", p99_us},
-                {"ring_dwell_p99_us", dwell_p99_us}},
-               {{"workers", workers},
-                {"alerts", alerts_by_mode[1]},
-                {"packets", packets.size()},
-                {"scan_rounds", scan_latency.count}});
-  }
-  return report.write() ? 0 : 1;
-}
 
 // --source=trace --soak-seconds=N: steady-state ingestion from an endless
 // generated trace.  Every epoch remaps the server address, so the flow
@@ -356,21 +249,12 @@ int churn_mode(const Options& opt, std::size_t total_flows, std::size_t evict_st
 int main_impl(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
   std::size_t flow_count = 32;
-  double reorder = 0.05;
-  bool evasion = false;
-  bool telemetry = false;
   double soak_seconds = 0.0;
   std::size_t churn_flows = 0;
   std::size_t evict_steps = 2048;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--flows=", 8) == 0) {
       flow_count = static_cast<std::size_t>(std::strtoull(argv[i] + 8, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--reorder=", 10) == 0) {
-      reorder = std::strtod(argv[i] + 10, nullptr) / 100.0;
-    } else if (std::strcmp(argv[i], "--evasion") == 0) {
-      evasion = true;
-    } else if (std::strcmp(argv[i], "--telemetry") == 0) {
-      telemetry = true;
     } else if (std::strncmp(argv[i], "--soak-seconds=", 15) == 0) {
       soak_seconds = std::strtod(argv[i] + 15, nullptr);
     } else if (std::strncmp(argv[i], "--churn=", 8) == 0) {
@@ -387,75 +271,17 @@ int main_impl(int argc, char** argv) {
       }
     }
   }
-  if (flow_count == 0) flow_count = 1;
   if (churn_flows > 0) return churn_mode(opt, churn_flows, evict_steps);
   if (soak_seconds > 0.0) {
     return soak_mode(opt, std::max<std::size_t>(flow_count, 256), soak_seconds,
                      evict_steps);
   }
-
-  const auto rules = s1_web_patterns(opt.seed);
-
-  net::FlowGenConfig fcfg;
-  fcfg.flow_count = flow_count;
-  fcfg.bytes_per_flow = std::max<std::size_t>((opt.trace_mb << 20) / flow_count, 1 << 16);
-  fcfg.reorder_fraction = reorder;
-  fcfg.seed = opt.seed + 40;
-  fcfg.evasion = evasion;
-  const auto flows = net::generate_flows(fcfg);
-  std::uint64_t payload_bytes = 0;
-  for (const auto& p : flows.packets) payload_bytes += p.payload.size();
-
-  if (telemetry) return telemetry_mode(opt, rules, flows.packets, payload_bytes);
-
-  std::printf("=== Pipeline throughput: %zu patterns, %zu flows x %zu KB, %zu packets "
-              "(%.0f%% reordered%s), %u hw threads ===\n",
-              rules.size(), flow_count, fcfg.bytes_per_flow >> 10, flows.packets.size(),
-              reorder * 100, evasion ? ", evasion corpus" : "",
-              std::thread::hardware_concurrency());
-  const std::vector<int> widths{22, 10, 12, 12, 12, 12};
-  print_row({"algorithm", "workers", "Gbps", "stddev", "scaling", "alerts"}, widths);
-
-  JsonReport report("pipeline_throughput", opt);
-  for (core::Algorithm algo :
-       {core::Algorithm::aho_corasick, core::Algorithm::dfc, core::Algorithm::vpatch}) {
-    if (!core::algorithm_available(algo)) continue;
-    const DatabasePtr db = compile(algo, rules);
-    double base = 0.0;
-    for (unsigned workers : {1u, 2u, 4u}) {
-      util::RunningStats stats;
-      std::uint64_t alerts = 0;
-      pipeline::WorkerStats totals{};
-      for (unsigned r = 0; r <= opt.runs; ++r) {  // run 0 is the warm-up
-        pipeline::PipelineConfig cfg;
-        cfg.workers = workers;
-        pipeline::PipelineRuntime rt(db, cfg);
-        rt.start();
-        util::Timer timer;
-        rt.submit(std::span<const net::Packet>(flows.packets));
-        rt.stop();
-        const double secs = timer.seconds();
-        if (r == 0) continue;
-        stats.add(util::gbps(payload_bytes, secs));
-        totals = rt.stats().totals();
-        alerts = totals.alerts;
-      }
-      if (workers == 1) base = stats.mean();
-      print_row({std::string(core::algorithm_name(algo)), std::to_string(workers),
-                 fmt(stats.mean()), fmt(stats.stddev(), 3),
-                 fmt(base > 0 ? stats.mean() / base : 0.0), std::to_string(alerts)},
-                widths);
-      report.add({{"algorithm", std::string(core::algorithm_name(algo))}},
-                 {{"gbps_mean", stats.mean()}, {"gbps_stddev", stats.stddev()},
-                  {"scaling", base > 0 ? stats.mean() / base : 0.0}},
-                 {{"workers", workers}, {"alerts", alerts},
-                  {"packets", flows.packets.size()},
-                  {"c2s_delivered_bytes", totals.c2s_delivered_bytes},
-                  {"s2c_delivered_bytes", totals.s2c_delivered_bytes},
-                  {"discarded_on_close_bytes", totals.discarded_on_close_bytes}});
-    }
-  }
-  return report.write() ? 0 : 1;
+  std::fprintf(stderr,
+               "usage: %s --source=trace --soak-seconds=N [--flows=N] [--evict-steps=K]\n"
+               "       %s --churn=N [--evict-steps=K]\n"
+               "       (both also take --seed=N --json=FILE)\n",
+               argv[0], argv[0]);
+  return 2;
 }
 
 }  // namespace

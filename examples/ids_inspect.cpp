@@ -51,9 +51,11 @@ int main(int argc, char** argv) {
     flows.push_back(std::move(stream));
   }
 
-  // 3. Inspect: chunked feed through the engine (HTTP protocol group).
+  // 3. Inspect: each chunk staged into the engine (HTTP protocol group) and
+  // scanned at once, a batch of one.
   ids::IdsEngine engine(compile(core::Algorithm::vpatch, rules));
   std::vector<ids::Alert> alerts;
+  ids::AlertBuffer sink(alerts);
   util::Rng rng(7);
   util::Timer timer;
   for (int f = 0; f < kFlows; ++f) {
@@ -61,8 +63,9 @@ int main(int argc, char** argv) {
     while (off < flows[f].size()) {
       const auto len = std::min<std::size_t>(
           static_cast<std::size_t>(rng.between(512, 9000)), flows[f].size() - off);
-      engine.inspect(static_cast<std::uint64_t>(f), pattern::Group::http,
-                     {flows[f].data() + off, len}, alerts);
+      engine.stage(static_cast<std::uint64_t>(f), pattern::Group::http,
+                   {flows[f].data() + off, len}, sink);
+      engine.flush_batch(sink);
       off += len;
     }
     engine.close_flow(static_cast<std::uint64_t>(f));

@@ -21,8 +21,9 @@
 
 namespace vpm::core {
 
-// Ablation knobs for the design choices called out in DESIGN.md §5.  The
-// defaults are the paper's configuration.
+// Ablation knobs for the kernel's three design choices, each measured
+// against its alternative by bench/ablation_design.cpp.  The defaults are
+// the paper's configuration.
 struct KernelOptions {
   bool unroll2 = true;          // 2x manual unroll (two gather chains in flight)
   bool merged_filters = true;   // one gather for F1+F2 vs two separate gathers

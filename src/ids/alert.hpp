@@ -25,7 +25,7 @@ struct Alert {
 
 // Receives alerts as the engine produces them.  Decouples alert delivery
 // from storage so embedders (the pipeline workers, log shippers) can route
-// alerts without an intermediate vector per inspect call.
+// alerts without an intermediate vector per flush.
 class AlertSink {
  public:
   virtual void on_alert(const Alert& alert) = 0;

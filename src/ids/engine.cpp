@@ -48,63 +48,6 @@ IdsEngine::FlowState& IdsEngine::flow_for(std::uint64_t flow_id, pattern::Group 
   return *flow;
 }
 
-void IdsEngine::inspect(std::uint64_t flow_id, pattern::Group protocol, util::ByteView chunk,
-                        AlertSink& out) {
-  assert(!in_scan_ && "inspect() called from an AlertSink mid-scan");
-  FlowState* flow = &flow_for(flow_id, protocol);
-  // feed() must not run while a chunk is staged: prepare() would discard the
-  // staged bytes and leave the pending view dangling.  Scan pending first —
-  // and re-acquire the flow afterwards: the flush's deferred close_flow
-  // calls (teardown-on-alert sinks) may have erased this very flow.
-  if (flow->scanner.staged()) {
-    flush_batch(out);
-    flow = &flow_for(flow_id, protocol);
-  }
-
-  // When the approximate screen would engage for this group, route through
-  // the staged path: it is the one place that knows how to screen a view,
-  // commit carry for rejected chunks, and keep the per-group auto-mode
-  // sampling coherent.  The batch path's alert multiset per chunk is
-  // identical to the feed below, so callers can't tell — except that the
-  // prefilter counters now move on the per-chunk API too.
-  if (const core::PrefilterPtr& pf = db_->prefilter_for(flow->protocol);
-      pf != nullptr &&
-      (prefilter_mode_ == core::PrefilterMode::on ||
-       (prefilter_mode_ == core::PrefilterMode::automatic && pf->advised()))) {
-    stage(flow_id, protocol, chunk, out);
-    flush_batch(out);
-    return;
-  }
-
-  struct MatchToAlert final : MatchSink {
-    AlertSink* out = nullptr;
-    const Database* db = nullptr;
-    std::uint64_t flow_id = 0;
-    pattern::Group protocol{};
-    std::uint64_t emitted = 0;
-    void on_match(const Match& m) override {
-      out->on_alert(Alert{flow_id, db->working_set(protocol).to_master[m.pattern_id], m.pos,
-                          protocol, db->generation()});
-      ++emitted;
-    }
-  } sink;
-  sink.out = &out;
-  sink.db = db_.get();
-  sink.flow_id = flow_id;
-  sink.protocol = flow->protocol;
-
-  // Guard the live scanner: an AlertSink closing this flow from on_alert
-  // must not destroy the scanner mid-feed (the close defers).
-  {
-    ScanGuard guard(&in_scan_);
-    flow->scanner.feed(chunk, sink);
-  }
-  counters_.bytes_inspected += chunk.size();
-  ++counters_.chunks;
-  counters_.alerts += sink.emitted;
-  run_deferred_closes();
-}
-
 void IdsEngine::stage(std::uint64_t flow_id, pattern::Group protocol, util::ByteView chunk,
                       AlertSink& sink) {
   assert(!in_scan_ && "stage() called from an AlertSink mid-scan");
@@ -258,11 +201,9 @@ void IdsEngine::flush_batch_impl(AlertSink& out) {
   pending_.clear();
 }
 
-// close_flow calls made by a sink during a live scan were deferred so the
-// scanner / in-flight batch stayed valid; apply them once the scan is done.
-// Routed through close_flow itself (in_scan_ is clear now) so a closed flow
-// that STILL has staged state — possible after inspect(), which flushes only
-// its own flow — gets the full staged-drop teardown.
+// close_flow calls made by a sink during a flush were deferred so the
+// in-flight batch stayed valid; apply them once the flush is done, through
+// close_flow itself (in_scan_ is clear now).
 void IdsEngine::run_deferred_closes() {
   while (!deferred_close_.empty()) {
     const std::uint64_t flow_id = deferred_close_.back();
@@ -273,9 +214,9 @@ void IdsEngine::run_deferred_closes() {
 
 void IdsEngine::close_flow(std::uint64_t flow_id) {
   if (in_scan_) {
-    // Called from an AlertSink while its scanner/batch is live (teardown-
-    // on-alert): defer the erase — pending_ holds live pointers into the
-    // flow table's nodes, and inspect()'s scanner must outlive its feed.
+    // Called from an AlertSink while its batch is live (teardown-on-alert):
+    // defer the erase — pending_ holds live pointers into the flow table's
+    // nodes.
     deferred_close_.push_back(flow_id);
     return;
   }

@@ -71,34 +71,23 @@ class IdsEngine {
   // The generation of the currently adopted rules (tags every alert).
   std::uint64_t generation() const { return db_->generation(); }
 
-  // Inspects the next payload chunk of `flow_id` (protocol fixed per flow at
-  // first sight); delivers alerts to `sink` as they are found.
-  void inspect(std::uint64_t flow_id, pattern::Group protocol, util::ByteView chunk,
-               AlertSink& sink);
-
-  // Convenience overload: appends alerts to `out`.
-  void inspect(std::uint64_t flow_id, pattern::Group protocol, util::ByteView chunk,
-               std::vector<Alert>& out) {
-    AlertBuffer buffer(out);
-    inspect(flow_id, protocol, chunk, buffer);
-  }
-
-  // Batched inspection fast path (the pipeline worker's per-PacketBatch
-  // loop).  stage() copies `chunk` into the flow's stream buffer and defers
-  // the scan; flush_batch() runs ONE Matcher::scan_batch per protocol group
-  // over every staged chunk, reusing per-group engine-owned scratch — zero
-  // steady-state heap allocations, and each group's filter structures stay
-  // cache-resident across the whole batch.  Alert multiset per chunk is
-  // identical to inspect(); alert ORDER within a batch is engine-specific.
-  // If `flow_id` already has a staged chunk, stage() flushes first so
-  // per-flow stream order is preserved (hence the sink parameter).  `chunk`
-  // need only stay valid for the stage() call itself.
+  // The one scan path (the pipeline worker's per-PacketBatch loop).
+  // stage() appends the next payload chunk of `flow_id` (protocol fixed per
+  // flow at first sight) to the flow's stream buffer and defers the scan;
+  // flush_batch() runs ONE Matcher::scan_batch per protocol group over every
+  // staged chunk, reusing per-group engine-owned scratch — zero steady-state
+  // heap allocations, and each group's filter structures stay cache-resident
+  // across the whole batch.  Each flow's alerts are the matches of one scan
+  // of its whole stream, reported once with absolute stream offsets,
+  // however the stream was chunked and batched; alert ORDER within a batch
+  // is engine-specific.  If `flow_id` already has a staged chunk, stage()
+  // flushes first so per-flow stream order is preserved (hence the sink
+  // parameter).  `chunk` need only stay valid for the stage() call itself.
   //
   // Sink reentrancy: an AlertSink::on_alert callback may call close_flow()
-  // (teardown-on-alert; deferred until the live scan — flush_batch or
-  // inspect's feed — completes) but must NOT call stage()/inspect()/
-  // flush_batch() on this engine: the batch being scanned cannot be
-  // mutated mid-flush.
+  // (teardown-on-alert; deferred until the flush completes) but must NOT
+  // call stage()/flush_batch() on this engine: the batch being scanned
+  // cannot be mutated mid-flush.
   void stage(std::uint64_t flow_id, pattern::Group protocol, util::ByteView chunk,
              AlertSink& sink);
   void flush_batch(AlertSink& sink);
@@ -186,9 +175,9 @@ class IdsEngine {
   static constexpr std::uint32_t kPrefilterSampleWindow = 64;
   static constexpr std::uint32_t kPrefilterBypassPayloads = 31 * 64;
   std::array<PrefilterAuto, kGroups> pf_auto_{};
-  // Set while a scan is live (flush_batch, or inspect()'s feed): close_flow
-  // from an AlertSink defers while set, so the scanner/batch being driven is
-  // never destroyed under its own callback.
+  // Set while flush_batch scans: close_flow from an AlertSink defers while
+  // set, so the batch being driven is never destroyed under its own
+  // callback.
   bool in_scan_ = false;
   std::vector<std::uint64_t> deferred_close_;
 

@@ -26,35 +26,4 @@ void StreamScanner::commit() {
   staged_ = false;
 }
 
-void StreamScanner::feed(util::ByteView chunk, MatchSink& sink) {
-  const util::ByteView view = prepare(chunk);
-
-  struct DedupSink final : MatchSink {
-    MatchSink* inner = nullptr;
-    const StreamScanner* scanner = nullptr;
-    std::uint64_t base = 0;
-    std::size_t carry = 0;
-    void on_match(const Match& m) override {
-      if (scanner->already_reported(m, carry)) return;
-      inner->on_match({m.pattern_id, base + m.pos});
-    }
-  } dedup;
-  dedup.inner = &sink;
-  dedup.scanner = this;
-  dedup.base = staged_base();
-  dedup.carry = staged_carry();
-
-  set_->matcher->scan(view, dedup);
-  commit();
-}
-
-void StreamScanner::reset() {
-  buffer_.clear();
-  carry_len_ = 0;
-  consumed_ = 0;
-  carry_at_stage_ = 0;
-  staged_chunk_len_ = 0;
-  staged_ = false;
-}
-
 }  // namespace vpm::ids

@@ -7,7 +7,7 @@
 // lifecycle with connection start/end callbacks, buffers out-of-order
 // segments per side, resolves overlapping retransmits under a configurable
 // policy, and emits each side's in-order prefix as contiguous chunks — which
-// feed ids::StreamScanner.
+// the pipeline workers stage into ids::IdsEngine.
 //
 // Overlap model.  Bytes already delivered to the callback can never be
 // retracted, so data overlapping the delivered prefix is always discarded

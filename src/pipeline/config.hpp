@@ -52,8 +52,8 @@ struct PacketBatch {
 
 // The pipeline's per-STREAM identity: the engine flow id every worker uses —
 // directional, so each side of a TCP connection scans as its own stream —
-// and identical to what a single-threaded reference over the same packets
-// would compute, which is what makes the sharded alert multiset comparable.
+// and independent of the worker count, which is what makes the sharded
+// alert multiset comparable.
 // Sharding does NOT use this key: the shard index derives from the
 // direction-symmetric FiveTuple::conn_hash() so both sides of a connection
 // always land on the same worker (see shard_of).

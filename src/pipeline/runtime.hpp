@@ -12,11 +12,12 @@
 //   use rt.alerts(), rt.stats();     // alerts carry their ruleset generation
 //
 // Determinism contract: with eviction and the drop policy disabled, the
-// union of all workers' alerts is the same multiset a single-threaded
-// IdsEngine fed by one TcpReassembler would produce over the same packets
-// (flow ids are flow_key(tuple) in both cases) — flows never split across
-// workers and per-flow order is preserved through the FIFO rings.  The
-// differential test suite enforces this across worker counts and algorithms.
+// union of all workers' alerts is the multiset of one scan of each whole
+// directional stream that one TcpReassembler joins from the same packets,
+// cut at connection end (flow ids are flow_key(tuple)) — flows never split
+// across workers and per-flow order is preserved through the FIFO rings.
+// The differential test suites enforce this against a naive whole-stream
+// oracle across worker counts and algorithms.
 //
 // Hot-swap contract: compile() builds the new database's per-group working
 // sets on the caller's thread (control plane); swap_database() compiles
@@ -29,7 +30,7 @@
 // swap point is attributed to neither generation.  The old generation's
 // compiled tables are freed when the last worker adopts the new one.  For an
 // exact packet partition between generations, quiesce() before swapping —
-// pipeline_swap_test pins that recipe against single-threaded references.
+// pipeline_swap_test pins that recipe against the whole-stream oracle.
 #pragma once
 
 #include <atomic>

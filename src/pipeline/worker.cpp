@@ -69,9 +69,9 @@ Worker::Worker(const PipelineConfig& cfg, const RulesChannel& channel)
   engine_.set_prefilter_mode(cfg.prefilter);
   // Connection end (FIN completion, RST, close, eviction) is a stream
   // boundary: scan anything still staged under the dying streams, then drop
-  // both sides' scanner state so a reused tuple starts a fresh stream.  This
-  // mirrors what the single-threaded reference does at the same packet, so
-  // the differential contract holds across lifecycle events.
+  // both sides' scanner state so a reused tuple starts a fresh stream — at
+  // the same packet whatever the worker count, so the differential contract
+  // holds across lifecycle events.
   reassembler_.on_connection_end(
       [this](const net::FiveTuple& client, net::EndReason) {
         if (engine_.staged_chunks() > 0) engine_.flush_batch(*sink_);

@@ -1,5 +1,5 @@
-// Trace characterization, reported next to benchmark rows so EXPERIMENTS.md
-// can document how closely the synthetic workloads track the real captures.
+// Trace characterization, reported next to benchmark rows so a reader can
+// judge how closely the synthetic workloads track the real captures.
 #pragma once
 
 #include <array>

@@ -1,9 +1,10 @@
 // Deterministic xoshiro256** generator.
 //
 // All synthetic workloads (rulesets, traces, injectors) must be reproducible
-// from a single seed so that every benchmark row in EXPERIMENTS.md can be
-// regenerated bit-for-bit; std::mt19937 distributions are not portable across
-// standard libraries, so we ship our own generator and bounded-int helpers.
+// from a single seed so that every benchmark result can be regenerated
+// bit-for-bit on any host; std::mt19937 distributions are not portable
+// across standard libraries, so we ship our own generator and bounded-int
+// helpers.
 #pragma once
 
 #include <array>

@@ -15,6 +15,7 @@
 #include "core/matcher_factory.hpp"
 #include "helpers.hpp"
 #include "ids/engine.hpp"
+#include "stream_oracle.hpp"
 
 namespace vpm {
 namespace {
@@ -182,9 +183,10 @@ TEST(BatchScanScratchTest, OversizedPayloadFallback) {
 }
 
 // The engine-level batch entry point: stage()+flush_batch() must produce the
-// alert multiset of per-chunk inspect(), including carry dedup across chunks
-// of the same flow and flows interleaved within one batch.
-TEST(EngineBatchTest, StageFlushMatchesInspect) {
+// alert multiset of a naive scan of each flow's whole stream, including
+// carry dedup across chunks of the same flow and flows interleaved within
+// one batch.
+TEST(EngineBatchTest, StageFlushMatchesWholeStreams) {
   pattern::PatternSet rules;
   rules.add("attack", false, pattern::Group::http);
   rules.add("/etc/passwd", false, pattern::Group::http);
@@ -207,17 +209,19 @@ TEST(EngineBatchTest, StageFlushMatchesInspect) {
       {3, pattern::Group::generic, ""},
       {1, pattern::Group::http, "swd"},
       {3, pattern::Group::generic, "ab"},
+      // A whole match ends the chunk: the carry the next chunk rescans
+      // holds all of it (http's longest pattern is longer), found once.
+      {4, pattern::Group::http, "xab"},
+      {4, pattern::Group::http, "-"},
   };
 
   for (core::Algorithm algo : {core::Algorithm::vpatch, core::Algorithm::dfc,
                                core::Algorithm::aho_corasick}) {
     // One database for both sides: alerts compare their generation too.
     const DatabasePtr db = compile(algo, rules);
-    ids::IdsEngine reference(db);
-    std::vector<ids::Alert> expected;
-    for (const Feed& f : feeds) {
-      reference.inspect(f.flow, f.group, util::to_bytes(f.chunk), expected);
-    }
+    testutil::StreamOracle oracle(db);
+    for (const Feed& f : feeds) oracle.append(f.flow, f.group, util::as_view(f.chunk));
+    std::vector<ids::Alert> expected = oracle.finish().alerts;
 
     // Batched: stage everything (duplicate flows force intermediate
     // flushes), flush at batch end — the worker's exact driving pattern.
@@ -243,29 +247,6 @@ TEST(EngineBatchTest, StageFlushMatchesInspect) {
         << core::algorithm_name(algo) << " (" << seed_note() << ")";
     EXPECT_EQ(engine.counters().alerts, expected.size());
   }
-}
-
-// inspect() on a flow with a staged chunk must flush first: feed() would
-// otherwise discard the staged bytes and leave the pending view dangling.
-TEST(EngineBatchTest, InspectFlushesStagedChunkFirst) {
-  pattern::PatternSet rules;
-  rules.add("needle", false, pattern::Group::generic);
-  ids::IdsEngine engine(compile(core::Algorithm::vpatch, rules));
-  std::vector<ids::Alert> alerts;
-  ids::AlertBuffer sink(alerts);
-
-  engine.stage(1, pattern::Group::generic, util::to_bytes("nee"), sink);
-  engine.inspect(1, pattern::Group::generic, util::to_bytes("dle"), sink);
-  ASSERT_EQ(engine.staged_chunks(), 0u);
-  ASSERT_EQ(alerts.size(), 1u);  // split across stage/inspect, found once
-  EXPECT_EQ(alerts[0].stream_offset, 0u);
-
-  // Staged chunk of ANOTHER flow must survive (flushed, not dropped).
-  engine.stage(2, pattern::Group::generic, util::to_bytes("needle"), sink);
-  engine.inspect(3, pattern::Group::generic, util::to_bytes("xx"), sink);
-  engine.flush_batch(sink);
-  ASSERT_EQ(alerts.size(), 2u);
-  EXPECT_EQ(alerts[1].flow_id, 2u);
 }
 
 // close_flow() called from an AlertSink DURING flush_batch (teardown-on-
@@ -299,8 +280,8 @@ TEST(EngineBatchTest, CloseFlowFromSinkDefersUntilFlushCompletes) {
   EXPECT_EQ(engine.active_flows(), 0u);  // the deferred closes happened
 }
 
-// The nested-flush variant: a second stage()/inspect() on an already-staged
-// flow triggers flush_batch internally; if the sink closes that very flow
+// The nested-flush variant: a second stage() on an already-staged flow
+// triggers flush_batch internally; if the sink closes that very flow
 // (deferred to flush end), the engine must re-acquire the flow state — the
 // old reference points at an erased node (was a heap-use-after-free).
 TEST(EngineBatchTest, StageAfterSinkClosedSameFlowSurvives) {
@@ -324,11 +305,6 @@ TEST(EngineBatchTest, StageAfterSinkClosedSameFlowSurvives) {
   engine.stage(1, pattern::Group::generic, util::to_bytes("needle!"), sink);
   engine.flush_batch(sink);
   EXPECT_EQ(sink.alerts, 2u);
-
-  // inspect() variant of the same hazard.
-  engine.stage(2, pattern::Group::generic, util::to_bytes("needle"), sink);
-  engine.inspect(2, pattern::Group::generic, util::to_bytes("needle"), sink);
-  EXPECT_EQ(sink.alerts, 4u);
 }
 
 // close_flow() on a staged flow must drop the pending chunk without leaving

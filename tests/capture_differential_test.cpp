@@ -1,24 +1,24 @@
 // Capture-path determinism contract: feeding the sharded pipeline through a
-// CaptureSource must produce the same alerts as the single-threaded
-// references — PcapFileSource vs the inspect_pcap end-to-end pipeline over
-// an evasion corpus (1/2/4 workers), and TraceSource streams bit-identical
-// and alert-identical across drains under VPM_TEST_SEED, including the
-// epoch remapping that manufactures fresh flows for soak churn.
+// CaptureSource must produce exactly the alerts of the whole-stream oracle
+// (tests/stream_oracle.hpp) over the same packets — PcapFileSource over an
+// evasion corpus (1/2/4 workers) and over flows whose streams are known in
+// full, and TraceSource streams bit-identical and alert-identical across
+// drains under VPM_TEST_SEED, including the epoch remapping that
+// manufactures fresh flows for soak churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include "capture/pcap_source.hpp"
 #include "capture/source.hpp"
 #include "capture/trace_source.hpp"
 #include "helpers.hpp"
-#include "ids/pcap_pipeline.hpp"
 #include "net/flowgen.hpp"
 #include "net/pcap.hpp"
 #include "pipeline/runtime.hpp"
+#include "stream_oracle.hpp"
 
 namespace vpm::capture {
 namespace {
@@ -50,26 +50,13 @@ std::vector<net::Packet> evasion_corpus(std::uint64_t seed) {
   return net::generate_flows(cfg).packets;
 }
 
-// inspect_pcap assigns dense per-file flow ids while the pipeline uses
-// flow_key(tuple), so the two sides compare as multisets of the
-// flow-independent alert fields.
-using AlertKey = std::tuple<pattern::Group, std::uint32_t, std::uint64_t>;
-
-std::vector<AlertKey> project(const std::vector<ids::Alert>& alerts) {
-  std::vector<AlertKey> keys;
-  keys.reserve(alerts.size());
-  for (const ids::Alert& a : alerts) {
-    keys.emplace_back(a.group, a.pattern_id, a.stream_offset);
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
 // Drives the runtime exactly like the sensor: poll batches out of the
-// source, submit each batch, until the source exhausts.
+// source, submit each batch, until the source exhausts.  Returns the alerts
+// sorted; `totals` receives the summed worker stats.
 std::vector<ids::Alert> run_pipeline_from_source(CaptureSource& source,
                                                  const DatabasePtr& db, unsigned workers,
-                                                 std::size_t poll_batch) {
+                                                 std::size_t poll_batch,
+                                                 pipeline::WorkerStats* totals = nullptr) {
   pipeline::PipelineConfig cfg;
   cfg.workers = workers;
   cfg.batch_packets = 32;
@@ -82,25 +69,26 @@ std::vector<ids::Alert> run_pipeline_from_source(CaptureSource& source,
     rt.submit(std::span<const net::Packet>(batch));
   }
   rt.stop();
-  return rt.alerts();
+  if (totals != nullptr) *totals = rt.stats().totals();
+  std::vector<ids::Alert> alerts = rt.alerts();
+  std::sort(alerts.begin(), alerts.end());
+  return alerts;
 }
 
-TEST(CaptureDifferential, PcapSourcePipelineMatchesInspectPcap) {
+TEST(CaptureDifferential, PcapSourcePipelineMatchesWholeStreamOracle) {
   const DatabasePtr db = web_db();
   const auto packets = evasion_corpus(testutil::case_seed(110));
   const util::Bytes pcap_bytes = net::write_pcap(packets);
 
-  const ids::PcapPipelineResult reference = ids::inspect_pcap(pcap_bytes, db);
-  const std::vector<AlertKey> expected = project(reference.alerts);
+  const std::vector<ids::Alert> expected =
+      testutil::whole_stream_oracle(net::read_pcap(pcap_bytes).packets, db).alerts;
   ASSERT_GT(expected.size(), 0u)
       << "evasion corpus must alert (" << testutil::seed_note() << ")";
 
   for (unsigned workers : {1u, 2u, 4u}) {
     PcapFileSource source(pcap_bytes);
     ASSERT_EQ(source.total_packets(), packets.size());
-    const std::vector<ids::Alert> alerts =
-        run_pipeline_from_source(source, db, workers, 256);
-    const std::vector<AlertKey> actual = project(alerts);
+    const std::vector<ids::Alert> actual = run_pipeline_from_source(source, db, workers, 256);
     ASSERT_EQ(actual.size(), expected.size())
         << workers << " workers (" << testutil::seed_note() << ")";
     for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -179,25 +167,86 @@ TEST(CaptureDifferential, TracePipelineAlertsStableAcrossRunsAndWorkers) {
       "trace:evasion,flows=4,bytes_per_flow=12288,epochs=2,seed=" +
       std::to_string(testutil::case_seed(113));
 
-  // The reference: drain one source and run the single-threaded end-to-end
-  // pipeline over the identical bytes via a pcap round-trip.
+  // The oracle over one source drained in full.
   auto ref_source = open_source(spec);
   std::vector<net::Packet> drained;
   while (ref_source->poll(drained, 333) > 0) {
   }
   ASSERT_GT(drained.size(), 0u);
-  const ids::PcapPipelineResult reference =
-      ids::inspect_pcap(net::write_pcap(drained), db);
-  const std::vector<AlertKey> expected = project(reference.alerts);
+  const std::vector<ids::Alert> expected = testutil::whole_stream_oracle(drained, db).alerts;
   ASSERT_GT(expected.size(), 0u) << testutil::seed_note();
 
   for (unsigned workers : {1u, 2u, 4u}) {
     auto source = open_source(spec);
-    const std::vector<ids::Alert> alerts =
-        run_pipeline_from_source(*source, db, workers, 128);
-    EXPECT_EQ(project(alerts), expected)
+    EXPECT_EQ(run_pipeline_from_source(*source, db, workers, 128), expected)
         << workers << " workers (" << testutil::seed_note() << ")";
   }
+}
+
+// Flows re-cut into in-order 1000-byte segments, with a marker planted in
+// flow 1, written to a pcap: the single-worker sensor's alerts must be
+// exactly a naive scan of each whole stream.
+TEST(PcapPipeline, ReassembledFlowsMatchDirectScan) {
+  net::FlowGenConfig fcfg;
+  fcfg.flow_count = 3;
+  fcfg.bytes_per_flow = 60000;
+  fcfg.reorder_fraction = 0.3;
+  fcfg.seed = 11;
+  net::GeneratedFlows flows = net::generate_flows(fcfg);
+
+  pattern::PatternSet rules;
+  rules.add("PLANTED-IN-FLOW", false, pattern::Group::http);
+  rules.add("GET /", false, pattern::Group::http);
+  std::copy_n("PLANTED-IN-FLOW", 15, flows.streams[1].begin() + 1234);
+  std::vector<net::Packet> packets;
+  for (std::size_t f = 0; f < flows.streams.size(); ++f) {
+    const auto& s = flows.streams[f];
+    for (std::size_t off = 0; off < s.size(); off += 1000) {
+      net::Packet p;
+      p.tuple = flows.tuples[f];
+      p.tcp_seq = static_cast<std::uint32_t>(off);
+      const std::size_t len = std::min<std::size_t>(1000, s.size() - off);
+      p.payload.assign(s.begin() + static_cast<long>(off),
+                       s.begin() + static_cast<long>(off + len));
+      packets.push_back(std::move(p));
+    }
+  }
+  const DatabasePtr db = compile(core::Algorithm::vpatch, rules);
+
+  // Ground truth: each whole stream scanned by the naive matcher.
+  testutil::StreamOracle oracle(db);
+  for (std::size_t f = 0; f < flows.streams.size(); ++f) {
+    oracle.append(pipeline::flow_key(flows.tuples[f]), pattern::Group::http,
+                  flows.streams[f]);
+  }
+  const std::vector<ids::Alert> expected = oracle.finish().alerts;
+
+  PcapFileSource source(net::write_pcap(packets));
+  pipeline::WorkerStats totals;
+  const std::vector<ids::Alert> alerts = run_pipeline_from_source(source, db, 1, 256, &totals);
+  EXPECT_EQ(source.stats().skipped, 0u);
+  EXPECT_EQ(totals.reassembly_drops, 0u);
+  EXPECT_EQ(alerts, expected);
+  EXPECT_TRUE(std::any_of(alerts.begin(), alerts.end(),
+                          [](const ids::Alert& a) { return a.pattern_id == 0; }))
+      << "the planted marker must be among the alerts";
+}
+
+TEST(PcapPipeline, UdpPayloadsScannedPerDatagram) {
+  pattern::PatternSet rules;
+  rules.add("dns-marker", false, pattern::Group::dns);
+  net::Packet p;
+  p.tuple.src_ip = 1;
+  p.tuple.dst_ip = 2;
+  p.tuple.src_port = 5353;
+  p.tuple.dst_port = 53;
+  p.tuple.proto = net::IpProto::udp;
+  p.payload = util::to_bytes("xx dns-marker yy");
+  PcapFileSource source(net::write_pcap({p}));
+  const std::vector<ids::Alert> alerts =
+      run_pipeline_from_source(source, compile(core::Algorithm::spatch, rules), 1, 256);
+  ASSERT_EQ(alerts.size(), 1u);
+  EXPECT_EQ(alerts[0].group, pattern::Group::dns);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Golden checksums freezing the synthetic workloads.
 //
-// Every number in EXPERIMENTS.md is regenerable only if the generators stay
+// A recorded benchmark number is regenerable only if the generators stay
 // bit-stable; these tests pin small-instance FNV checksums so any change to
 // a generator (RNG, corpus, length model) is caught and forces a conscious
 // re-baselining of the recorded results.
@@ -29,9 +29,10 @@ std::uint32_t ruleset_checksum(std::size_t count, std::uint64_t seed) {
   return checksum(pattern::serialize_patterns(set));
 }
 
-// The expected values below were recorded from the same build that produced
-// bench_output.txt; see EXPERIMENTS.md.  If a test here fails, the workloads
-// changed: re-record both the checksums and the benchmark baselines.
+// The expected values below pin the generators the recorded benchmark
+// results (bench/trajectory/) were produced with.  If a test here fails, the
+// workloads changed: re-record both the checksums and the benchmark
+// baselines.
 
 TEST(Golden, TraceGeneratorsAreFrozen) {
   EXPECT_EQ(trace_checksum(traffic::TraceKind::iscx_day2), 0xCA4B8A93u);

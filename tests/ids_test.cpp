@@ -2,6 +2,8 @@
 // and the end-to-end engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "helpers.hpp"
 #include "ids/engine.hpp"
 #include "ids/flow.hpp"
@@ -10,18 +12,34 @@ namespace vpm::ids {
 namespace {
 
 // ---- StreamScanner -------------------------------------------------------
-// Every pattern here is generic, so the generic working set holds the whole
-// set and its local ids are the set's ids.
+// The carry is driven through IdsEngine::stage()/flush_batch(), one chunk
+// per flush.  Every pattern here is generic, so the generic working set
+// holds the whole set and its local ids are the Database ids.
+
+// Stages each chunk of one flow and flushes it; returns the alerts as
+// (pattern id, stream offset) matches in canonical order.
+std::vector<Match> stream_matches(const DatabasePtr& db,
+                                  const std::vector<util::ByteView>& chunks,
+                                  EngineCounters* counters = nullptr) {
+  IdsEngine engine(db);
+  std::vector<Alert> alerts;
+  AlertBuffer sink(alerts);
+  for (const util::ByteView chunk : chunks) {
+    engine.stage(1, pattern::Group::generic, chunk, sink);
+    engine.flush_batch(sink);
+  }
+  if (counters != nullptr) *counters = engine.counters();
+  std::vector<Match> matches;
+  for (const Alert& a : alerts) matches.push_back({a.pattern_id, a.stream_offset});
+  std::sort(matches.begin(), matches.end());
+  return matches;
+}
 
 TEST(StreamScanner, WholeBufferEqualsSingleFeed) {
   const auto db = compile(core::Algorithm::spatch, testutil::boundary_set());
   const WorkingSet& set = db->working_set(pattern::Group::generic);
   const auto text = testutil::random_text(5000, 1);
-
-  StreamScanner scanner(set);
-  CollectingSink streamed;
-  scanner.feed(text, streamed);
-  EXPECT_EQ(streamed.sorted(), set.matcher->find_matches(text));
+  EXPECT_EQ(stream_matches(db, {text}), set.matcher->find_matches(text));
 }
 
 TEST(StreamScanner, ChunkedFeedEqualsWholeBuffer) {
@@ -31,26 +49,21 @@ TEST(StreamScanner, ChunkedFeedEqualsWholeBuffer) {
   const auto expected = set.matcher->find_matches(text);
 
   for (std::size_t chunk_len : {1u, 7u, 100u, 1024u, 9999u}) {
-    StreamScanner scanner(set);
-    CollectingSink sink;
+    std::vector<util::ByteView> chunks;
     for (std::size_t off = 0; off < text.size(); off += chunk_len) {
-      const std::size_t len = std::min(chunk_len, text.size() - off);
-      scanner.feed({text.data() + off, len}, sink);
+      chunks.push_back({text.data() + off, std::min(chunk_len, text.size() - off)});
     }
-    EXPECT_EQ(sink.sorted(), expected) << "chunk_len=" << chunk_len;
+    EXPECT_EQ(stream_matches(db, chunks), expected) << "chunk_len=" << chunk_len;
   }
 }
 
 TEST(StreamScanner, MatchStraddlingChunkBoundaryFoundOnce) {
   pattern::PatternSet set;
   set.add("straddle");
-  const auto db = compile(core::Algorithm::spatch, set);
-  StreamScanner scanner(db->working_set(pattern::Group::generic));
-  CollectingSink sink;
-  scanner.feed(util::as_view("xxxxstra"), sink);
-  scanner.feed(util::as_view("ddlexxxx"), sink);
-  ASSERT_EQ(sink.matches().size(), 1u);
-  EXPECT_EQ(sink.matches()[0].pos, 4u);
+  const auto matches = stream_matches(compile(core::Algorithm::spatch, set),
+                                      {util::as_view("xxxxstra"), util::as_view("ddlexxxx")});
+  ASSERT_EQ(matches.size(), 1u);
+  EXPECT_EQ(matches[0].pos, 4u);
 }
 
 // The carry is the stream suffix a match could still start in, not a fixed
@@ -75,38 +88,24 @@ TEST(StreamScanner, MatchInsideCarryNotDuplicated) {
   pattern::PatternSet set;
   set.add("dup");
   set.add("abcdefghij");  // long max-len -> deep carry
-  const auto db = compile(core::Algorithm::spatch, set);
-  StreamScanner scanner(db->working_set(pattern::Group::generic));
-  CollectingSink sink;
-  scanner.feed(util::as_view("xxdupxx"), sink);   // match fully in first chunk
-  scanner.feed(util::as_view("yyyyyyy"), sink);   // carry re-scan must not re-report
-  ASSERT_EQ(sink.matches().size(), 1u);
-  EXPECT_EQ(sink.matches()[0].pos, 2u);
+  const auto matches =
+      stream_matches(compile(core::Algorithm::spatch, set),
+                     {util::as_view("xxdupxx"),     // match fully in first chunk
+                      util::as_view("yyyyyyy")});  // carry re-scan must not re-report
+  ASSERT_EQ(matches.size(), 1u);
+  EXPECT_EQ(matches[0].pos, 2u);
 }
 
 TEST(StreamScanner, OffsetsAreAbsolute) {
   pattern::PatternSet set;
   set.add("mark");
-  const auto db = compile(core::Algorithm::spatch, set);
-  StreamScanner scanner(db->working_set(pattern::Group::generic));
-  CollectingSink sink;
-  scanner.feed(util::as_view("0123456789"), sink);
-  scanner.feed(util::as_view("0123mark89"), sink);
-  ASSERT_EQ(sink.matches().size(), 1u);
-  EXPECT_EQ(sink.matches()[0].pos, 14u);
-  EXPECT_EQ(scanner.stream_length(), 20u);
-}
-
-TEST(StreamScanner, ResetForgetsHistory) {
-  pattern::PatternSet set;
-  set.add("join");
-  const auto db = compile(core::Algorithm::spatch, set);
-  StreamScanner scanner(db->working_set(pattern::Group::generic));
-  CollectingSink sink;
-  scanner.feed(util::as_view("xxjo"), sink);
-  scanner.reset();
-  scanner.feed(util::as_view("inxx"), sink);
-  EXPECT_TRUE(sink.matches().empty());
+  EngineCounters counters;
+  const auto matches =
+      stream_matches(compile(core::Algorithm::spatch, set),
+                     {util::as_view("0123456789"), util::as_view("0123mark89")}, &counters);
+  ASSERT_EQ(matches.size(), 1u);
+  EXPECT_EQ(matches[0].pos, 14u);
+  EXPECT_EQ(counters.bytes_inspected, 20u);
 }
 
 // ---- Working sets -------------------------------------------------------------
@@ -181,11 +180,19 @@ TEST(WorkingSet, EqualWorkingSetsShareOneCompile) {
 
 // ---- IdsEngine --------------------------------------------------------------------
 
+// Stages one chunk and flushes it: a worker batch of one.
+void scan_chunk(IdsEngine& engine, std::uint64_t flow, pattern::Group group,
+                std::string_view chunk, std::vector<Alert>& alerts) {
+  AlertBuffer sink(alerts);
+  engine.stage(flow, group, util::as_view(chunk), sink);
+  engine.flush_batch(sink);
+}
+
 TEST(IdsEngine, ProducesAlertsWithMasterIds) {
   const auto master = grouped_set();
   IdsEngine engine(compile(core::Algorithm::spatch, master));
   std::vector<Alert> alerts;
-  engine.inspect(1, pattern::Group::http, util::as_view("zz GET /evil zz"), alerts);
+  scan_chunk(engine, 1, pattern::Group::http, "zz GET /evil zz", alerts);
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].flow_id, 1u);
   EXPECT_EQ(alerts[0].pattern_id, 0u);  // master id of "GET /evil"
@@ -198,9 +205,9 @@ TEST(IdsEngine, RoutesByProtocol) {
   IdsEngine engine(compile(core::Algorithm::spatch, master));
   std::vector<Alert> alerts;
   // SMTP pattern inside an HTTP flow: not matched (different group).
-  engine.inspect(1, pattern::Group::http, util::as_view("EHLO spam"), alerts);
+  scan_chunk(engine, 1, pattern::Group::http, "EHLO spam", alerts);
   EXPECT_TRUE(alerts.empty());
-  engine.inspect(2, pattern::Group::smtp, util::as_view("EHLO spam"), alerts);
+  scan_chunk(engine, 2, pattern::Group::smtp, "EHLO spam", alerts);
   EXPECT_EQ(alerts.size(), 1u);
 }
 
@@ -209,10 +216,10 @@ TEST(IdsEngine, FlowsKeepIndependentStreams) {
   master.add("crossflow", false, pattern::Group::http);
   IdsEngine engine(compile(core::Algorithm::spatch, master));
   std::vector<Alert> alerts;
-  engine.inspect(1, pattern::Group::http, util::as_view("xxcross"), alerts);
-  engine.inspect(2, pattern::Group::http, util::as_view("flowxx"), alerts);
+  scan_chunk(engine, 1, pattern::Group::http, "xxcross", alerts);
+  scan_chunk(engine, 2, pattern::Group::http, "flowxx", alerts);
   EXPECT_TRUE(alerts.empty()) << "halves in different flows must not join";
-  engine.inspect(1, pattern::Group::http, util::as_view("flowxx"), alerts);
+  scan_chunk(engine, 1, pattern::Group::http, "flowxx", alerts);
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].flow_id, 1u);
 }
@@ -222,9 +229,9 @@ TEST(IdsEngine, CloseFlowDropsCarry) {
   master.add("severed", false, pattern::Group::http);
   IdsEngine engine(compile(core::Algorithm::spatch, master));
   std::vector<Alert> alerts;
-  engine.inspect(5, pattern::Group::http, util::as_view("xxseve"), alerts);
+  scan_chunk(engine, 5, pattern::Group::http, "xxseve", alerts);
   engine.close_flow(5);
-  engine.inspect(5, pattern::Group::http, util::as_view("redxx"), alerts);
+  scan_chunk(engine, 5, pattern::Group::http, "redxx", alerts);
   EXPECT_TRUE(alerts.empty());
 }
 
@@ -232,9 +239,9 @@ TEST(IdsEngine, CountersAccumulate) {
   const auto master = grouped_set();
   IdsEngine engine(compile(core::Algorithm::spatch, master));
   std::vector<Alert> alerts;
-  engine.inspect(1, pattern::Group::http, util::as_view("GET /evil"), alerts);
-  engine.inspect(1, pattern::Group::http, util::as_view("generic-attack"), alerts);
-  engine.inspect(9, pattern::Group::ftp, util::as_view("RETR secret"), alerts);
+  scan_chunk(engine, 1, pattern::Group::http, "GET /evil", alerts);
+  scan_chunk(engine, 1, pattern::Group::http, "generic-attack", alerts);
+  scan_chunk(engine, 9, pattern::Group::ftp, "RETR secret", alerts);
   const EngineCounters& c = engine.counters();
   EXPECT_EQ(c.chunks, 3u);
   EXPECT_EQ(c.flows, 2u);
@@ -246,7 +253,7 @@ TEST(IdsEngine, FormatAlertIsReadable) {
   const auto master = grouped_set();
   IdsEngine engine(compile(core::Algorithm::spatch, master));
   std::vector<Alert> alerts;
-  engine.inspect(3, pattern::Group::http, util::as_view("GET /evil"), alerts);
+  scan_chunk(engine, 3, pattern::Group::http, "GET /evil", alerts);
   ASSERT_EQ(alerts.size(), 1u);
   const std::string line = format_alert(alerts[0], master);
   EXPECT_NE(line.find("flow=3"), std::string::npos);

@@ -1,6 +1,6 @@
 // The pipeline determinism contract: the sharded multi-worker runtime must
-// produce exactly the alert multiset of a single-threaded IdsEngine fed by
-// one TcpReassembler over the same packets — across worker counts,
+// produce exactly the alert multiset of a naive scan of each whole
+// reassembled stream (tests/stream_oracle.hpp) — across worker counts,
 // algorithms, reordered segments, mixed protocols, and batch sizes.  Flow
 // ids are pipeline::flow_key(tuple) on both sides, so the comparison is
 // bitwise, not just count-wise.
@@ -9,9 +9,9 @@
 #include <algorithm>
 
 #include "helpers.hpp"
-#include "ids/pcap_pipeline.hpp"
 #include "net/flowgen.hpp"
 #include "pipeline/runtime.hpp"
+#include "stream_oracle.hpp"
 
 namespace vpm::pipeline {
 namespace {
@@ -79,39 +79,6 @@ std::vector<net::Packet> mixed_traffic(std::uint64_t seed) {
   return packets;
 }
 
-// The single-threaded reference: one reassembler feeding one engine, flow
-// ids, protocol classification, and connection-lifecycle teardown identical
-// to the pipeline workers'.  Built from the pipeline's own database, so the
-// alerts' generation matches too.
-std::vector<ids::Alert> single_threaded_reference(const std::vector<net::Packet>& packets,
-                                                  const DatabasePtr& db,
-                                                  ids::EngineCounters* counters_out,
-                                                  net::ReassemblyConfig reassembly = {}) {
-  ids::IdsEngine engine(db);
-  std::vector<ids::Alert> alerts;
-  net::TcpReassembler reassembler(
-      [&](const net::StreamChunk& chunk) {
-        engine.inspect(flow_key(chunk.tuple), ids::classify_port(chunk.server_port),
-                       chunk.data, alerts);
-      },
-      reassembly);
-  reassembler.on_connection_end([&](const net::FiveTuple& client, net::EndReason) {
-    engine.close_flow(flow_key(client));
-    engine.close_flow(flow_key(client.reversed()));
-  });
-  for (const net::Packet& p : packets) {
-    if (p.tuple.proto == net::IpProto::tcp) {
-      reassembler.ingest(p);
-    } else {
-      engine.inspect(flow_key(p.tuple), ids::classify_port(p.tuple.dst_port), p.payload,
-                     alerts);
-    }
-  }
-  if (counters_out != nullptr) *counters_out = engine.counters();
-  std::sort(alerts.begin(), alerts.end());
-  return alerts;
-}
-
 class PipelineDifferential : public ::testing::TestWithParam<core::Algorithm> {};
 
 TEST_P(PipelineDifferential, ShardedAlertsEqualSingleThreaded) {
@@ -121,8 +88,8 @@ TEST_P(PipelineDifferential, ShardedAlertsEqualSingleThreaded) {
   const DatabasePtr db = compile(algorithm, mixed_rules());
   const auto packets = mixed_traffic(testutil::case_seed(80));
 
-  ids::EngineCounters ref_counters;
-  const auto expected = single_threaded_reference(packets, db, &ref_counters);
+  const testutil::OracleRun oracle = testutil::whole_stream_oracle(packets, db);
+  const std::vector<ids::Alert>& expected = oracle.alerts;
   ASSERT_GT(expected.size(), 0u) << "workload must produce alerts to compare ("
                                  << testutil::seed_note() << ")";
 
@@ -148,9 +115,9 @@ TEST_P(PipelineDifferential, ShardedAlertsEqualSingleThreaded) {
             << ", " << testutil::seed_note() << ")";
       }
       const auto totals = rt.stats().totals();
-      EXPECT_EQ(totals.bytes_inspected, ref_counters.bytes_inspected);
-      EXPECT_EQ(totals.alerts, ref_counters.alerts);
-      EXPECT_EQ(totals.flows_seen, ref_counters.flows);
+      EXPECT_EQ(totals.bytes_inspected, oracle.stream_bytes);
+      EXPECT_EQ(totals.alerts, expected.size());
+      EXPECT_EQ(totals.flows_seen, oracle.streams);
     }
   }
 }
@@ -178,7 +145,7 @@ TEST(PipelineDifferentialExtra, HeavyReorderingAcrossManyFlows) {
   cfg.seed = testutil::case_seed(81);
   auto flows = net::generate_flows(cfg);
 
-  const auto expected = single_threaded_reference(flows.packets, db, nullptr);
+  const auto expected = testutil::whole_stream_oracle(flows.packets, db).alerts;
 
   PipelineConfig pcfg;
   pcfg.workers = 4;
@@ -196,9 +163,9 @@ TEST(PipelineDifferentialExtra, HeavyReorderingAcrossManyFlows) {
 // The evasion corpus through the full pipeline, once per overlap policy:
 // SYN/FIN/RST lifecycle, bidirectional streams, conflicting retransmits,
 // keep-alive probes, and wrap-adjacent ISNs — sharded must still equal the
-// single-threaded reference bit for bit, and connection teardown (which
-// flushes and closes BOTH directional flow ids) must happen at the same
-// packet on both sides of the comparison.
+// whole-stream oracle bit for bit, so connection teardown (which flushes and
+// closes BOTH directional flow ids) must end each stream at the packet where
+// the oracle cuts it.
 class PipelineEvasionDifferential
     : public ::testing::TestWithParam<net::OverlapPolicy> {};
 
@@ -215,7 +182,7 @@ TEST_P(PipelineEvasionDifferential, ShardedEqualsReferenceOnEvasionCorpus) {
 
   net::ReassemblyConfig rcfg;
   rcfg.overlap = policy;
-  const auto expected = single_threaded_reference(flows.packets, db, nullptr, rcfg);
+  const auto expected = testutil::whole_stream_oracle(flows.packets, db, rcfg).alerts;
   ASSERT_GT(expected.size(), 0u)
       << "evasion workload must produce alerts (" << testutil::seed_note() << ")";
 
@@ -259,10 +226,10 @@ TEST(PipelineDifferentialExtra, FirstPolicyMatchesLegacySemantics) {
   const DatabasePtr db = compile(core::Algorithm::vpatch, mixed_rules());
   const auto packets = mixed_traffic(testutil::case_seed(83));
 
-  const auto with_default = single_threaded_reference(packets, db, nullptr);
+  const auto with_default = testutil::whole_stream_oracle(packets, db).alerts;
   net::ReassemblyConfig explicit_first;
   explicit_first.overlap = net::OverlapPolicy::first;
-  const auto with_first = single_threaded_reference(packets, db, nullptr, explicit_first);
+  const auto with_first = testutil::whole_stream_oracle(packets, db, explicit_first).alerts;
   EXPECT_EQ(with_default, with_first);
   ASSERT_GT(with_first.size(), 0u) << testutil::seed_note();
 }

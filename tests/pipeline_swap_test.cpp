@@ -1,9 +1,9 @@
 // Zero-drop ruleset hot-swap determinism: swapping the compiled database at
 // a known packet index (quiesce-then-swap) must partition the alert stream
 // exactly by ruleset generation — for every worker count, the per-generation
-// alert multisets equal a single-threaded reference performing the identical
-// swap, no alert is dropped, and no alert is attributed to a generation that
-// did not produce it.  The concurrent-swap stress runs under TSan in CI (the
+// alert multisets equal the whole-stream oracle (tests/stream_oracle.hpp)
+// cutting every stream at the identical swap, no alert is dropped, and no
+// alert is attributed to a generation that did not produce it.  The concurrent-swap stress runs under TSan in CI (the
 // `swap` label) to pin the RCU publication path.
 #include <gtest/gtest.h>
 
@@ -15,9 +15,9 @@
 
 #include "core/database.hpp"
 #include "helpers.hpp"
-#include "ids/pcap_pipeline.hpp"
 #include "net/flowgen.hpp"
 #include "pipeline/runtime.hpp"
+#include "stream_oracle.hpp"
 
 namespace vpm::pipeline {
 namespace {
@@ -78,43 +78,6 @@ std::vector<net::Packet> mixed_traffic(std::uint64_t seed) {
   return packets;
 }
 
-// Single-threaded reference performing the identical swaps at the given
-// packet indices: one reassembler (its TCP buffers survive each swap,
-// exactly like a pipeline worker's), one engine whose rules are swapped
-// with the same quiesce-boundary semantics (flush staged, reset flow carry,
-// adopt).
-using SwapPoint = std::pair<std::size_t, DatabasePtr>;
-
-std::vector<ids::Alert> reference_with_swaps(const std::vector<net::Packet>& packets,
-                                             const DatabasePtr& db_initial,
-                                             const std::vector<SwapPoint>& swaps) {
-  ids::IdsEngine engine(db_initial);
-  std::vector<ids::Alert> alerts;
-  ids::AlertBuffer sink(alerts);
-  net::TcpReassembler reassembler([&](const net::StreamChunk& chunk) {
-    engine.inspect(flow_key(chunk.tuple), ids::classify_port(chunk.server_port),
-                   chunk.data, sink);
-  });
-  reassembler.on_connection_end([&](const net::FiveTuple& client, net::EndReason) {
-    engine.close_flow(flow_key(client));
-    engine.close_flow(flow_key(client.reversed()));
-  });
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    for (const SwapPoint& s : swaps) {
-      if (i == s.first) engine.swap_rules(s.second, sink);
-    }
-    const net::Packet& p = packets[i];
-    if (p.tuple.proto == net::IpProto::tcp) {
-      reassembler.ingest(p);
-    } else {
-      engine.inspect(flow_key(p.tuple), ids::classify_port(p.tuple.dst_port), p.payload,
-                     sink);
-    }
-  }
-  std::sort(alerts.begin(), alerts.end());
-  return alerts;
-}
-
 std::vector<ids::Alert> alerts_of_generation(const std::vector<ids::Alert>& alerts,
                                              std::uint64_t generation) {
   std::vector<ids::Alert> out;
@@ -135,14 +98,15 @@ TEST_P(PipelineSwap, PerGenerationAlertsEqualSingleThreadedReference) {
   const DatabasePtr db_a = compile(algorithm, ruleset_a());
   const DatabasePtr db_b = compile(algorithm, ruleset_b());
 
-  const auto expected = reference_with_swaps(packets, db_a, {{swap_index, db_b}});
+  const auto expected =
+      testutil::whole_stream_oracle(packets, db_a, {}, {{swap_index, db_b}}).alerts;
   const auto expected_a = alerts_of_generation(expected, db_a->generation());
   const auto expected_b = alerts_of_generation(expected, db_b->generation());
   ASSERT_GT(expected_a.size(), 0u) << "generation A must alert (" << testutil::seed_note()
                                    << ")";
   ASSERT_GT(expected_b.size(), 0u) << "generation B must alert (" << testutil::seed_note()
                                    << ")";
-  // The reference itself must never misattribute.
+  // The oracle itself must never misattribute.
   ASSERT_EQ(expected_a.size() + expected_b.size(), expected.size());
 
   // The pinned axis pins the workers to CPUs 0 and 1 (pin failures are
@@ -201,7 +165,7 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, PipelineSwap,
 
 // Chained swaps: A -> B -> A' (a recompile of A, distinct generation).  The
 // old generation's compiled tables must retire without disturbing later
-// generations, and each segment must match its own reference.
+// generations, and each segment must match the oracle's.
 TEST(PipelineSwapExtra, BackToBackSwapsPartitionExactly) {
   const auto packets = mixed_traffic(testutil::case_seed(121));
   const std::size_t third = packets.size() / 3;
@@ -212,7 +176,7 @@ TEST(PipelineSwapExtra, BackToBackSwapsPartitionExactly) {
   EXPECT_NE(db1->generation(), db3->generation());
 
   const auto expected =
-      reference_with_swaps(packets, db1, {{third, db2}, {2 * third, db3}});
+      testutil::whole_stream_oracle(packets, db1, {}, {{third, db2}, {2 * third, db3}}).alerts;
 
   PipelineConfig cfg;
   cfg.workers = 4;

@@ -617,45 +617,6 @@ TEST(PrefilterEngineDifferential, AlertsIdenticalWithScreenOnAcrossEngines) {
   }
 }
 
-// The per-chunk inspect() API routes through the staged path whenever the
-// screen would engage, so the single-threaded surface (inspect_pcap, the
-// differential references) gets the same screening — and the same alert
-// multiset — as stage()/flush_batch().
-TEST(PrefilterEngineDifferential, InspectPathScreensIdentically) {
-  const auto rules = grouped_long_rules(case_seed(444));
-  std::vector<util::Bytes> streams;
-  const auto chunks = make_chunks(rules, case_seed(445), streams);
-  const DatabasePtr db = compile(core::Algorithm::aho_corasick_compact, rules);
-
-  const auto drive_inspect = [&](core::PrefilterMode mode,
-                                 ids::EngineCounters& counters_out) {
-    ids::IdsEngine engine(db);
-    engine.set_prefilter_mode(mode);
-    std::vector<ids::Alert> alerts;
-    ids::AlertBuffer sink(alerts);
-    for (const Chunk& c : chunks) engine.inspect(c.flow, c.protocol, c.view, sink);
-    counters_out = engine.counters();
-    std::sort(alerts.begin(), alerts.end());
-    return alerts;
-  };
-
-  ids::EngineCounters off_counters, on_counters, staged_counters;
-  const auto off = drive_inspect(core::PrefilterMode::off, off_counters);
-  const auto on = drive_inspect(core::PrefilterMode::on, on_counters);
-  const auto staged = drive_engine(db, core::PrefilterMode::on, 32, chunks, staged_counters);
-  ASSERT_GT(off.size(), 0u) << "workload must alert (" << seed_note() << ")";
-  ASSERT_EQ(on, off) << "screened inspect() changed the alert multiset ("
-                     << seed_note() << ")";
-  ASSERT_EQ(on, staged) << "inspect() and stage()/flush_batch() diverged ("
-                        << seed_note() << ")";
-  EXPECT_EQ(on_counters.chunks, off_counters.chunks);
-  EXPECT_EQ(on_counters.bytes_inspected, off_counters.bytes_inspected);
-  EXPECT_EQ(off_counters.prefilter_pass_payloads, 0u);
-  EXPECT_EQ(off_counters.prefilter_reject_payloads, 0u);
-  EXPECT_GT(on_counters.prefilter_pass_payloads, 0u);
-  EXPECT_GT(on_counters.prefilter_reject_payloads, 0u);
-}
-
 TEST(PrefilterEngineAuto, BypassesMatchHeavyTrafficWithoutLosingAlerts) {
   // >= min_patterns so `automatic` engages, and every payload contains a
   // pattern so the sampled pass ratio is 1: the screen must stand down after

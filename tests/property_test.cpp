@@ -186,8 +186,8 @@ TEST(FilterInvariance, CandidateCountsAcrossIsas) {
 
 // ---- P5: chunked streams equal one whole-stream scan -----------------------------
 //
-// Through StreamScanner::feed and through IdsEngine's staged batches, with
-// several flows interleaved and each chunked its own way.  The patterns are
+// Through IdsEngine's staged batches, with several flows interleaved and
+// each chunked its own way.  The patterns are
 // cut from the text across the chunk cuts, so matches straddle boundaries,
 // and nested prefixes of them give WorkingSet::carry_after live prefixes of
 // every length to keep.
@@ -256,19 +256,9 @@ TEST_P(ChunkedStreams, MatchOneWholeStreamScanOnEveryEngine) {
   const std::string note = "seed=" + std::to_string(seed) + " (" + testutil::seed_note() + ")";
 
   for (const Algorithm algo : available_algorithms()) {
-    const DatabasePtr db = compile(algo, set);
     // Every pattern is generic, so the set's ids are the Database ids.
-    const WorkingSet& ws = db->working_set(pattern::Group::generic);
+    const DatabasePtr db = compile(algo, set);
     const std::string_view name = algorithm_name(algo);
-
-    ids::StreamScanner scanner(ws);
-    CollectingSink fed;
-    std::size_t off = 0;
-    for (const std::size_t len : chunks) {
-      scanner.feed({text.data() + off, len}, fed);
-      off += len;
-    }
-    EXPECT_EQ(fed.sorted(), expected) << name << " feed() " << note;
 
     // Flow 0 is cut as above, flows 1 and 2 their own ways; chunks are
     // staged in random flow order and flushed at random points.
