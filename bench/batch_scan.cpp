@@ -46,7 +46,8 @@ int run_set(const char* label, const pattern::PatternSet& set, const util::Bytes
     if (!core::algorithm_available(algo)) continue;
     const auto matcher = core::make_matcher(algo, set);
 
-    for (std::size_t payload : {std::size_t{64}, std::size_t{256}, std::size_t{1500}}) {
+    for (std::size_t payload : {std::size_t{32}, std::size_t{64}, std::size_t{128},
+                                std::size_t{256}, std::size_t{1500}}) {
       const auto views = slice(trace, payload);
       const std::size_t bytes = views.size() * payload;
       const std::size_t batches[] = {1, 8, 32};

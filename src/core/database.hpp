@@ -66,8 +66,8 @@ struct WorkingSet {
   // proper prefix of the longest pattern.
   std::size_t max_carry() const { return max_len > 0 ? max_len - 1 : 0; }
 
-  // How many trailing bytes of a stream buffer a match could still start
-  // in: the length of the run, walked backward from the end, of positions
+  // How many trailing bytes of a staged carry + chunk a match could still
+  // start in: the length of the run, walked backward from the end, of positions
   // whose folded byte, bigram (from the second step on) and 4-gram (from
   // the fourth) are all grams of some pattern; at most min(size,
   // max_carry()).  A stream suffix that is a proper prefix of a pattern is

@@ -32,7 +32,8 @@ struct SpatchConfig {
 
 // Round one, scalar: filters positions [begin, end) of data (end <= n-1;
 // every position has a full 2-byte window) into `out`.  Exposed as a free
-// function because the vectorized engine reuses it for remainder tails.
+// function because V-PATCH runs it when no vector kernel is available (its
+// vector kernels cover every position themselves).
 void spatch_filter_scalar(const std::uint8_t* data, std::size_t begin, std::size_t end,
                           std::size_t total_len, const FilterBank& bank,
                           CandidateBuffers& out);

@@ -61,16 +61,21 @@ unsigned VpatchMatcher::vector_width() const {
   }
 }
 
-std::size_t VpatchMatcher::run_kernel(const std::uint8_t* d, std::size_t begin,
-                                      std::size_t end, std::size_t n,
-                                      CandidateBuffers& buffers, ScanStats* stats) const {
+void VpatchMatcher::round_one(const std::uint8_t* d, std::size_t begin, std::size_t end,
+                              std::size_t n, CandidateBuffers& buffers, ScanStats* stats) const {
   switch (isa_) {
     case Isa::avx2:
-      return vpatch_filter_avx2(d, begin, end, n, bank_, buffers, cfg_.kernel, stats);
+      vpatch_filter_avx2(d, begin, end, n, bank_, buffers, cfg_.kernel, stats);
+      return;
     case Isa::avx512:
-      return vpatch_filter_avx512(d, begin, end, n, bank_, buffers, cfg_.kernel, stats);
+      vpatch_filter_avx512(d, begin, end, n, bank_, buffers, cfg_.kernel, stats);
+      return;
     default:
-      return begin;  // no vector coverage; scalar loop takes the whole range
+      // No vector kernel: S-PATCH's scalar loop over the positions with a
+      // full 2-byte window, then its zero-padded probe of the last one.
+      spatch_filter_scalar(d, begin, std::min(end, n - 1), n, bank_, buffers);
+      if (end == n) spatch_filter_tail(d, n, bank_, buffers);
+      return;
   }
 }
 
@@ -86,20 +91,12 @@ void VpatchMatcher::scan_impl(util::ByteView data, MatchSink& sink, ScanStats* s
   // read per chunk is real money on small-packet scans.
   using RoundTimer = std::conditional_t<kWithStats, util::Timer, util::NullTimer>;
 
-  const std::size_t last_window_pos = n - 1;
   for (std::size_t chunk = 0; chunk < n; chunk += cfg_.chunk_size) {
-    const std::size_t end = std::min(chunk + cfg_.chunk_size, last_window_pos);
+    const std::size_t end = std::min(chunk + cfg_.chunk_size, n);
     buffers.clear();
 
     RoundTimer timer;
-    if (chunk < end) {
-      // Vectorized main loop, then the scalar remainder of this chunk.
-      const std::size_t done = run_kernel(d, chunk, end, n, buffers, stats);
-      if (done < end) spatch_filter_scalar(d, done, end, n, bank_, buffers);
-    }
-    if (chunk + cfg_.chunk_size >= n) {
-      spatch_filter_tail(d, n, bank_, buffers);
-    }
+    round_one(d, chunk, end, n, buffers, stats);
     if constexpr (kWithStats) {
       stats->filter_seconds += timer.seconds();
       stats->short_candidates += buffers.n_short;
@@ -192,10 +189,7 @@ void VpatchMatcher::scan_batch(std::span<const util::ByteView> payloads, BatchSi
     if (batched_round_one) continue;  // the batch kernel already filtered it
     const std::uint32_t short_begin = st.buffers.n_short;
     const std::uint32_t long_begin = st.buffers.n_long;
-    const std::uint8_t* d = data.data();
-    const std::size_t end = n - 1;
-    if (0 < end) spatch_filter_scalar(d, 0, end, n, bank_, st.buffers);
-    spatch_filter_tail(d, n, bank_, st.buffers);
+    round_one(data.data(), 0, n, n, st.buffers, nullptr);
     for (std::uint32_t k = short_begin; k < st.buffers.n_short; ++k) {
       st.short_item[k] = static_cast<std::uint32_t>(p);
     }
@@ -233,27 +227,26 @@ VpatchMatcher::FilterOnlyResult VpatchMatcher::filter_only(util::ByteView data,
 
   if (!with_stores) {
     NoStoreCounts counts;
-    std::size_t done = 0;
-    const std::size_t end = n - 1;
     switch (isa_) {
       case Isa::avx2:
-        done = vpatch_filter_nostore_avx2(d, 0, end, n, bank_, counts);
+        vpatch_filter_nostore_avx2(d, 0, n, n, bank_, counts);
         break;
       case Isa::avx512:
-        done = vpatch_filter_nostore_avx512(d, 0, end, n, bank_, counts);
+        vpatch_filter_nostore_avx512(d, 0, n, n, bank_, counts);
         break;
       default:
+        // Scalar, counting only: the probe sequence of round_one().
+        for (std::size_t i = 0; i + 1 < n; ++i) {
+          const std::uint32_t window = util::load_u16(d + i);
+          if (bank_.test_f1(window)) ++counts.short_hits;
+          if (bank_.test_f2(window) && i + 4 <= n &&
+              bank_.test_f3(util::load_u32(d + i))) {
+            ++counts.long_hits;
+          }
+        }
+        if (bank_.test_f1(d[n - 1])) ++counts.short_hits;
         break;
     }
-    // Scalar remainder, counting only.
-    for (std::size_t i = done; i < end; ++i) {
-      const std::uint32_t window = util::load_u16(d + i);
-      if (bank_.test_f1(window)) ++counts.short_hits;
-      if (bank_.test_f2(window) && i + 4 <= n && bank_.test_f3(util::load_u32(d + i))) {
-        ++counts.long_hits;
-      }
-    }
-    if (bank_.test_f1(d[n - 1])) ++counts.short_hits;
     result.short_candidates = counts.short_hits;
     result.long_candidates = counts.long_hits;
     return result;
@@ -261,15 +254,9 @@ VpatchMatcher::FilterOnlyResult VpatchMatcher::filter_only(util::ByteView data,
 
   CandidateBuffers& buffers = scratch.state_for<BatchScanState>(scratch_owner_id()).buffers;
   buffers.ensure_capacity(std::min(cfg_.chunk_size, n));
-  const std::size_t last_window_pos = n - 1;
   for (std::size_t chunk = 0; chunk < n; chunk += cfg_.chunk_size) {
-    const std::size_t end = std::min(chunk + cfg_.chunk_size, last_window_pos);
     buffers.clear();
-    if (chunk < end) {
-      const std::size_t done = run_kernel(d, chunk, end, n, buffers, nullptr);
-      if (done < end) spatch_filter_scalar(d, done, end, n, bank_, buffers);
-    }
-    if (chunk + cfg_.chunk_size >= n) spatch_filter_tail(d, n, bank_, buffers);
+    round_one(d, chunk, std::min(chunk + cfg_.chunk_size, n), n, buffers, nullptr);
     result.short_candidates += buffers.n_short;
     result.long_candidates += buffers.n_long;
   }

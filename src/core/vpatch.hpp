@@ -1,7 +1,8 @@
 // V-PATCH — the vectorized pattern matcher (paper §IV-B).
 //
-// Round one runs the SIMD filtering kernel (AVX-512 W=16, AVX2 W=8, or the
-// scalar S-PATCH loop as fallback/tail); round two is the shared scalar
+// Round one runs the SIMD filtering kernel (AVX-512 W=16 or AVX2 W=8, each
+// covering every position of its input, or the scalar S-PATCH loop when no
+// vector kernel is available); round two is the shared scalar
 // verification over the stored candidate positions.  The kernel choice, the
 // unroll factor, filter merging and speculative-Filter-3 evaluation are all
 // configurable so the ablation benches can isolate each design decision.
@@ -93,10 +94,11 @@ class VpatchMatcher final : public Matcher {
   template <bool kWithStats>
   void scan_impl(util::ByteView data, MatchSink& sink, ScanStats* stats) const;
 
-  // Dispatches one chunk's round-one to the configured kernel; returns the
-  // first position the vector loop did not cover.
-  std::size_t run_kernel(const std::uint8_t* d, std::size_t begin, std::size_t end,
-                         std::size_t n, CandidateBuffers& buffers, ScanStats* stats) const;
+  // Round one over positions [begin, end) of a view of n bytes (end <= n;
+  // end == n includes the zero-padded last position) on the configured
+  // kernel, which covers every position itself.
+  void round_one(const std::uint8_t* d, std::size_t begin, std::size_t end, std::size_t n,
+                 CandidateBuffers& buffers, ScanStats* stats) const;
 
   VpatchConfig cfg_;
   Isa isa_;

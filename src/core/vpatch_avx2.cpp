@@ -3,9 +3,10 @@
 
 #if defined(__AVX2__)
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 
-#include "core/spatch.hpp"
 #include "simd/avx2_ops.hpp"
 
 namespace vpm::core {
@@ -20,12 +21,43 @@ struct BlockMasks {
   std::uint32_t f2_mask = 0;     // lanes that passed Filter 2 (stats)
 };
 
-// One 8-position filtering block at base position i (Algorithm 2 body).
+inline __m128i load_block(const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+// Lanes [0, count) of a block, count clamped to the 8 lanes.
+inline std::uint32_t first_lanes(std::size_t count) {
+  return count >= 8 ? 0xFFu : (1u << count) - 1;
+}
+
+// Which lanes of a block may report: a short candidate needs its position
+// inside the filtered range, a long one also its whole 4-byte window inside
+// the view.
+struct Lanes {
+  std::uint32_t short_lanes;
+  std::uint32_t long_lanes;
+};
+constexpr Lanes kAllLanes{0xFFu, 0xFFu};
+
+// Hoisted kernel constants, built once per scan call — or once per BATCH in
+// the batch entry point, which is the point of batching small payloads.
+struct KernelConsts {
+  __m256i shuffle2;
+  __m256i shuffle4;
+  unsigned f3_bits;
+  explicit KernelConsts(const FilterBank& bank)
+      : shuffle2(window_shuffle_mask(2)),
+        shuffle4(window_shuffle_mask(4)),
+        f3_bits(bank.f3_bits_log2()) {}
+};
+
+// One 8-position filtering block at base position i of d (Algorithm 2
+// body); `raw` holds bytes [i, i+16).
 template <bool kMerged, bool kSpecF3>
-inline BlockMasks process_block(const std::uint8_t* d, std::size_t i, const FilterBank& bank,
-                                __m256i shuffle2, __m256i shuffle4, unsigned f3_bits) {
+inline BlockMasks process_block(__m128i raw, const std::uint8_t* d, std::size_t i,
+                                const FilterBank& bank, const KernelConsts& c, Lanes lanes) {
   BlockMasks r;
-  const __m256i win2 = windows2(d + i, shuffle2);
+  const __m256i win2 = windows_of(raw, c.shuffle2);
 
   __m256i word_f1, word_f2;
   if constexpr (kMerged) {
@@ -40,14 +72,14 @@ inline BlockMasks process_block(const std::uint8_t* d, std::size_t i, const Filt
     word_f1 = gather_u32(bank.f1_data(), off);
     word_f2 = gather_u32(bank.f2_data(), off);
   }
-  r.short_mask = filter_testbits(word_f1, win2);
-  r.f2_mask = filter_testbits(word_f2, win2);
+  r.short_mask = filter_testbits(word_f1, win2) & lanes.short_lanes;
+  r.f2_mask = filter_testbits(word_f2, win2) & lanes.long_lanes;
 
   if (r.f2_mask != 0) {
     if constexpr (kSpecF3) {
       // Speculative: evaluate Filter 3 on ALL lanes, mask by Filter 2.
-      const __m256i win4 = windows4(d + i, shuffle4);
-      const __m256i keys = hash_mul(win4, f3_bits);
+      const __m256i win4 = windows_of(raw, c.shuffle4);
+      const __m256i keys = hash_mul(win4, c.f3_bits);
       const __m256i off3 = _mm256_srli_epi32(keys, 3);
       const __m256i word3 = gather_u32(bank.f3_data(), off3);
       r.long_mask = filter_testbits(word3, keys) & r.f2_mask;
@@ -90,67 +122,58 @@ struct CountOnly {
   }
 };
 
-// Hoisted kernel constants, built once per scan call — or once per BATCH in
-// the batch entry point, which is the point of batching small payloads.
-struct KernelConsts {
-  __m256i shuffle2;
-  __m256i shuffle4;
-  unsigned f3_bits;
-  explicit KernelConsts(const FilterBank& bank)
-      : shuffle2(window_shuffle_mask(2)),
-        shuffle4(window_shuffle_mask(4)),
-        f3_bits(bank.f3_bits_log2()) {}
-};
-
 template <bool kMerged, bool kSpecF3, typename Store>
-std::size_t run_filter(const std::uint8_t* d, std::size_t begin, std::size_t end,
-                       std::size_t total_len, const FilterBank& bank, bool unroll2,
-                       Store& store, ScanStats* stats, const KernelConsts& c) {
-  const __m256i shuffle2 = c.shuffle2;
-  const __m256i shuffle4 = c.shuffle4;
-  const unsigned f3_bits = c.f3_bits;
-
+void run_filter(const std::uint8_t* d, std::size_t begin, std::size_t end,
+                std::size_t total_len, const FilterBank& bank, bool unroll2, Store& store,
+                ScanStats* stats, const KernelConsts& c) {
   std::uint64_t f3_blocks = 0;
   std::uint64_t f3_lanes = 0;
+  const auto filter = [&](__m128i raw, std::size_t at, Lanes lanes) {
+    const BlockMasks m = process_block<kMerged, kSpecF3>(raw, d, at, bank, c, lanes);
+    if (stats) {
+      f3_blocks += (m.f2_mask != 0);
+      f3_lanes += std::popcount(m.f2_mask);
+    }
+    return m;
+  };
   std::size_t i = begin;
 
+  // Full blocks read bytes [i, i+16); unrolled, [i, i+24).
   if (unroll2) {
     // Two independent 8-lane blocks per iteration: the second block's
     // computation overlaps the first block's gather latency (§IV-B).
-    while (i + 24 <= total_len && i + 16 <= end) {
-      const BlockMasks a =
-          process_block<kMerged, kSpecF3>(d, i, bank, shuffle2, shuffle4, f3_bits);
-      const BlockMasks b =
-          process_block<kMerged, kSpecF3>(d, i + 8, bank, shuffle2, shuffle4, f3_bits);
+    while (i + 16 <= end && i + 24 <= total_len) {
+      const BlockMasks a = filter(load_block(d + i), i, kAllLanes);
+      const BlockMasks b = filter(load_block(d + i + 8), i + 8, kAllLanes);
       store.on_block(i, a);
       store.on_block(i + 8, b);
-      if (stats) {
-        f3_blocks += (a.f2_mask != 0) + (b.f2_mask != 0);
-        f3_lanes += std::popcount(a.f2_mask) + std::popcount(b.f2_mask);
-      }
       i += 16;
     }
   }
-  while (i + 16 <= total_len && i + 8 <= end) {
-    const BlockMasks a = process_block<kMerged, kSpecF3>(d, i, bank, shuffle2, shuffle4, f3_bits);
-    store.on_block(i, a);
-    if (stats) {
-      f3_blocks += (a.f2_mask != 0);
-      f3_lanes += std::popcount(a.f2_mask);
-    }
+  while (i + 8 <= end && i + 16 <= total_len) {
+    store.on_block(i, filter(load_block(d + i), i, kAllLanes));
     i += 8;
+  }
+  // The rest of the range (fewer than 16 positions) reads a zeroed stack
+  // copy of the view's next bytes, so no load leaves the view and the last
+  // position pairs its byte with a zero, as the scalar tail probe does.
+  if (i < end) {
+    alignas(16) std::uint8_t tail[32] = {};
+    std::memcpy(tail, d + i, std::min<std::size_t>(total_len - i, 24));
+    const std::size_t long_end = total_len >= i + 4 ? std::min(end, total_len - 3) : i;
+    for (std::size_t k = 0; i + k < end; k += 8) {
+      const Lanes lanes{first_lanes(end - i - k), first_lanes(std::max(long_end, i + k) - i - k)};
+      store.on_block(i + k, filter(load_block(tail + k), i + k, lanes));
+    }
   }
 
   if (stats) {
     stats->f3_blocks += f3_blocks;
     stats->f3_useful_lanes += f3_lanes;
   }
-  return i;
 }
 
-// One whole-batch pass: constants live in registers across payloads; each
-// payload's scalar remainder and tail probe run inline so the pool and item
-// maps fill exactly as scan() would per payload.
+// One whole-batch pass: constants live in registers across payloads.
 template <bool kMerged, bool kSpecF3>
 void run_filter_batch(std::span<const util::ByteView> payloads, const FilterBank& bank,
                       bool unroll2, CandidateBuffers& out, std::uint32_t* short_item,
@@ -161,16 +184,9 @@ void run_filter_batch(std::span<const util::ByteView> payloads, const FilterBank
     const util::ByteView data = payloads[p];
     const std::size_t n = data.size();
     if (n == 0 || n > max_payload) continue;
-    const std::uint8_t* d = data.data();
     const std::uint32_t short_begin = out.n_short;
     const std::uint32_t long_begin = out.n_long;
-    const std::size_t end = n - 1;
-    if (0 < end) {
-      const std::size_t done =
-          run_filter<kMerged, kSpecF3>(d, 0, end, n, bank, unroll2, store, nullptr, c);
-      if (done < end) spatch_filter_scalar(d, done, end, n, bank, out);
-    }
-    spatch_filter_tail(d, n, bank, out);
+    run_filter<kMerged, kSpecF3>(data.data(), 0, n, n, bank, unroll2, store, nullptr, c);
     const std::uint32_t packet = static_cast<std::uint32_t>(p);
     for (std::uint32_t k = short_begin; k < out.n_short; ++k) short_item[k] = packet;
     for (std::uint32_t k = long_begin; k < out.n_long; ++k) long_item[k] = packet;
@@ -179,10 +195,9 @@ void run_filter_batch(std::span<const util::ByteView> payloads, const FilterBank
 
 }  // namespace
 
-std::size_t vpatch_filter_avx2(const std::uint8_t* data, std::size_t begin, std::size_t end,
-                               std::size_t total_len, const FilterBank& bank,
-                               CandidateBuffers& out, const KernelOptions& opt,
-                               ScanStats* stats) {
+void vpatch_filter_avx2(const std::uint8_t* data, std::size_t begin, std::size_t end,
+                        std::size_t total_len, const FilterBank& bank, CandidateBuffers& out,
+                        const KernelOptions& opt, ScanStats* stats) {
   StoreToBuffers store{&out};
   const KernelConsts c(bank);
   if (opt.merged_filters) {
@@ -217,16 +232,15 @@ void vpatch_filter_batch_avx2(std::span<const util::ByteView> payloads,
                                         long_item, max_payload);
 }
 
-std::size_t vpatch_filter_nostore_avx2(const std::uint8_t* data, std::size_t begin,
-                                       std::size_t end, std::size_t total_len,
-                                       const FilterBank& bank, NoStoreCounts& counts) {
+void vpatch_filter_nostore_avx2(const std::uint8_t* data, std::size_t begin, std::size_t end,
+                                std::size_t total_len, const FilterBank& bank,
+                                NoStoreCounts& counts) {
   CountOnly store;
   const KernelConsts c(bank);
-  const std::size_t next = run_filter<true, true>(data, begin, end, total_len, bank,
-                                                  /*unroll2=*/true, store, nullptr, c);
+  run_filter<true, true>(data, begin, end, total_len, bank, /*unroll2=*/true, store, nullptr,
+                         c);
   counts.short_hits += store.shorts;
   counts.long_hits += store.longs;
-  return next;
 }
 
 }  // namespace vpm::core
@@ -236,18 +250,17 @@ std::size_t vpatch_filter_nostore_avx2(const std::uint8_t* data, std::size_t beg
 #include <cstdlib>
 
 namespace vpm::core {
-std::size_t vpatch_filter_avx2(const std::uint8_t*, std::size_t, std::size_t, std::size_t,
-                               const FilterBank&, CandidateBuffers&, const KernelOptions&,
-                               ScanStats*) {
+void vpatch_filter_avx2(const std::uint8_t*, std::size_t, std::size_t, std::size_t,
+                        const FilterBank&, CandidateBuffers&, const KernelOptions&, ScanStats*) {
   std::abort();
 }
 void vpatch_filter_batch_avx2(std::span<const util::ByteView>, const FilterBank&,
-                              CandidateBuffers&, std::uint32_t*, std::uint32_t*,
-                              std::size_t, const KernelOptions&) {
+                              CandidateBuffers&, std::uint32_t*, std::uint32_t*, std::size_t,
+                              const KernelOptions&) {
   std::abort();
 }
-std::size_t vpatch_filter_nostore_avx2(const std::uint8_t*, std::size_t, std::size_t,
-                                       std::size_t, const FilterBank&, NoStoreCounts&) {
+void vpatch_filter_nostore_avx2(const std::uint8_t*, std::size_t, std::size_t, std::size_t,
+                                const FilterBank&, NoStoreCounts&) {
   std::abort();
 }
 }  // namespace vpm::core

@@ -5,9 +5,9 @@
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__)
 
+#include <algorithm>
 #include <bit>
 
-#include "core/spatch.hpp"
 #include "simd/avx512_ops.hpp"
 
 namespace vpm::core {
@@ -22,13 +22,60 @@ struct BlockMasks {
   std::uint32_t f2_mask = 0;
 };
 
-// One 16-position filtering block at base position i.  Raw loads read 32
-// bytes (two 16-byte halves at i and i+8).
+// The raw bytes of the 16-position block at position i: `lo` holds bytes
+// [i, i+16) and `hi` bytes [i+8, i+24).
+struct BlockBytes {
+  __m128i lo;
+  __m128i hi;
+};
+
+inline BlockBytes load_block(const std::uint8_t* p) {
+  return {_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)),
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 8))};
+}
+
+// The same bytes near the end of a view: only the avail (< 32) bytes at p
+// are read — a masked-off byte never faults — and the rest read as zero, so
+// the view's last position pairs its byte with a zero, as the scalar tail
+// probe does.
+inline BlockBytes load_block_tail(const std::uint8_t* p, std::size_t avail) {
+  const std::uint32_t bytes = (1u << avail) - 1;
+  return {_mm_maskz_loadu_epi8(static_cast<__mmask16>(bytes), p),
+          _mm_maskz_loadu_epi8(static_cast<__mmask16>(bytes >> 8), p + 8)};
+}
+
+// Lanes [0, count) of a block, count clamped to the 16 lanes.
+inline std::uint32_t first_lanes(std::size_t count) {
+  return count >= 16 ? 0xFFFFu : (1u << count) - 1;
+}
+
+// Which lanes of a block may report: a short candidate needs its position
+// inside the filtered range, a long one also its whole 4-byte window inside
+// the view.
+struct Lanes {
+  std::uint32_t short_lanes;
+  std::uint32_t long_lanes;
+};
+constexpr Lanes kAllLanes{0xFFFFu, 0xFFFFu};
+
+// Hoisted kernel constants — built once per scan call, or once per BATCH in
+// the batch entry point.
+struct KernelConsts {
+  __m256i shuffle2;
+  __m256i shuffle4;
+  unsigned f3_bits;
+  explicit KernelConsts(const FilterBank& bank)
+      : shuffle2(simd::avx2::window_shuffle_mask(2)),
+        shuffle4(simd::avx2::window_shuffle_mask(4)),
+        f3_bits(bank.f3_bits_log2()) {}
+};
+
+// One 16-position filtering block at base position i of d.
 template <bool kMerged, bool kSpecF3>
-inline BlockMasks process_block(const std::uint8_t* d, std::size_t i, const FilterBank& bank,
-                                __m256i shuffle2, __m256i shuffle4, unsigned f3_bits) {
+inline BlockMasks process_block(const BlockBytes& bytes, const std::uint8_t* d, std::size_t i,
+                                const FilterBank& bank, const KernelConsts& c, Lanes lanes) {
   BlockMasks r;
-  const __m512i win2 = windows2(d + i, shuffle2);
+  const __m512i win2 = windows_of(bytes.lo, bytes.hi, c.shuffle2);
 
   __m512i word_f1, word_f2;
   if constexpr (kMerged) {
@@ -41,13 +88,13 @@ inline BlockMasks process_block(const std::uint8_t* d, std::size_t i, const Filt
     word_f1 = gather_u32(bank.f1_data(), off);
     word_f2 = gather_u32(bank.f2_data(), off);
   }
-  r.short_mask = filter_testbits(word_f1, win2);
-  r.f2_mask = filter_testbits(word_f2, win2);
+  r.short_mask = filter_testbits(word_f1, win2) & lanes.short_lanes;
+  r.f2_mask = filter_testbits(word_f2, win2) & lanes.long_lanes;
 
   if (r.f2_mask != 0) {
     if constexpr (kSpecF3) {
-      const __m512i win4 = windows4(d + i, shuffle4);
-      const __m512i keys = hash_mul(win4, f3_bits);
+      const __m512i win4 = windows_of(bytes.lo, bytes.hi, c.shuffle4);
+      const __m512i keys = hash_mul(win4, c.f3_bits);
       const __m512i off3 = _mm512_srli_epi32(keys, 3);
       const __m512i word3 = gather_u32(bank.f3_data(), off3);
       r.long_mask = filter_testbits(word3, keys) & r.f2_mask;
@@ -86,65 +133,52 @@ struct CountOnly {
   }
 };
 
-// Hoisted kernel constants — built once per scan call, or once per BATCH in
-// the batch entry point.
-struct KernelConsts {
-  __m256i shuffle2;
-  __m256i shuffle4;
-  unsigned f3_bits;
-  explicit KernelConsts(const FilterBank& bank)
-      : shuffle2(simd::avx2::window_shuffle_mask(2)),
-        shuffle4(simd::avx2::window_shuffle_mask(4)),
-        f3_bits(bank.f3_bits_log2()) {}
-};
-
 template <bool kMerged, bool kSpecF3, typename Store>
-std::size_t run_filter(const std::uint8_t* d, std::size_t begin, std::size_t end,
-                       std::size_t total_len, const FilterBank& bank, bool unroll2,
-                       Store& store, ScanStats* stats, const KernelConsts& c) {
-  const __m256i shuffle2 = c.shuffle2;
-  const __m256i shuffle4 = c.shuffle4;
-  const unsigned f3_bits = c.f3_bits;
-
+void run_filter(const std::uint8_t* d, std::size_t begin, std::size_t end,
+                std::size_t total_len, const FilterBank& bank, bool unroll2, Store& store,
+                ScanStats* stats, const KernelConsts& c) {
   std::uint64_t f3_blocks = 0;
   std::uint64_t f3_lanes = 0;
+  const auto filter = [&](const BlockBytes& bytes, std::size_t at, Lanes lanes) {
+    const BlockMasks m = process_block<kMerged, kSpecF3>(bytes, d, at, bank, c, lanes);
+    if (stats) {
+      f3_blocks += (m.f2_mask != 0);
+      f3_lanes += std::popcount(m.f2_mask);
+    }
+    return m;
+  };
   std::size_t i = begin;
 
-  // Per-block raw reads cover bytes [i, i+32); unrolled, [i, i+48).
+  // Full blocks read bytes [i, i+24); unrolled, [i, i+40).
   if (unroll2) {
-    while (i + 48 <= total_len && i + 32 <= end) {
-      const BlockMasks a =
-          process_block<kMerged, kSpecF3>(d, i, bank, shuffle2, shuffle4, f3_bits);
-      const BlockMasks b =
-          process_block<kMerged, kSpecF3>(d, i + 16, bank, shuffle2, shuffle4, f3_bits);
+    while (i + 32 <= end && i + 40 <= total_len) {
+      const BlockMasks a = filter(load_block(d + i), i, kAllLanes);
+      const BlockMasks b = filter(load_block(d + i + 16), i + 16, kAllLanes);
       store.on_block(i, a);
       store.on_block(i + 16, b);
-      if (stats) {
-        f3_blocks += (a.f2_mask != 0) + (b.f2_mask != 0);
-        f3_lanes += std::popcount(a.f2_mask) + std::popcount(b.f2_mask);
-      }
       i += 32;
     }
   }
-  while (i + 32 <= total_len && i + 16 <= end) {
-    const BlockMasks a = process_block<kMerged, kSpecF3>(d, i, bank, shuffle2, shuffle4, f3_bits);
-    store.on_block(i, a);
-    if (stats) {
-      f3_blocks += (a.f2_mask != 0);
-      f3_lanes += std::popcount(a.f2_mask);
-    }
+  while (i + 16 <= end && i + 24 <= total_len) {
+    store.on_block(i, filter(load_block(d + i), i, kAllLanes));
     i += 16;
+  }
+  // The rest of the range (fewer than 24 positions) in masked blocks that
+  // read only the view's own bytes.
+  for (; i < end; i += 16) {
+    const std::size_t long_end = total_len >= i + 4 ? std::min(end, total_len - 3) : i;
+    const Lanes lanes{first_lanes(end - i), first_lanes(long_end - i)};
+    const BlockBytes bytes = load_block_tail(d + i, std::min<std::size_t>(total_len - i, 24));
+    store.on_block(i, filter(bytes, i, lanes));
   }
 
   if (stats) {
     stats->f3_blocks += f3_blocks;
     stats->f3_useful_lanes += f3_lanes;
   }
-  return i;
 }
 
-// One whole-batch pass with the constants hoisted across payloads; scalar
-// remainder and tail probe per payload, exactly as scan() does.
+// One whole-batch pass with the constants hoisted across payloads.
 template <bool kMerged, bool kSpecF3>
 void run_filter_batch(std::span<const util::ByteView> payloads, const FilterBank& bank,
                       bool unroll2, CandidateBuffers& out, std::uint32_t* short_item,
@@ -155,16 +189,9 @@ void run_filter_batch(std::span<const util::ByteView> payloads, const FilterBank
     const util::ByteView data = payloads[p];
     const std::size_t n = data.size();
     if (n == 0 || n > max_payload) continue;
-    const std::uint8_t* d = data.data();
     const std::uint32_t short_begin = out.n_short;
     const std::uint32_t long_begin = out.n_long;
-    const std::size_t end = n - 1;
-    if (0 < end) {
-      const std::size_t done =
-          run_filter<kMerged, kSpecF3>(d, 0, end, n, bank, unroll2, store, nullptr, c);
-      if (done < end) spatch_filter_scalar(d, done, end, n, bank, out);
-    }
-    spatch_filter_tail(d, n, bank, out);
+    run_filter<kMerged, kSpecF3>(data.data(), 0, n, n, bank, unroll2, store, nullptr, c);
     const std::uint32_t packet = static_cast<std::uint32_t>(p);
     for (std::uint32_t k = short_begin; k < out.n_short; ++k) short_item[k] = packet;
     for (std::uint32_t k = long_begin; k < out.n_long; ++k) long_item[k] = packet;
@@ -173,10 +200,9 @@ void run_filter_batch(std::span<const util::ByteView> payloads, const FilterBank
 
 }  // namespace
 
-std::size_t vpatch_filter_avx512(const std::uint8_t* data, std::size_t begin, std::size_t end,
-                                 std::size_t total_len, const FilterBank& bank,
-                                 CandidateBuffers& out, const KernelOptions& opt,
-                                 ScanStats* stats) {
+void vpatch_filter_avx512(const std::uint8_t* data, std::size_t begin, std::size_t end,
+                          std::size_t total_len, const FilterBank& bank, CandidateBuffers& out,
+                          const KernelOptions& opt, ScanStats* stats) {
   StoreToBuffers store{&out};
   const KernelConsts c(bank);
   if (opt.merged_filters) {
@@ -211,16 +237,15 @@ void vpatch_filter_batch_avx512(std::span<const util::ByteView> payloads,
                                         long_item, max_payload);
 }
 
-std::size_t vpatch_filter_nostore_avx512(const std::uint8_t* data, std::size_t begin,
-                                         std::size_t end, std::size_t total_len,
-                                         const FilterBank& bank, NoStoreCounts& counts) {
+void vpatch_filter_nostore_avx512(const std::uint8_t* data, std::size_t begin,
+                                  std::size_t end, std::size_t total_len,
+                                  const FilterBank& bank, NoStoreCounts& counts) {
   CountOnly store;
   const KernelConsts c(bank);
-  const std::size_t next = run_filter<true, true>(data, begin, end, total_len, bank,
-                                                  /*unroll2=*/true, store, nullptr, c);
+  run_filter<true, true>(data, begin, end, total_len, bank, /*unroll2=*/true, store, nullptr,
+                         c);
   counts.short_hits += store.shorts;
   counts.long_hits += store.longs;
-  return next;
 }
 
 }  // namespace vpm::core
@@ -230,9 +255,9 @@ std::size_t vpatch_filter_nostore_avx512(const std::uint8_t* data, std::size_t b
 #include <cstdlib>
 
 namespace vpm::core {
-std::size_t vpatch_filter_avx512(const std::uint8_t*, std::size_t, std::size_t, std::size_t,
-                                 const FilterBank&, CandidateBuffers&, const KernelOptions&,
-                                 ScanStats*) {
+void vpatch_filter_avx512(const std::uint8_t*, std::size_t, std::size_t, std::size_t,
+                          const FilterBank&, CandidateBuffers&, const KernelOptions&,
+                          ScanStats*) {
   std::abort();
 }
 void vpatch_filter_batch_avx512(std::span<const util::ByteView>, const FilterBank&,
@@ -240,8 +265,8 @@ void vpatch_filter_batch_avx512(std::span<const util::ByteView>, const FilterBan
                                 std::size_t, const KernelOptions&) {
   std::abort();
 }
-std::size_t vpatch_filter_nostore_avx512(const std::uint8_t*, std::size_t, std::size_t,
-                                         std::size_t, const FilterBank&, NoStoreCounts&) {
+void vpatch_filter_nostore_avx512(const std::uint8_t*, std::size_t, std::size_t, std::size_t,
+                                  const FilterBank&, NoStoreCounts&) {
   std::abort();
 }
 }  // namespace vpm::core

@@ -2,13 +2,17 @@
 // translation units compiled with the matching -m flags.
 //
 // Contract shared by all kernels:
-//   * filter positions [begin, end) of data (end <= total_len - 1, i.e.
-//     every position has a complete 2-byte window);
+//   * filter every position of [begin, end) of data (end <= total_len); a
+//     position's 2-byte window is (data[p], data[p+1]), with a zero for the
+//     second byte at p = total_len - 1 (only 1-byte patterns can start
+//     there), and a position reports a long candidate only when its 4-byte
+//     window fits (p + 4 <= total_len) — the candidates, in position order,
+//     are exactly those of S-PATCH's scalar loop plus its tail probe;
+//   * read only bytes [begin, total_len): the positions the full-width loop
+//     cannot reach get one more block whose bytes come from a masked load
+//     (AVX-512) or a zeroed stack copy (AVX2);
 //   * append hit positions to out.short_pos / out.long_pos (left-pack stores
 //     may write a full vector of slack past the logical end);
-//   * stop at the last position the vector loop can safely cover (raw loads
-//     read kLoadBytes bytes) and RETURN the first unfiltered position — the
-//     caller finishes with the scalar loop and the tail probe;
 //   * when stats is non-null, record speculative Filter-3 lane utilization.
 #pragma once
 
@@ -31,27 +35,24 @@ struct KernelOptions {
 };
 
 // AVX2, W = 8. Requires simd::cpu().has_avx2_kernel().
-std::size_t vpatch_filter_avx2(const std::uint8_t* data, std::size_t begin, std::size_t end,
-                               std::size_t total_len, const FilterBank& bank,
-                               CandidateBuffers& out, const KernelOptions& opt,
-                               ScanStats* stats);
+void vpatch_filter_avx2(const std::uint8_t* data, std::size_t begin, std::size_t end,
+                        std::size_t total_len, const FilterBank& bank, CandidateBuffers& out,
+                        const KernelOptions& opt, ScanStats* stats);
 
 // AVX-512, W = 16. Requires simd::cpu().has_avx512_kernel().
-std::size_t vpatch_filter_avx512(const std::uint8_t* data, std::size_t begin, std::size_t end,
-                                 std::size_t total_len, const FilterBank& bank,
-                                 CandidateBuffers& out, const KernelOptions& opt,
-                                 ScanStats* stats);
+void vpatch_filter_avx512(const std::uint8_t* data, std::size_t begin, std::size_t end,
+                          std::size_t total_len, const FilterBank& bank, CandidateBuffers& out,
+                          const KernelOptions& opt, ScanStats* stats);
 
-// Whole-batch round one (the scan_batch fast path): filters every payload
-// with size() <= max_payload into the shared candidate pool, appending each
-// candidate's payload index to short_item / long_item in step (slack
-// contract as above, caller provides pool-sized item arrays).  Kernel
-// constants (shuffle masks, filter pointers, F3 hash bits) are hoisted
-// across the batch, so the per-call setup a small-packet scan() pays per
-// payload is paid once per batch.  Each payload's vector remainder runs
-// through the scalar filter and the zero-padded tail probe, exactly as
-// scan() does; empty and oversized payloads are skipped (the caller scans
-// oversized ones through the chunked per-payload path).
+// Whole-batch round one (the scan_batch fast path): filters every position
+// of every payload with size() <= max_payload into the shared candidate
+// pool, appending each candidate's payload index to short_item / long_item
+// in step (slack contract as above, caller provides pool-sized item
+// arrays).  Kernel constants (shuffle masks, filter pointers, F3 hash bits)
+// are hoisted across the batch, so the per-call setup a small-packet scan()
+// pays per payload is paid once per batch.  Empty and oversized payloads are
+// skipped (the caller scans oversized ones through the chunked per-payload
+// path).
 void vpatch_filter_batch_avx2(std::span<const util::ByteView> payloads,
                               const FilterBank& bank, CandidateBuffers& out,
                               std::uint32_t* short_item, std::uint32_t* long_item,
@@ -67,11 +68,11 @@ struct NoStoreCounts {
   std::uint64_t short_hits = 0;
   std::uint64_t long_hits = 0;
 };
-std::size_t vpatch_filter_nostore_avx2(const std::uint8_t* data, std::size_t begin,
-                                       std::size_t end, std::size_t total_len,
-                                       const FilterBank& bank, NoStoreCounts& counts);
-std::size_t vpatch_filter_nostore_avx512(const std::uint8_t* data, std::size_t begin,
-                                         std::size_t end, std::size_t total_len,
-                                         const FilterBank& bank, NoStoreCounts& counts);
+void vpatch_filter_nostore_avx2(const std::uint8_t* data, std::size_t begin, std::size_t end,
+                                std::size_t total_len, const FilterBank& bank,
+                                NoStoreCounts& counts);
+void vpatch_filter_nostore_avx512(const std::uint8_t* data, std::size_t begin,
+                                  std::size_t end, std::size_t total_len,
+                                  const FilterBank& bank, NoStoreCounts& counts);
 
 }  // namespace vpm::core

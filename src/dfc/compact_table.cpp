@@ -1,75 +1,92 @@
 #include "dfc/compact_table.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "pattern/prefix.hpp"
 #include "util/hash.hpp"
 
 namespace vpm::dfc {
 
+namespace {
+
+// CSR over `slots` keys: offsets[k]..offsets[k+1] index the values of key k,
+// in insertion order.
+template <class Value>
+void build_csr(std::vector<std::pair<std::uint32_t, Value>>& keyed, std::size_t slots,
+               std::vector<std::uint32_t>& offsets, std::vector<Value>& values) {
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  offsets.assign(slots + 1, 0);
+  values.reserve(keyed.size());
+  for (const auto& [key, value] : keyed) {
+    ++offsets[key + 1];
+    values.push_back(value);
+  }
+  for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
+}
+
+}  // namespace
+
 ShortTable::ShortTable(const pattern::PatternSet& set) {
-  struct Keyed {
-    std::uint8_t bucket;
-    Entry entry;
-  };
-  std::vector<Keyed> keyed;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> by_byte;
+  std::vector<std::pair<std::uint32_t, WindowEntry>> by_window;
   for (const pattern::Pattern& p : set) {
     if (p.size() >= pattern::kShortLongBoundary) continue;
     ++pattern_count_;
-    for (std::uint32_t v : pattern::prefix_variants({p.bytes.data(), 1}, p.nocase)) {
-      Keyed k;
-      k.bucket = static_cast<std::uint8_t>(v);
-      k.entry.len = static_cast<std::uint8_t>(p.size());
-      k.entry.id = p.id;
-      k.entry.nocase = p.nocase;
-      std::copy(p.bytes.begin(), p.bytes.end(), k.entry.bytes);
-      // Store with the variant first byte so the raw-byte quick path works.
-      k.entry.bytes[0] = k.bucket;
-      keyed.push_back(k);
+    if (p.size() == 1) {
+      for (std::uint32_t v : pattern::prefix_variants({p.bytes.data(), 1}, p.nocase)) {
+        by_byte.emplace_back(v, p.id);
+      }
+      continue;
+    }
+    WindowEntry entry;
+    entry.id = p.id;
+    entry.len = static_cast<std::uint8_t>(p.size());
+    entry.nocase = p.nocase;
+    if (p.size() == 3) entry.third = p.nocase ? util::ascii_lower(p.bytes[2]) : p.bytes[2];
+    for (std::uint32_t v : pattern::prefix_variants({p.bytes.data(), 2}, p.nocase)) {
+      by_window.emplace_back(v, entry);
     }
   }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [](const Keyed& a, const Keyed& b) { return a.bucket < b.bucket; });
-  offsets_.assign(257, 0);
-  entries_.reserve(keyed.size());
-  for (const Keyed& k : keyed) {
-    ++offsets_[k.bucket + 1];
-    entries_.push_back(k.entry);
+  build_csr(by_byte, 256, byte_offsets_, byte_ids_);
+  if (by_window.empty()) return;
+  // Number the used windows in window order, then build the CSR over those
+  // slot numbers.
+  window_blocks_.resize((1u << 16) / 64);
+  for (const auto& [window, entry] : by_window) {
+    window_blocks_[window >> 6].used |= std::uint64_t{1} << (window & 63u);
   }
-  for (std::size_t i = 1; i < offsets_.size(); ++i) offsets_[i] += offsets_[i - 1];
+  std::uint32_t slots = 0;
+  for (WindowBlock& block : window_blocks_) {
+    block.slot = slots;
+    slots += static_cast<std::uint32_t>(std::popcount(block.used));
+  }
+  for (auto& [window, entry] : by_window) window = slot_of(window_blocks_[window >> 6], window);
+  build_csr(by_window, slots, window_offsets_, window_entries_);
 }
 
 std::size_t ShortTable::memory_bytes() const {
-  return entries_.size() * sizeof(Entry) + offsets_.size() * sizeof(std::uint32_t);
+  return (byte_offsets_.size() + byte_ids_.size() + window_offsets_.size()) *
+             sizeof(std::uint32_t) +
+         window_blocks_.size() * sizeof(WindowBlock) +
+         window_entries_.size() * sizeof(WindowEntry);
 }
 
 LongTable::LongTable(const pattern::PatternSet& set, unsigned bucket_bits_log2)
     : bucket_bits_log2_(bucket_bits_log2) {
-  struct Keyed {
-    std::uint32_t bucket;
-    Entry entry;
-  };
-  std::vector<Keyed> keyed;
+  std::vector<std::pair<std::uint32_t, Entry>> keyed;
   for (const pattern::Pattern& p : set) {
     if (p.size() < pattern::kShortLongBoundary) continue;
     ++pattern_count_;
     const std::uint32_t offset = arena_.add(p.bytes);
     for (std::uint32_t v : pattern::prefix_variants({p.bytes.data(), 4}, p.nocase)) {
-      Keyed k;
-      k.bucket = util::multiplicative_hash(v, bucket_bits_log2_);
-      k.entry = Entry{v, p.id, static_cast<std::uint32_t>(p.size()), offset, p.nocase};
-      keyed.push_back(k);
+      keyed.emplace_back(util::multiplicative_hash(v, bucket_bits_log2_),
+                         Entry{v, p.id, static_cast<std::uint32_t>(p.size()), offset, p.nocase});
     }
   }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [](const Keyed& a, const Keyed& b) { return a.bucket < b.bucket; });
-  offsets_.assign((1u << bucket_bits_log2_) + 1, 0);
-  entries_.reserve(keyed.size());
-  for (const Keyed& k : keyed) {
-    ++offsets_[k.bucket + 1];
-    entries_.push_back(k.entry);
-  }
-  for (std::size_t i = 1; i < offsets_.size(); ++i) offsets_[i] += offsets_[i - 1];
+  build_csr(keyed, std::size_t{1} << bucket_bits_log2_, offsets_, entries_);
 }
 
 double LongTable::mean_bucket_entries() const {

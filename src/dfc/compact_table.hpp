@@ -2,19 +2,24 @@
 //
 // "Specially designed compact hash tables that are different for different
 // pattern lengths ... Each hash table is indexed with as many bytes as the
-// shortest pattern that the hash table contains" (paper §IV-A2, after Choi
-// et al.).  Two families, split at the S-PATCH 4-byte boundary:
-//   * ShortTable  — patterns of 1..3 bytes, indexed by the first input byte;
+// shortest pattern it contains" (paper §IV-A2, after Choi et al.).  Two
+// families, split at the S-PATCH 4-byte boundary:
+//   * ShortTable  — patterns of 1..3 bytes, by direct index: 1-byte patterns
+//                   by their byte, 2- and 3-byte patterns by their 2-byte
+//                   window, with a 3-byte pattern's last byte stored inline,
+//                   so a candidate costs one lookup and no byte loop;
 //   * LongTable   — patterns of >= 4 bytes, indexed by a multiplicative hash
 //                   of the first four input bytes, with the 4-byte prefix
 //                   stored inline for an O(1) reject before the full compare.
-// Both use CSR (offset-array + flat entry array) bucket storage and keep all
-// pattern bytes in one arena, so verification touches at most two contiguous
-// allocations.  Case-insensitive patterns insert one entry per case variant
-// of the indexed prefix; variants are distinct byte strings, so an input
-// window matches exactly one of them and nothing is double-reported.
+// Both use CSR (offset-array + flat entry array) bucket storage; LongTable
+// keeps all pattern bytes in one arena, so verification touches at most two
+// contiguous allocations.  Case-insensitive patterns insert one entry per
+// case variant of the indexed prefix; variants are distinct byte strings, so
+// an input window matches exactly one of them and nothing is
+// double-reported.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -22,6 +27,7 @@
 #include "match/matcher.hpp"
 #include "pattern/pattern_set.hpp"
 #include "util/arena.hpp"
+#include "util/bytes.hpp"
 #include "util/hash.hpp"
 
 namespace vpm::dfc {
@@ -39,8 +45,9 @@ class ShortTable {
   }
 
   // Batched variant: candidate k is positions[k] within payloads[item[k]].
-  // Emit is invoked as emit(item[k], Match).  The 1 KB offset array and the
-  // handful of short entries are always cache-hot, so no prefetch pipeline.
+  // Emit is invoked as emit(item[k], Match).  No prefetch pipeline: a
+  // candidate is one lookup in the 1 KB byte index and one in the 16 KB
+  // window index, both cache-resident across a batch.
   template <class Emit>
   void verify_flat(std::span<const util::ByteView> payloads, const std::uint32_t* positions,
                    const std::uint32_t* item, std::uint32_t n, Emit&& emit) const {
@@ -50,35 +57,68 @@ class ShortTable {
     }
   }
 
-  std::size_t entry_count() const { return entries_.size(); }
+  std::size_t entry_count() const { return byte_ids_.size() + window_entries_.size(); }
   std::size_t pattern_count() const { return pattern_count_; }
   std::size_t memory_bytes() const;
 
  private:
-  struct Entry {
-    std::uint8_t bytes[3];  // pattern bytes, raw
-    std::uint8_t len = 0;
+  // A 2- or 3-byte pattern under one case variant of its first two bytes.
+  struct WindowEntry {
     std::uint32_t id = 0;
+    std::uint8_t len = 0;
+    std::uint8_t third = 0;  // the third byte, ASCII-lowered when nocase
     bool nocase = false;
   };
+
+  // 64 consecutive windows of the index: bit w % 64 of `used` is set when
+  // window w has entries, and `slot` counts the used windows before them.
+  struct WindowBlock {
+    std::uint64_t used = 0;
+    std::uint32_t slot = 0;
+  };
+
+  // The slot of window w, a used window of `block`.
+  static std::uint32_t slot_of(const WindowBlock& block, std::uint32_t w) {
+    const std::uint64_t before = (std::uint64_t{1} << (w & 63u)) - 1;
+    return block.slot + static_cast<std::uint32_t>(std::popcount(block.used & before));
+  }
 
   template <class Emit>
   void verify_one(util::ByteView data, std::size_t pos, Emit&& emit) const {
     if (pos >= data.size()) return;
-    const std::uint8_t first = data[pos];
+    const std::uint8_t* at = data.data() + pos;
+    for (std::uint32_t e = byte_offsets_[at[0]]; e < byte_offsets_[at[0] + 1u]; ++e) {
+      emit(Match{byte_ids_[e], pos});
+    }
     const std::size_t remaining = data.size() - pos;
-    for (std::uint32_t e = offsets_[first]; e < offsets_[first + 1]; ++e) {
-      const Entry& entry = entries_[e];
-      if (entry.len > remaining) continue;
-      if (util::bytes_equal(data.data() + pos, entry.bytes, entry.len, entry.nocase)) {
-        emit(Match{entry.id, pos});
+    if (remaining < 2 || window_blocks_.empty()) return;
+    const std::uint32_t window = util::load_u16(at);
+    const WindowBlock& block = window_blocks_[window >> 6];
+    if (((block.used >> (window & 63u)) & 1u) == 0) return;
+    const std::uint32_t slot = slot_of(block, window);
+    for (std::uint32_t e = window_offsets_[slot]; e < window_offsets_[slot + 1]; ++e) {
+      const WindowEntry& entry = window_entries_[e];
+      if (entry.len == 3) {
+        if (remaining < 3) continue;
+        const std::uint8_t third = entry.nocase ? util::ascii_lower(at[2]) : at[2];
+        if (third != entry.third) continue;
       }
+      emit(Match{entry.id, pos});
     }
   }
 
-  std::vector<Entry> entries_;           // grouped by first byte (raw; nocase
-                                         // patterns appear under both cases)
-  std::vector<std::uint32_t> offsets_;   // 257 CSR offsets
+  // 1-byte patterns: 257 CSR offsets over the byte (nocase patterns appear
+  // under both cases), and their ids.
+  std::vector<std::uint32_t> byte_offsets_;
+  std::vector<std::uint32_t> byte_ids_;
+  // 2- and 3-byte patterns: a CSR over the 65,536 little-endian 2-byte
+  // windows that stores offsets only for windows with entries — 1,024
+  // blocks (16 KB) map a window to its slot, so the index stays cache-sized
+  // however many windows the family leaves empty.  Empty when the family
+  // has no 2- or 3-byte pattern.
+  std::vector<WindowBlock> window_blocks_;
+  std::vector<std::uint32_t> window_offsets_;  // used windows + 1
+  std::vector<WindowEntry> window_entries_;
   std::size_t pattern_count_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "ids/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -61,13 +62,24 @@ void IdsEngine::stage(std::uint64_t flow_id, pattern::Group protocol, util::Byte
     flow = &flow_for(flow_id, protocol);
   }
 
+  // Carry + chunk go to the arena; growth to the next power of two keeps a
+  // content-dependent batch byte total from reallocating after warm-up.
+  if (pending_.empty()) arena_.clear();  // bytes of chunks close_flow dropped
+  const util::ByteView carry = flow->scanner.carry();
   Staged s;
   s.flow = flow;
   s.flow_id = flow_id;
   s.protocol = flow->protocol;
-  s.view = flow->scanner.prepare(chunk);
-  s.carry = flow->scanner.staged_carry();
+  s.offset = arena_.size();
+  s.length = carry.size() + chunk.size();
+  s.carry = carry.size();
   s.base = flow->scanner.staged_base();
+  if (arena_.capacity() < s.offset + s.length) {
+    arena_.reserve(std::bit_ceil(s.offset + s.length));
+  }
+  arena_.insert(arena_.end(), carry.begin(), carry.end());
+  arena_.insert(arena_.end(), chunk.begin(), chunk.end());
+  flow->scanner.stage();
   pending_.push_back(s);
   // bytes_inspected/chunks count at flush time, when the scan actually
   // happens — a staged chunk dropped by close_flow was never inspected.
@@ -93,7 +105,7 @@ void IdsEngine::flush_batch(AlertSink& out) {
 void IdsEngine::flush_batch_impl(AlertSink& out) {
   for (std::uint32_t i = 0; i < pending_.size(); ++i) {
     GroupGather& g = gather_[static_cast<std::size_t>(pending_[i].protocol)];
-    g.views.push_back(pending_[i].view);
+    g.views.push_back(staged_view(pending_[i]));
     g.staged_index.push_back(i);
   }
 
@@ -193,12 +205,13 @@ void IdsEngine::flush_batch_impl(AlertSink& out) {
     g.passed_staged.clear();
   }
 
-  for (Staged& s : pending_) {
-    s.flow->scanner.commit();
-    counters_.bytes_inspected += s.view.size() - s.carry;  // the chunk's bytes
+  for (const Staged& s : pending_) {
+    s.flow->scanner.commit(staged_view(s));
+    counters_.bytes_inspected += s.length - s.carry;  // the chunk's bytes
     ++counters_.chunks;
   }
   pending_.clear();
+  arena_.clear();
 }
 
 // close_flow calls made by a sink during a flush were deferred so the

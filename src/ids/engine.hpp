@@ -72,11 +72,13 @@ class IdsEngine {
   std::uint64_t generation() const { return db_->generation(); }
 
   // The one scan path (the pipeline worker's per-PacketBatch loop).
-  // stage() appends the next payload chunk of `flow_id` (protocol fixed per
-  // flow at first sight) to the flow's stream buffer and defers the scan;
-  // flush_batch() runs ONE Matcher::scan_batch per protocol group over every
-  // staged chunk, reusing per-group engine-owned scratch — zero steady-state
-  // heap allocations, and each group's filter structures stay cache-resident
+  // stage() copies the flow's carry and the next payload chunk of `flow_id`
+  // (protocol fixed per flow at first sight) into the engine's batch arena
+  // and defers the scan; flush_batch() runs ONE Matcher::scan_batch per
+  // protocol group over every staged view, reusing per-group engine-owned
+  // scratch, then keeps each flow's next carry and empties the arena, which
+  // grows only to its high-water mark — zero steady-state heap
+  // allocations, and each group's filter structures stay cache-resident
   // across the whole batch.  Each flow's alerts are the matches of one scan
   // of its whole stream, reported once with absolute stream offsets,
   // however the stream was chunked and batched; alert ORDER within a batch
@@ -98,7 +100,7 @@ class IdsEngine {
   // by design); flush_batch() first if those alerts matter.
   void close_flow(std::uint64_t flow_id);
 
-  // Flows currently holding stream-scanner state (carry buffers).
+  // Flows currently holding stream-scanner state (carries).
   std::size_t active_flows() const { return flows_.size(); }
 
   const EngineCounters& counters() const { return counters_; }
@@ -123,14 +125,16 @@ class IdsEngine {
     StreamScanner scanner;
   };
 
-  // One staged chunk awaiting flush_batch().  `view` points into the flow
-  // scanner's stream buffer (stable until commit); `flow` stays valid across
-  // rehash (FlowTable values live on their own heap cells and do not move).
+  // One staged chunk awaiting flush_batch(): its carry + chunk bytes are
+  // arena_[offset, offset + length) (an offset, not a view: the arena may
+  // grow while a batch is staged); `flow` stays valid across rehash
+  // (FlowTable values live on their own heap cells and do not move).
   struct Staged {
     FlowState* flow = nullptr;
     std::uint64_t flow_id = 0;
     pattern::Group protocol{};
-    util::ByteView view;
+    std::size_t offset = 0;
+    std::size_t length = 0;
     std::size_t carry = 0;
     std::uint64_t base = 0;
   };
@@ -157,6 +161,7 @@ class IdsEngine {
     std::vector<std::uint32_t> passed_staged;
   };
   std::vector<Staged> pending_;
+  util::Bytes arena_;  // every staged carry + chunk of the pending batch
   std::array<GroupGather, kGroups> gather_;
   std::array<ScanScratch, kGroups> scratch_;
   std::vector<std::uint8_t> verdicts_;
@@ -182,6 +187,9 @@ class IdsEngine {
   std::vector<std::uint64_t> deferred_close_;
 
   void flush_batch_impl(AlertSink& out);  // body of flush_batch, under guard
+  util::ByteView staged_view(const Staged& s) const {
+    return {arena_.data() + s.offset, s.length};
+  }
   void run_deferred_closes();
 };
 

@@ -1,29 +1,23 @@
 #include "ids/flow.hpp"
 
-#include <algorithm>
+#include <cstring>
 
 namespace vpm::ids {
 
-util::ByteView StreamScanner::prepare(util::ByteView chunk) {
-  // Assemble carry + chunk; the view stays valid until commit() (the buffer
-  // is not touched in between).  Room for the longest carry up front: a
-  // later, longer carry then never regrows the buffer for a chunk this size.
-  buffer_.reserve(set_->max_carry() + chunk.size());
-  buffer_.resize(carry_len_);
-  buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());
-  carry_at_stage_ = carry_len_;
-  staged_chunk_len_ = chunk.size();
-  staged_ = true;
-  return buffer_;
-}
-
-void StreamScanner::commit() {
-  consumed_ += staged_chunk_len_;
+void StreamScanner::commit(util::ByteView staged) {
+  consumed_ += staged.size() - carry_len_;
   // Retain as the next carry only the tail a match could still start in.
-  carry_len_ = set_->carry_after(buffer_);
-  std::copy(buffer_.end() - static_cast<long>(carry_len_), buffer_.end(), buffer_.begin());
-  buffer_.resize(carry_len_);
+  carry_len_ = static_cast<std::uint32_t>(set_->carry_after(staged));
   staged_ = false;
+  if (carry_len_ == 0) return;
+  std::uint8_t* to = inline_carry_;
+  if (carry_len_ > kInlineCarry) {
+    if (long_carry_ == nullptr) {
+      long_carry_ = std::make_unique_for_overwrite<std::uint8_t[]>(set_->max_carry());
+    }
+    to = long_carry_.get();
+  }
+  std::memcpy(to, staged.data() + staged.size() - carry_len_, carry_len_);
 }
 
 }  // namespace vpm::ids

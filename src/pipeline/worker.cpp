@@ -48,8 +48,8 @@ Worker::Worker(const PipelineConfig& cfg, const RulesChannel& channel)
       returns_(ring_.capacity()),
       reassembler_(
           [this](const net::StreamChunk& chunk) {
-            // Staged, not scanned: the chunk is copied into the flow's
-            // stream buffer now (reassembler views die with this callback)
+            // Staged, not scanned: the chunk is copied into the engine's
+            // batch arena now (reassembler views die with this callback)
             // and scanned together with the rest of the batch in one
             // scan_batch round per protocol group at flush time.  Flow id is
             // the DIRECTIONAL tuple hash (each side scans as its own

@@ -39,19 +39,22 @@ inline __m256i window_shuffle_mask(int bytes) {
   return _mm256_load_si256(reinterpret_cast<const __m256i*>(m));
 }
 
+// W=8 sliding windows from 16 raw bytes already in a register: `shuffle`
+// is window_shuffle_mask(2) or (4).  Lets a caller build windows from bytes
+// it loaded itself (a masked or staged tail read).
+inline __m256i windows_of(__m128i raw, __m256i shuffle) {
+  return _mm256_shuffle_epi8(_mm256_broadcastsi128_si256(raw), shuffle);
+}
+
 // W=8 sliding 2-byte windows from the 16 raw bytes at p (reads p[0..15],
 // uses p[0..8]).
 inline __m256i windows2(const std::uint8_t* p, __m256i shuffle2) {
-  const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  const __m256i both = _mm256_broadcastsi128_si256(raw);
-  return _mm256_shuffle_epi8(both, shuffle2);
+  return windows_of(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), shuffle2);
 }
 
 // W=8 sliding 4-byte windows from the 16 raw bytes at p (uses p[0..10]).
 inline __m256i windows4(const std::uint8_t* p, __m256i shuffle4) {
-  const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  const __m256i both = _mm256_broadcastsi128_si256(raw);
-  return _mm256_shuffle_epi8(both, shuffle4);
+  return windows_of(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), shuffle4);
 }
 
 // Hardware gather of 8 dwords at byte offsets idx[j] from base.

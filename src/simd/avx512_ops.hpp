@@ -19,21 +19,24 @@
 
 namespace vpm::simd::avx512 {
 
-// W=16 sliding 2-byte windows from the 32 raw bytes at p (uses p[0..16]).
-// Built from two 256-bit window transforms: lanes 0..7 read the 16 bytes at
-// p, lanes 8..15 the 16 bytes at p+8 — needs only AVX2-style per-lane
-// shuffles, no VBMI.
+// W=16 sliding windows from two 16-byte registers: `lo` holds the bytes at
+// p, `hi` the bytes at p+8.  Lanes 0..7 come from lo and lanes 8..15 from hi
+// — two AVX2-style per-lane shuffles, no VBMI.
+inline __m512i windows_of(__m128i lo, __m128i hi, __m256i shuffle) {
+  return _mm512_inserti64x4(_mm512_castsi256_si512(avx2::windows_of(lo, shuffle)),
+                            avx2::windows_of(hi, shuffle), 1);
+}
+
+// W=16 sliding 2-byte windows from the 24 raw bytes at p (uses p[0..16]).
 inline __m512i windows2(const std::uint8_t* p, __m256i shuffle2) {
-  const __m256i lo = avx2::windows2(p, shuffle2);
-  const __m256i hi = avx2::windows2(p + 8, shuffle2);
-  return _mm512_inserti64x4(_mm512_castsi256_si512(lo), hi, 1);
+  return windows_of(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)),
+                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 8)), shuffle2);
 }
 
 // W=16 sliding 4-byte windows from the raw bytes at p (uses p[0..18]).
 inline __m512i windows4(const std::uint8_t* p, __m256i shuffle4) {
-  const __m256i lo = avx2::windows4(p, shuffle4);
-  const __m256i hi = avx2::windows4(p + 8, shuffle4);
-  return _mm512_inserti64x4(_mm512_castsi256_si512(lo), hi, 1);
+  return windows_of(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)),
+                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 8)), shuffle4);
 }
 
 inline __m512i gather_u32(const std::uint8_t* base, __m512i idx) {

@@ -4,15 +4,21 @@
 // payload mixes (empty, 1-byte, cross-boundary near-misses), and churny
 // scratch reuse (the same ScanScratch handed between matchers).  Runs under
 // ASan in CI, pinning the shared-candidate-pool aliasing and slack-store
-// contracts; the scalar-forced rerun pins the fallback kernels.
+// contracts; guard pages pin the vector kernels' read bound; the
+// scalar-forced rerun pins the fallback kernels.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/matcher_factory.hpp"
+#include "core/naive.hpp"
+#include "core/vpatch.hpp"
 #include "helpers.hpp"
 #include "ids/engine.hpp"
 #include "stream_oracle.hpp"
@@ -180,6 +186,70 @@ TEST(BatchScanScratchTest, OversizedPayloadFallback) {
   const auto expected = per_payload_reference(matcher, payloads);
   ScanScratch scratch;
   EXPECT_EQ(batched(matcher, payloads, 3, scratch), expected) << seed_note();
+}
+
+// The read contract of V-PATCH's vector kernels, which cover every position
+// themselves: each payload of 1..96 bytes is placed with its last byte right
+// before a PROT_NONE page, and again with its first byte right after one, so
+// a read outside [data, data + len) faults the test.  scan_batch() and
+// scan() must report the naive engine's matches at both placements, also
+// when scan() cuts the payload into 13-byte chunks (blocks cut short inside
+// the view).
+TEST(BatchScanReadBound, VectorKernelsNeverReadPastAPayload) {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  // leading guard | one readable page | trailing guard
+  void* mem = mmap(nullptr, 3 * page, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                   -1, 0);
+  ASSERT_NE(mem, MAP_FAILED);
+  struct Unmap {
+    void* mem;
+    std::size_t size;
+    ~Unmap() { munmap(mem, size); }
+  } unmap{mem, 3 * page};
+  auto* const base = static_cast<std::uint8_t*>(mem);
+  ASSERT_EQ(mprotect(base, page, PROT_NONE), 0);
+  ASSERT_EQ(mprotect(base + 2 * page, page, PROT_NONE), 0);
+  std::uint8_t* const first = base + page;    // right after the leading guard
+  std::uint8_t* const end = base + 2 * page;  // the trailing guard
+
+  const auto set = testutil::random_set(120, 6, case_seed(111));
+  const core::NaiveMatcher naive(set);
+  std::vector<std::unique_ptr<core::VpatchMatcher>> matchers;
+  for (core::Isa isa : {core::Isa::avx512, core::Isa::avx2}) {
+    if (!core::isa_supported(isa)) continue;
+    for (std::size_t chunk_size : {std::size_t{32 * 1024}, std::size_t{13}}) {
+      core::VpatchConfig cfg;
+      cfg.isa = isa;
+      cfg.chunk_size = chunk_size;
+      matchers.push_back(std::make_unique<core::VpatchMatcher>(set, cfg));
+    }
+  }
+  if (matchers.empty()) GTEST_SKIP() << "no V-PATCH vector kernel on this CPU";
+
+  ScanScratch scratch;
+  for (std::size_t len = 1; len <= 96; ++len) {
+    const util::Bytes text = testutil::random_text(len, case_seed(112) + len);
+    for (std::uint8_t* at : {first, end - len}) {
+      std::copy(text.begin(), text.end(), at);
+      const util::ByteView view(at, len);
+      const auto expected = naive.find_matches(view);
+      std::vector<PacketMatch> expected_batch;
+      for (const Match& m : expected) expected_batch.emplace_back(0, m.pattern_id, m.pos);
+      for (const auto& matcher : matchers) {
+        const std::string where = std::string(matcher->name()) + " chunk " +
+                                  std::to_string(matcher->config().chunk_size) + " size " +
+                                  std::to_string(len) + (at == first ? " leading" : " trailing") +
+                                  " (" + seed_note() + ")";
+        EXPECT_EQ(matcher->find_matches(view), expected) << "scan() " << where;
+        std::vector<PacketMatch> got;
+        CollectingBatchSink sink;
+        sink.out = &got;
+        matcher->scan_batch({&view, 1}, sink, scratch);
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, expected_batch) << "scan_batch() " << where;
+      }
+    }
+  }
 }
 
 // The engine-level batch entry point: stage()+flush_batch() must produce the

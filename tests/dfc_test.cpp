@@ -2,10 +2,15 @@
 // Vector-DFC end-to-end behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
+#include <vector>
+
 #include "dfc/compact_table.hpp"
 #include "dfc/dfc.hpp"
 #include "dfc/direct_filter.hpp"
 #include "dfc/vector_dfc.hpp"
+#include "core/naive.hpp"
 #include "helpers.hpp"
 #include "simd/cpu_features.hpp"
 #include "util/hash.hpp"
@@ -145,6 +150,93 @@ TEST(ShortTable, NocaseReportedOncePerPosition) {
     const auto data = util::to_bytes(text);
     table.verify_at(data, 0, sink);
     EXPECT_EQ(sink.matches().size(), 1u) << text;
+  }
+}
+
+// The direct index: 1-byte patterns by their byte, 2- and 3-byte patterns
+// by their 2-byte window with the third byte compared inline.
+TEST(ShortTable, OneBytePatternAtTheLastPosition) {
+  pattern::PatternSet set;
+  set.add("z");
+  set.add("zz");
+  set.add("x", true);
+  const ShortTable table(set);
+  CollectingSink sink;
+  const auto data = util::to_bytes("abzX");
+  table.verify_at(data, 2, sink);  // "z" (a "zz" would need byte 4)
+  table.verify_at(data, 3, sink);  // "x" nocase, the last byte
+  ASSERT_EQ(sink.matches().size(), 2u);
+  EXPECT_EQ(sink.matches()[0], (Match{0, 2}));
+  EXPECT_EQ(sink.matches()[1], (Match{2, 3}));
+}
+
+TEST(ShortTable, ThreeBytePatternCutByTheBufferEnd) {
+  pattern::PatternSet set;
+  set.add("xyz");
+  set.add("xy");
+  set.add("XYZ", true);
+  const ShortTable table(set);
+  CollectingSink sink;
+  const auto data = util::to_bytes("abxy");  // "xy" ends the buffer
+  table.verify_at(data, 2, sink);
+  ASSERT_EQ(sink.matches().size(), 1u);
+  EXPECT_EQ(sink.matches()[0], (Match{1, 2}));
+}
+
+TEST(ShortTable, NocaseThirdByteFoldsAndExactThirdByteDoesNot) {
+  pattern::PatternSet set;
+  set.add("abC");        // exact third byte
+  set.add("abc", true);  // nocase third byte
+  set.add("ab[");        // '[' follows 'Z': no case partner
+  set.add("ab{", true);  // '{' follows 'z': folds to nothing else
+  const ShortTable table(set);
+  const auto ids_at = [&](const char* text) {
+    CollectingSink sink;
+    table.verify_at(util::to_bytes(text), 0, sink);
+    std::vector<std::uint32_t> ids;
+    for (const Match& m : sink.matches()) ids.push_back(m.pattern_id);
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  EXPECT_EQ(ids_at("abC"), (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(ids_at("abc"), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(ids_at("ABc"), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(ids_at("ab["), (std::vector<std::uint32_t>{2}));
+  EXPECT_EQ(ids_at("ab{"), (std::vector<std::uint32_t>{3}));
+  EXPECT_EQ(ids_at("AB["), (std::vector<std::uint32_t>{}));
+  EXPECT_EQ(ids_at("AB{"), (std::vector<std::uint32_t>{3}));
+  EXPECT_EQ(ids_at("ab{x"), (std::vector<std::uint32_t>{3}));
+  EXPECT_EQ(ids_at("ab["), ids_at("ab[x"));
+}
+
+// verify_at at every position of short mixed-case buffers reports exactly
+// the short-family matches the naive engine finds there.  The alphabet
+// holds the bytes on either side of both letter ranges ('@', '[', '`',
+// '{'), where ASCII folding must stop.
+TEST(ShortTable, VerifyAtEqualsNaiveAtEveryPosition) {
+  constexpr std::string_view kAlphabet = "aAbB@[`{";
+  util::Rng rng(testutil::case_seed(120));
+  const auto random_bytes = [&](std::size_t len) {
+    util::Bytes b(len);
+    for (auto& c : b) c = static_cast<std::uint8_t>(kAlphabet[rng.below(kAlphabet.size())]);
+    return b;
+  };
+  for (int round = 0; round < 20; ++round) {
+    pattern::PatternSet set;
+    for (int i = 0; i < 40; ++i) set.add(random_bytes(1 + rng.below(5)), rng.chance(0.4));
+    const ShortTable table(set);
+    const core::NaiveMatcher naive(set);
+    for (int buffer = 0; buffer < 10; ++buffer) {
+      const util::Bytes data = random_bytes(1 + rng.below(40));
+      std::vector<Match> expected;
+      for (const Match& m : naive.find_matches(data)) {
+        if (set[m.pattern_id].size() < pattern::kShortLongBoundary) expected.push_back(m);
+      }
+      CollectingSink sink;
+      for (std::size_t pos = 0; pos < data.size(); ++pos) table.verify_at(data, pos, sink);
+      EXPECT_EQ(sink.sorted(), expected)
+          << "round " << round << " buffer " << buffer << " (" << testutil::seed_note() << ")";
+    }
   }
 }
 

@@ -74,14 +74,22 @@ TEST(StreamScanner, CarryKeepsOnlyALivePrefix) {
   set.add("straddle");
   const auto db = compile(core::Algorithm::spatch, set);
   StreamScanner scanner(db->working_set(pattern::Group::generic));
-  scanner.prepare(util::as_view("xxxxstra"));
-  scanner.commit();
-  scanner.prepare(util::as_view("zzzz"));
+  util::Bytes staged;  // carry + chunk, as IdsEngine::stage() assembles it
+  const auto stage = [&](const char* chunk) {
+    const util::ByteView carry = scanner.carry();
+    staged.assign(carry.begin(), carry.end());
+    const util::ByteView bytes = util::as_view(chunk);
+    staged.insert(staged.end(), bytes.begin(), bytes.end());
+    scanner.stage();
+  };
+  stage("xxxxstra");
+  scanner.commit(staged);
+  stage("zzzz");
   EXPECT_EQ(scanner.staged_carry(), 4u);
-  scanner.commit();
-  scanner.prepare(util::as_view("ddle"));
+  scanner.commit(staged);
+  stage("ddle");
   EXPECT_EQ(scanner.staged_carry(), 0u);
-  scanner.commit();
+  scanner.commit(staged);
 }
 
 TEST(StreamScanner, MatchInsideCarryNotDuplicated) {
