@@ -80,6 +80,14 @@ pattern::PatternSet s2_full_patterns(std::uint64_t seed) {
   return pattern::generate_ruleset(pattern::s2_config(seed));
 }
 
+pattern::PatternSet s2_gated_generic_patterns(std::uint64_t seed) {
+  pattern::PatternSet out;
+  for (const pattern::Pattern& p : s2_web_patterns(seed)) {
+    if (p.bytes.size() >= 8) out.add(p.bytes, p.nocase, pattern::Group::generic);
+  }
+  return out;
+}
+
 namespace {
 
 // The one escaper (telemetry/json.hpp) — the NDJSON sink, the exporter's

@@ -74,6 +74,9 @@ std::vector<Workload> paper_workloads(const Options& opt);
 pattern::PatternSet s1_web_patterns(std::uint64_t seed = 1);
 pattern::PatternSet s2_web_patterns(std::uint64_t seed = 2);
 pattern::PatternSet s2_full_patterns(std::uint64_t seed = 2);
+// S2-web's patterns of >= 8 B, re-homed into the generic group: at the
+// default seed, the ruleset of sensorbench's tls_screened workload.
+pattern::PatternSet s2_gated_generic_patterns(std::uint64_t seed = 2);
 
 // Minimal fixed-width table printer.
 void print_row(const std::vector<std::string>& cells, const std::vector<int>& widths);

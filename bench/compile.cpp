@@ -3,7 +3,9 @@
 // compiled footprint (Database::memory_bytes — owned patterns plus each
 // distinct per-group working set and signature, counted once).  This is the control-plane cost a hot-swap pays before publishing a
 // new generation, so the trajectory tracks it the same way the scan benches
-// track data-plane throughput.
+// track data-plane throughput.  The sets are S1-web, the tls_screened
+// workload's ruleset (S2-web's patterns of >= 8 B, the generic group; one
+// compact-AC automaton of ~150 K states) and, outside --quick, S2-full.
 //
 //   bench_compile [--seed=N] [--runs=N] [--quick] [--json=FILE]
 #include <cstdio>
@@ -25,10 +27,12 @@ int main_impl(int argc, char** argv) {
   };
   std::vector<Set> sets;
   sets.push_back({"S1-web", s1_web_patterns(opt.seed)});
+  // Seed + 1 as in bench_prefilter: the default --seed=1 gives S2's own seed.
+  sets.push_back({"tls_screened", s2_gated_generic_patterns(opt.seed + 1)});
   if (!opt.quick) sets.push_back({"S2-full", s2_full_patterns(opt.seed)});
 
   std::printf("=== compile(): database build latency and footprint ===\n");
-  const std::vector<int> widths{10, 22, 10, 12, 12, 14};
+  const std::vector<int> widths{14, 22, 10, 12, 12, 14};
   print_row({"set", "algorithm", "patterns", "compile-ms", "stddev-ms", "db-KB"}, widths);
 
   JsonReport report("compile", opt);

@@ -1,8 +1,8 @@
 #include "ac/ac_compact.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
-#include <deque>
 #include <stdexcept>
 
 #include "ac/ac_lanes.hpp"
@@ -15,7 +15,6 @@ namespace vpm::ac {
 
 namespace {
 
-constexpr std::uint32_t kNoSpan = 0xFFFFFFFFu;
 // Per-state layout threshold, evaluated at build time.  The automaton is
 // case-folded, so at most 230 row entries can ever differ from the root row
 // (the folded alphabet); a strict size break-even (245) would therefore
@@ -41,9 +40,9 @@ struct AcBatchState final : ScanScratch::State {
 }  // namespace
 
 AcCompactMatcher::AcCompactMatcher(const pattern::PatternSet& set) : set_(&set) {
-  const Trie trie(set);
-  const auto& nodes = trie.nodes();
-  const std::size_t n = trie.state_count();
+  RowDiffs diffs;
+  const Trie trie(set, diffs);
+  const auto n = static_cast<std::uint32_t>(trie.state_count());
   state_count_ = n;
 
   meta_.reserve(set.size());
@@ -51,98 +50,54 @@ AcCompactMatcher::AcCompactMatcher(const pattern::PatternSet& set) : set_(&set) 
     meta_.push_back({static_cast<std::uint32_t>(p.size()), p.nocase});
   }
 
-  // BFS order: every state's fail target precedes it, so a state's resolved
-  // row can be reconstructed from its fail state's already-computed diff.
-  std::vector<std::uint32_t> order;
-  order.reserve(n);
-  {
-    std::deque<std::uint32_t> queue;
-    for (const auto& [b, child] : nodes[0].children) queue.push_back(child);
-    while (!queue.empty()) {
-      const std::uint32_t s = queue.front();
-      queue.pop_front();
-      order.push_back(s);
-      for (const auto& [b, child] : nodes[s].children) queue.push_back(child);
-    }
-  }
-
-  // Merged output lists (own outputs + report-link chain) in CSR form; only
-  // output states get a span (and an out-word slot in the arena).
-  std::vector<std::uint32_t> span_of(n, kNoSpan);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    const auto begin = static_cast<std::uint32_t>(output_ids_.size());
-    for (std::uint32_t id : nodes[s].outputs) output_ids_.push_back(id);
-    for (std::uint32_t t = nodes[s].report_link; t != kNoState; t = nodes[t].report_link) {
-      for (std::uint32_t id : nodes[t].outputs) output_ids_.push_back(id);
-    }
-    const auto count = static_cast<std::uint32_t>(output_ids_.size()) - begin;
-    if (count != 0) {
-      span_of[s] = static_cast<std::uint32_t>(output_spans_.size());
-      output_spans_.push_back({begin, count});
-    }
-  }
-
-  // The root's resolved row, and every other state's diff against it.  The
-  // resolved row of s is fail(s)'s resolved row overlaid with s's own goto
-  // children; fail(s)'s row is root_row overlaid with diffs[fail(s)], which
-  // BFS order guarantees is already computed.  No full matrix is ever
-  // materialized — peak build memory is the final arena plus one row.
-  std::array<std::uint32_t, 256> root_row{};
-  for (const auto& [b, child] : nodes[0].children) root_row[b] = child;
-
-  std::vector<std::vector<std::pair<std::uint8_t, std::uint32_t>>> diffs(n);
-  std::array<std::uint32_t, 256> row{};
-  for (const std::uint32_t s : order) {
-    row = root_row;
-    for (const auto& [b, t] : diffs[nodes[s].fail]) row[b] = t;
-    for (const auto& [b, child] : nodes[s].children) row[b] = child;
-    auto& d = diffs[s];
-    for (unsigned b = 0; b < 256; ++b) {
-      if (row[b] != root_row[b]) d.emplace_back(static_cast<std::uint8_t>(b), row[b]);
-    }
-  }
-
-  // Offset assignment (root dense at 0; out-word precedes output records).
-  std::vector<std::uint64_t> offset(n, 0);
-  std::vector<bool> dense(n, false);
-  dense[0] = true;
+  // One ref per state, in state (BFS) order: the root is dense at offset 0,
+  // and an output state's record is preceded by its out-word, the index of
+  // its merged output list (own outputs + report-link chain) in the CSR.
+  std::vector<std::uint32_t> ref(n, kAcRootRef);
   dense_states_ = 1;
   std::uint64_t cursor = 256;
-  for (const std::uint32_t s : order) {
-    const bool is_dense = diffs[s].size() >= kDenseThreshold;
-    dense[s] = is_dense;
-    if (is_dense) ++dense_states_;
-    if (span_of[s] != kNoSpan) ++cursor;
-    offset[s] = cursor;
-    cursor += is_dense ? 256 : (kAcSparseChunks + diffs[s].size());
+  for (std::uint32_t s = 1; s < n; ++s) {
+    const auto begin = static_cast<std::uint32_t>(output_ids_.size());
+    trie.append_matches(s, output_ids_);
+    std::uint32_t flags = 0;
+    if (output_ids_.size() != begin) {
+      output_spans_.push_back({begin, static_cast<std::uint32_t>(output_ids_.size()) - begin});
+      flags |= kAcOutputFlag;
+      ++cursor;
+    }
+    const std::size_t diff = diffs.size(s);
+    if (diff >= kDenseThreshold) {
+      flags |= kAcDenseFlag;
+      ++dense_states_;
+    }
+    ref[s] = static_cast<std::uint32_t>(cursor & kAcOffsetMask) | flags;
+    cursor += (flags & kAcDenseFlag) ? 256 : kAcSparseChunks + diff;
   }
   if (cursor > kAcOffsetMask) {
     throw std::runtime_error("aho-corasick-compact: automaton exceeds 2^30 arena words");
   }
 
-  const auto ref_of = [&](std::uint32_t s) {
-    std::uint32_t r = static_cast<std::uint32_t>(offset[s]);
-    if (dense[s]) r |= kAcDenseFlag;
-    if (span_of[s] != kNoSpan) r |= kAcOutputFlag;
-    return r;
-  };
-
+  // The root row, then every other record: a dense row is the root row
+  // overlaid with the state's diff; a sparse record is the diff itself.
   arena_.assign(cursor, 0);
-  for (unsigned b = 0; b < 256; ++b) arena_[b] = ref_of(root_row[b]);
-  for (const std::uint32_t s : order) {
-    const std::uint64_t off = offset[s];
-    if (span_of[s] != kNoSpan) arena_[off - 1] = span_of[s];
-    if (dense[s]) {
-      row = root_row;
-      for (const auto& [b, t] : diffs[s]) row[b] = t;
-      for (unsigned b = 0; b < 256; ++b) arena_[off + b] = ref_of(row[b]);
+  const std::array<std::uint32_t, 256> root = trie.root_row();
+  for (unsigned b = 0; b < 256; ++b) arena_[b] = ref[root[b]];
+  std::uint32_t span = 0;
+  for (std::uint32_t s = 1; s < n; ++s) {
+    const std::uint32_t off = ref[s] & kAcOffsetMask;
+    if (ref[s] & kAcOutputFlag) arena_[off - 1] = span++;
+    const std::uint8_t* bytes = diffs.bytes.data() + diffs.begin[s];
+    const std::uint32_t* targets = diffs.targets.data() + diffs.begin[s];
+    const std::size_t diff = diffs.size(s);
+    if (ref[s] & kAcDenseFlag) {
+      std::copy_n(arena_.begin(), 256, arena_.begin() + off);
+      for (std::size_t k = 0; k < diff; ++k) arena_[off + bytes[k]] = ref[targets[k]];
     } else {
       std::array<std::uint32_t, kAcSparseChunks> chunk{};
-      std::uint64_t ti = off + kAcSparseChunks;
-      for (const auto& [b, t] : diffs[s]) {  // ascending byte order
-        const std::uint32_t c = ac_chunk_of(b);
-        chunk[c] |= 1u << (b - c * 24u);
-        arena_[ti++] = ref_of(t);
+      for (std::size_t k = 0; k < diff; ++k) {  // ascending byte order
+        const std::uint32_t c = ac_chunk_of(bytes[k]);
+        chunk[c] |= 1u << (bytes[k] - c * 24u);
+        arena_[off + kAcSparseChunks + k] = ref[targets[k]];
       }
       std::uint32_t rank_base = 0;
       for (std::uint32_t c = 0; c < kAcSparseChunks; ++c) {
@@ -153,12 +108,14 @@ AcCompactMatcher::AcCompactMatcher(const pattern::PatternSet& set) : set_(&set) 
   }
 }
 
+std::span<const std::uint32_t> AcCompactMatcher::outputs(std::uint32_t ref) const {
+  const OutputSpan span = output_spans_[arena_[(ref & kAcOffsetMask) - 1]];
+  return {output_ids_.data() + span.begin, span.count};
+}
+
 void AcCompactMatcher::emit(std::uint32_t ref, std::uint64_t end_pos, util::ByteView data,
                             MatchSink& sink) const {
-  const std::uint32_t off = ref & kAcOffsetMask;
-  const OutputSpan span = output_spans_[arena_[off - 1]];
-  for (std::uint32_t k = 0; k < span.count; ++k) {
-    const std::uint32_t id = output_ids_[span.begin + k];
+  for (const std::uint32_t id : outputs(ref)) {
     const Meta m = meta_[id];
     const std::uint64_t start = end_pos + 1 - m.length;
     if (!m.nocase) {

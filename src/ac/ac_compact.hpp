@@ -40,6 +40,17 @@
 // trivially serializable blob: no per-node heap allocations, and state
 // references gather directly (the SIMD lane kernel in ac_lanes.hpp walks 8
 // or 16 payloads at once over this exact layout).
+//
+// Build, linear in the automaton's size.  The flat trie (trie.hpp) hands
+// out every state's diff as one CSR in BFS order: diff(s) is diff(fail(s))
+// overlaid with s's goto children, a sorted merge that also derives the
+// fail links (fail(s) is shallower than s, so its diff is already there).
+// Records are laid out in that order, so one pass over the diff sizes
+// computes every state's ref (offset, dense and output flags) before the
+// arena fill, and the fill writes each sparse record straight from its
+// diff.  No state's 256-entry row is materialized or scanned; only a dense
+// record copies the root row, as its encoding requires.  Output spans are
+// numbered in state order.
 #pragma once
 
 #include <cstdint>
@@ -79,6 +90,11 @@ class AcCompactMatcher final : public Matcher {
 
   std::string_view name() const override { return "Aho-Corasick-compact"; }
   std::size_t memory_bytes() const override;
+
+  // The pattern ids an output state reports before case verification:
+  // every pattern whose folded form is a suffix of the state's string.
+  // `ref` must carry kAcOutputFlag.
+  std::span<const std::uint32_t> outputs(std::uint32_t ref) const;
 
   std::size_t state_count() const { return state_count_; }
   std::size_t dense_states() const { return dense_states_; }

@@ -1,6 +1,7 @@
 #include "ac/ac_full.hpp"
 
-#include <deque>
+#include <algorithm>
+#include <array>
 
 #include "ac/trie.hpp"
 #include "util/bytes.hpp"
@@ -8,8 +9,8 @@
 namespace vpm::ac {
 
 AcFullMatcher::AcFullMatcher(const pattern::PatternSet& set) : set_(&set) {
-  const Trie trie(set);
-  const auto& nodes = trie.nodes();
+  RowDiffs diffs;
+  const Trie trie(set, diffs);
   state_count_ = trie.state_count();
 
   meta_.reserve(set.size());
@@ -17,22 +18,16 @@ AcFullMatcher::AcFullMatcher(const pattern::PatternSet& set) : set_(&set) {
     meta_.push_back({static_cast<std::uint32_t>(p.size()), p.nocase});
   }
 
-  // Dense transition matrix, resolved in BFS order so each state's fail
-  // target is already complete when the state is processed.
+  // Dense transition matrix: each state's row is the root row overlaid with
+  // the state's diff (the root's own diff is empty).
   next_.assign(state_count_ * 256, 0);
-  for (const auto& [b, child] : nodes[0].children) next_[b] = child;
-  std::deque<std::uint32_t> queue;
-  for (const auto& [b, child] : nodes[0].children) queue.push_back(child);
-  while (!queue.empty()) {
-    const std::uint32_t s = queue.front();
-    queue.pop_front();
-    const std::uint32_t f = nodes[s].fail;
+  const std::array<std::uint32_t, 256> root = trie.root_row();
+  std::copy(root.begin(), root.end(), next_.begin());
+  for (std::uint32_t s = 1; s < state_count_; ++s) {
     std::uint32_t* row = next_.data() + static_cast<std::size_t>(s) * 256;
-    const std::uint32_t* fail_row = next_.data() + static_cast<std::size_t>(f) * 256;
-    for (unsigned b = 0; b < 256; ++b) row[b] = fail_row[b];
-    for (const auto& [b, child] : nodes[s].children) {
-      row[b] = child;
-      queue.push_back(child);
+    std::copy_n(next_.data(), 256, row);
+    for (std::uint32_t k = diffs.begin[s]; k < diffs.begin[s + 1]; ++k) {
+      row[diffs.bytes[k]] = diffs.targets[k];
     }
   }
 
@@ -41,10 +36,7 @@ AcFullMatcher::AcFullMatcher(const pattern::PatternSet& set) : set_(&set) {
   output_spans_.resize(state_count_);
   for (std::uint32_t s = 0; s < state_count_; ++s) {
     const auto begin = static_cast<std::uint32_t>(output_ids_.size());
-    for (std::uint32_t id : nodes[s].outputs) output_ids_.push_back(id);
-    for (std::uint32_t n = nodes[s].report_link; n != kNoState; n = nodes[n].report_link) {
-      for (std::uint32_t id : nodes[n].outputs) output_ids_.push_back(id);
-    }
+    trie.append_matches(s, output_ids_);
     output_spans_[s] = {begin, static_cast<std::uint32_t>(output_ids_.size()) - begin};
   }
 }

@@ -4,8 +4,7 @@
 
 namespace vpm::ac {
 
-AcSparseMatcher::AcSparseMatcher(const pattern::PatternSet& set)
-    : trie_(std::make_unique<Trie>(set)), set_(&set) {
+AcSparseMatcher::AcSparseMatcher(const pattern::PatternSet& set) : trie_(set), set_(&set) {
   meta_.reserve(set.size());
   for (const pattern::Pattern& p : set) {
     meta_.push_back({static_cast<std::uint32_t>(p.size()), p.nocase});
@@ -13,13 +12,12 @@ AcSparseMatcher::AcSparseMatcher(const pattern::PatternSet& set)
 }
 
 void AcSparseMatcher::scan(util::ByteView data, MatchSink& sink) const {
-  const auto& nodes = trie_->nodes();
   std::uint32_t state = 0;
   for (std::size_t i = 0; i < data.size(); ++i) {
-    state = trie_->next_state(state, util::ascii_lower(data[i]));
+    state = trie_.next_state(state, util::ascii_lower(data[i]));
     // Emit own outputs, then chase the report-link chain.
-    for (std::uint32_t n = state; n != kNoState; n = nodes[n].report_link) {
-      for (std::uint32_t id : nodes[n].outputs) {
+    for (std::uint32_t n = state; n != kNoState; n = trie_.report_link(n)) {
+      for (const std::uint32_t id : trie_.outputs(n)) {
         const Meta m = meta_[id];
         const std::uint64_t start = i + 1 - m.length;
         if (!m.nocase && !(*set_)[id].matches_at(data, start)) continue;
@@ -30,12 +28,7 @@ void AcSparseMatcher::scan(util::ByteView data, MatchSink& sink) const {
 }
 
 std::size_t AcSparseMatcher::memory_bytes() const {
-  std::size_t bytes = 0;
-  for (const TrieNode& n : trie_->nodes()) {
-    bytes += sizeof(TrieNode) + n.children.capacity() * sizeof(std::pair<std::uint8_t, std::uint32_t>) +
-             n.outputs.capacity() * sizeof(std::uint32_t);
-  }
-  return bytes + meta_.size() * sizeof(Meta);
+  return trie_.memory_bytes() + meta_.size() * sizeof(Meta);
 }
 
 }  // namespace vpm::ac

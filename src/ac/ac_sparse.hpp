@@ -1,13 +1,16 @@
 // Sparse (failure-link) Aho-Corasick.
 //
-// Keeps the trie's sorted per-node transition lists and walks fail links at
-// scan time — the memory-frugal variant (Snort's sparse/bnfa family).  Used
-// as a second reference implementation in the differential tests and as the
+// Keeps only the flat trie (ac/trie.hpp) and walks fail links at scan time
+// — the memory-frugal variant (Snort's sparse/bnfa family).  A transition
+// binary-searches the state's contiguous, byte-ordered child range and
+// falls back along fail links; outputs are the state's own run of sorted
+// pattern ids plus those along its report-link chain.  The row diffs the
+// trie's construction derives its fail links from are not kept.  Used as a
+// second reference implementation in the differential tests and as the
 // fallback when a full matrix would be oversized.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "ac/trie.hpp"
@@ -24,10 +27,10 @@ class AcSparseMatcher final : public Matcher {
   std::string_view name() const override { return "Aho-Corasick-sparse"; }
   std::size_t memory_bytes() const override;
 
-  std::size_t state_count() const { return trie_->state_count(); }
+  std::size_t state_count() const { return trie_.state_count(); }
 
  private:
-  std::unique_ptr<Trie> trie_;
+  Trie trie_;
   struct Meta {
     std::uint32_t length = 0;
     bool nocase = false;

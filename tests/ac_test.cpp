@@ -1,10 +1,17 @@
 // Aho-Corasick tests: trie construction, the three automaton variants
 // (full-matrix, sparse failure-link, compressed interleaved), textbook
-// cases, overlap semantics, randomized differential checks vs naive, and
-// the lane-parallel batch kernel vs scalar full-table AC.
+// cases, overlap semantics, randomized differential checks vs naive, an
+// independent brute-force oracle for every transition and output list of
+// the trie and the compact arena, and the lane-parallel batch kernel vs
+// scalar full-table AC.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <deque>
+#include <map>
+#include <set>
+#include <string>
 #include <tuple>
 
 #include "ac/ac_compact.hpp"
@@ -40,8 +47,8 @@ TEST(Trie, GotoFollowsPatternBytes) {
   }
   // "she" end state must output both "she" and (via fail) "he".
   std::size_t outputs = 0;
-  for (std::uint32_t n = s; n != kNoState; n = trie.nodes()[n].report_link) {
-    outputs += trie.nodes()[n].outputs.size();
+  for (std::uint32_t n = s; n != kNoState; n = trie.report_link(n)) {
+    outputs += trie.outputs(n).size();
   }
   EXPECT_EQ(outputs, 2u);
 }
@@ -245,6 +252,195 @@ TEST(AcCompact, ArenaIsContiguousAndOffsetAddressed) {
   for (unsigned b = 0; b < 256; ++b) {
     const std::uint32_t ref = compact.arena()[b];
     EXPECT_LT(ref & kAcOffsetMask, compact.arena_words());
+  }
+}
+
+// ---- independent automaton oracle -------------------------------------------------
+//
+// A brute-force reference that shares no code with src/ac: an automaton
+// state is named by its string, the longest suffix of the input read so far
+// that is a prefix of some folded pattern, and it reports exactly the
+// patterns whose folded form is a suffix of that string.  The walks below
+// reach every state breadth-first and check every byte's transition and
+// every output list against it.
+
+std::uint8_t oracle_fold(std::uint8_t b) {
+  return (b >= 'A' && b <= 'Z') ? static_cast<std::uint8_t>(b + ('a' - 'A')) : b;
+}
+
+struct Oracle {
+  std::vector<std::string> folded;  // by pattern id
+  std::set<std::string> prefixes;   // of every folded pattern, "" included
+
+  explicit Oracle(const pattern::PatternSet& set) {
+    for (const pattern::Pattern& p : set) {
+      std::string f;
+      for (const std::uint8_t b : p.bytes) f.push_back(static_cast<char>(oracle_fold(b)));
+      for (std::size_t k = 0; k <= f.size(); ++k) prefixes.insert(f.substr(0, k));
+      folded.push_back(std::move(f));
+    }
+  }
+
+  // The longest suffix of `s` that is a prefix of some folded pattern.
+  std::string state_of(const std::string& s) const {
+    for (std::size_t drop = 0; drop < s.size(); ++drop) {
+      if (prefixes.count(s.substr(drop)) != 0) return s.substr(drop);
+    }
+    return {};
+  }
+
+  // Ids of the patterns whose folded form is a suffix of `w`, ascending.
+  std::vector<std::uint32_t> matches(const std::string& w) const {
+    std::vector<std::uint32_t> out;
+    for (std::uint32_t id = 0; id < folded.size(); ++id) {
+      const std::string& f = folded[id];
+      if (f.size() <= w.size() && w.compare(w.size() - f.size(), f.size(), f) == 0) {
+        out.push_back(id);
+      }
+    }
+    return out;
+  }
+};
+
+// Up to 10 patterns of 1-6 bytes over {a, A, b, B, NUL, 0xFF}, plus a
+// nocase and an exact-case copy of one of them and a pattern that one of
+// them is a prefix of (or that is a prefix of it).
+pattern::PatternSet oracle_set(util::Rng& rng) {
+  static constexpr std::uint8_t kAlphabet[] = {'a', 'A', 'b', 'B', 0x00, 0xFF};
+  pattern::PatternSet set;
+  const std::size_t count = 1 + rng.below(10);
+  for (std::size_t i = 0; i < count; ++i) {
+    util::Bytes bytes(1 + rng.below(6));
+    for (std::uint8_t& b : bytes) b = kAlphabet[rng.below(std::size(kAlphabet))];
+    set.add(std::move(bytes), rng.chance(0.5));
+  }
+  util::Bytes base = set[static_cast<std::uint32_t>(rng.below(set.size()))].bytes;
+  set.add(base, true);
+  set.add(base, false);
+  if (base.size() < 6) {
+    base.push_back(kAlphabet[rng.below(std::size(kAlphabet))]);
+  } else {
+    base.resize(1 + rng.below(base.size() - 1));
+  }
+  set.add(std::move(base), rng.chance(0.5));
+  return set;
+}
+
+// One compact-arena transition, decoded from the encoding in ac_compact.hpp.
+std::uint32_t arena_step(const AcCompactMatcher& m, std::uint32_t ref, std::uint8_t b) {
+  const std::uint32_t* arena = m.arena();
+  const std::uint32_t off = ref & kAcOffsetMask;
+  if (ref & kAcDenseFlag) return arena[off + b];
+  const std::uint32_t chunk = arena[off + b / 24];
+  const std::uint32_t bit = b % 24;
+  if (((chunk >> bit) & 1u) == 0) return arena[b];
+  const auto rank = static_cast<std::uint32_t>(std::popcount(chunk & ((1u << bit) - 1u)));
+  return arena[off + kAcSparseChunks + (chunk >> 24) + rank];
+}
+
+void expect_compact_matches_oracle(const pattern::PatternSet& set) {
+  const Oracle oracle(set);
+  const AcCompactMatcher m(set);
+  std::map<std::uint32_t, std::string> string_of{{kAcRootRef, ""}};
+  std::map<std::string, std::uint32_t> ref_of{{"", kAcRootRef}};
+  std::deque<std::uint32_t> queue{kAcRootRef};
+  while (!queue.empty()) {
+    const std::uint32_t ref = queue.front();
+    queue.pop_front();
+    const std::string w = string_of.at(ref);
+    const std::vector<std::uint32_t> expected = oracle.matches(w);
+    ASSERT_EQ((ref & kAcOutputFlag) != 0, !expected.empty()) << "state \"" << w << '"';
+    if (ref & kAcOutputFlag) {
+      const std::span<const std::uint32_t> span = m.outputs(ref);
+      std::vector<std::uint32_t> got(span.begin(), span.end());
+      std::sort(got.begin(), got.end());
+      ASSERT_EQ(got, expected) << "outputs of state \"" << w << '"';
+    }
+    for (unsigned raw = 0; raw < 256; ++raw) {
+      const std::uint8_t b = oracle_fold(static_cast<std::uint8_t>(raw));
+      const std::uint32_t next = arena_step(m, ref, b);
+      ASSERT_LT(next & kAcOffsetMask, m.arena_words());
+      const std::string u = oracle.state_of(w + static_cast<char>(b));
+      const auto [it, fresh] = string_of.emplace(next, u);
+      if (fresh) {
+        ASSERT_TRUE(ref_of.emplace(u, next).second) << "two refs for state \"" << u << '"';
+        queue.push_back(next);
+      } else {
+        ASSERT_EQ(it->second, u) << "from \"" << w << "\" on byte " << raw;
+      }
+    }
+  }
+  EXPECT_EQ(string_of.size(), oracle.prefixes.size());
+  EXPECT_EQ(string_of.size(), m.state_count());
+}
+
+void expect_trie_matches_oracle(const pattern::PatternSet& set) {
+  const Oracle oracle(set);
+  const Trie trie(set);
+  ASSERT_EQ(trie.state_count(), oracle.prefixes.size());
+  std::vector<std::string> string_of(trie.state_count());
+  std::vector<bool> seen(trie.state_count(), false);
+  std::map<std::string, std::uint32_t> state_of{{"", 0}};
+  std::deque<std::uint32_t> queue{0};
+  seen[0] = true;
+  while (!queue.empty()) {
+    const std::uint32_t s = queue.front();
+    queue.pop_front();
+    const std::string& w = string_of[s];
+    std::vector<std::uint32_t> got;
+    trie.append_matches(s, got);
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got, oracle.matches(w)) << "outputs of state \"" << w << '"';
+    // Children are contiguous and in ascending edge-byte order.
+    for (std::uint32_t k = 0; k < trie.child_count(s); ++k) {
+      const std::uint32_t c = trie.first_child(s) + k;
+      ASSERT_EQ(trie.child(s, trie.edge_byte(c)), c);
+      if (k > 0) {
+        ASSERT_LT(trie.edge_byte(c - 1), trie.edge_byte(c));
+      }
+    }
+    if (s != 0) {
+      // Breadth-first discovery reaches shorter strings first, so the
+      // fail target (a proper suffix) has its string already.
+      ASSERT_TRUE(seen[trie.fail(s)]);
+      ASSERT_EQ(string_of[trie.fail(s)], oracle.state_of(w.substr(1)))
+          << "fail of \"" << w << '"';
+    }
+    for (unsigned raw = 0; raw < 256; ++raw) {
+      const std::uint8_t b = oracle_fold(static_cast<std::uint8_t>(raw));
+      const std::uint32_t next = trie.next_state(s, b);
+      ASSERT_LT(next, trie.state_count());
+      const std::string u = oracle.state_of(w + static_cast<char>(b));
+      if (!seen[next]) {
+        seen[next] = true;
+        string_of[next] = u;
+        ASSERT_TRUE(state_of.emplace(u, next).second) << "two states for \"" << u << '"';
+        queue.push_back(next);
+      } else {
+        ASSERT_EQ(string_of[next], u) << "from \"" << w << "\" on byte " << raw;
+      }
+    }
+  }
+  EXPECT_EQ(state_of.size(), trie.state_count());
+}
+
+TEST(AcOracle, CompactArenaMatchesBruteForce) {
+  util::Rng rng(testutil::case_seed(20));
+  for (int round = 0; round < 100; ++round) {
+    const pattern::PatternSet set = oracle_set(rng);
+    SCOPED_TRACE("round " + std::to_string(round) + " (" + testutil::seed_note() + ")");
+    expect_compact_matches_oracle(set);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(AcOracle, TrieNextStateMatchesBruteForce) {
+  util::Rng rng(testutil::case_seed(21));
+  for (int round = 0; round < 100; ++round) {
+    const pattern::PatternSet set = oracle_set(rng);
+    SCOPED_TRACE("round " + std::to_string(round) + " (" + testutil::seed_note() + ")");
+    expect_trie_matches_oracle(set);
+    if (HasFatalFailure()) return;
   }
 }
 

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "ac/ac_compact.hpp"
 #include "core/matcher_factory.hpp"
 #include "helpers.hpp"
 #include "ids/engine.hpp"
@@ -483,6 +484,20 @@ TEST(AllocTest, EngineWithTelemetrySteadyStateIsAllocationFree) {
   const telemetry::Histogram* h = registry.find_histogram("vpm_scan_latency_seconds", {});
   ASSERT_NE(h, nullptr);
   EXPECT_GT(h->snapshot().count, 0u) << "flush latency must have been recorded";
+}
+
+// Building the compact automaton over the tls_screened ruleset (S2-web's
+// patterns of >= 8 B, ~150 K states) allocates per build, not per state:
+// a per-node or per-state vector, and the heap such vectors leave behind
+// after the build, would put this in the hundreds of thousands.
+TEST(AllocTest, CompactAcBuildAllocatesPerBuildNotPerState) {
+  const pattern::PatternSet set = testutil::tls_screened_set();
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const ac::AcCompactMatcher matcher(set);
+  const std::uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  ASSERT_GT(matcher.state_count(), 100000u);
+  EXPECT_LT(allocations, matcher.state_count() / 1000)
+      << allocations << " allocations for " << matcher.state_count() << " states";
 }
 
 }  // namespace

@@ -1,11 +1,17 @@
-// Golden checksums freezing the synthetic workloads.
+// Golden checksums freezing the synthetic workloads and the compiled
+// artifacts the sensor benchmark builds from them.
 //
 // A recorded benchmark number is regenerable only if the generators stay
 // bit-stable; these tests pin small-instance FNV checksums so any change to
 // a generator (RNG, corpus, length model) is caught and forces a conscious
-// re-baselining of the recorded results.
+// re-baselining of the recorded results.  The compact-AC automaton and the
+// saved database of S1-web and of the tls_screened ruleset are pinned the
+// same way: a builder may get faster, but what it builds may not change.
 #include <gtest/gtest.h>
 
+#include "ac/ac_compact.hpp"
+#include "core/database.hpp"
+#include "helpers.hpp"
 #include "pattern/ruleset_gen.hpp"
 #include "pattern/serialize.hpp"
 #include "traffic/trace.hpp"
@@ -43,6 +49,41 @@ TEST(Golden, TraceGeneratorsAreFrozen) {
 
 TEST(Golden, RulesetGeneratorIsFrozen) {
   EXPECT_EQ(ruleset_checksum(200, 7), 0x85D89BB7u);
+}
+
+pattern::PatternSet s1_web() {
+  return pattern::generate_ruleset(pattern::s1_config()).web_patterns();
+}
+
+struct CompactShape {
+  std::size_t states;
+  std::size_t arena_words;
+  std::size_t dense_states;
+  std::size_t memory_bytes;
+};
+
+void expect_compact_shape(const pattern::PatternSet& set, const CompactShape& want) {
+  const ac::AcCompactMatcher m(set);
+  EXPECT_EQ(m.state_count(), want.states);
+  EXPECT_EQ(m.arena_words(), want.arena_words);
+  EXPECT_EQ(m.dense_states(), want.dense_states);
+  EXPECT_EQ(m.memory_bytes(), want.memory_bytes);
+}
+
+std::uint32_t saved_checksum(const pattern::PatternSet& set) {
+  return checksum(compile(core::Algorithm::aho_corasick_compact, set)->save_patterns());
+}
+
+TEST(Golden, CompactAcAutomatonIsFrozen) {
+  expect_compact_shape(s1_web(), {36651, 796144, 1, 3244272});
+  expect_compact_shape(testutil::tls_screened_set(), {150552, 3284895, 1, 13275380});
+}
+
+TEST(Golden, SavedDatabaseIsFrozen) {
+  // The pattern records and each group's prefilter signature (its words
+  // and gram count), behind the aho-corasick-compact algorithm hint.
+  EXPECT_EQ(saved_checksum(s1_web()), 0x19C58596u);
+  EXPECT_EQ(saved_checksum(testutil::tls_screened_set()), 0xA14DDFE4u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "core/naive.hpp"
 #include "match/matcher.hpp"
 #include "pattern/pattern_set.hpp"
+#include "pattern/ruleset_gen.hpp"
 #include "util/rng.hpp"
 
 namespace vpm::testutil {
@@ -81,6 +82,17 @@ inline pattern::PatternSet boundary_set() {
   set.add("HTTP/1.1", true);       // nocase long
   set.add(util::Bytes{0x00, 0x01});       // binary incl. NUL
   set.add(util::Bytes{0xFF, 0xFE, 0xFD, 0xFC, 0xFB});
+  return set;
+}
+
+// sensorbench's tls_screened ruleset: S2-web's patterns of >= 8 B, re-homed
+// into the generic group (one compact-AC automaton of ~150 K states).
+inline pattern::PatternSet tls_screened_set() {
+  pattern::PatternSet set;
+  for (const pattern::Pattern& p :
+       pattern::generate_ruleset(pattern::s2_config()).web_patterns()) {
+    if (p.bytes.size() >= 8) set.add(p.bytes, p.nocase, pattern::Group::generic);
+  }
   return set;
 }
 
