@@ -4,6 +4,10 @@
 // shared scratch + deferred prefetch-pipelined verification round pays.
 // Sweeps payload size x algorithm x batch size over the same trace bytes
 // sliced into payloads; reports both paths' throughput and the speedup.
+// This is the one engine sweep: full-matrix AC is the paper's baseline (its
+// batch path is the generic per-payload loop), and compact AC's batch path
+// is the lane kernel (8/16 payloads walk the arena through gathers; batch 1
+// falls back to the per-payload path, so that row measures dispatch cost).
 //
 //   bench_batch_scan [--mb=N] [--runs=N] [--seed=N] [--quick] [--json=FILE]
 #include <cstdio>
@@ -37,12 +41,14 @@ int run_set(const char* label, const pattern::PatternSet& set, const util::Bytes
   std::printf("\n=== Batch scan (%s): %zu patterns, %zu MB ISCX-style trace sliced "
               "into payloads ===\n",
               label, set.size(), opt.trace_mb);
-  const std::vector<int> widths{14, 10, 8, 12, 12, 10};
+  const std::vector<int> widths{22, 10, 8, 12, 12, 10};
   print_row({"algorithm", "payload", "batch", "scan-Gbps", "batch-Gbps", "speedup"},
             widths);
 
-  for (core::Algorithm algo : {core::Algorithm::dfc, core::Algorithm::vector_dfc,
-                               core::Algorithm::spatch, core::Algorithm::vpatch}) {
+  for (core::Algorithm algo :
+       {core::Algorithm::aho_corasick, core::Algorithm::aho_corasick_compact,
+        core::Algorithm::dfc, core::Algorithm::vector_dfc, core::Algorithm::spatch,
+        core::Algorithm::vpatch}) {
     if (!core::algorithm_available(algo)) continue;
     const auto matcher = core::make_matcher(algo, set);
 

@@ -11,14 +11,7 @@
 
 namespace vpm::ac {
 
-Trie::Trie(const pattern::PatternSet& set) {
-  RowDiffs diffs;
-  build(set, diffs);
-}
-
-Trie::Trie(const pattern::PatternSet& set, RowDiffs& diffs) { build(set, diffs); }
-
-void Trie::build(const pattern::PatternSet& set, RowDiffs& diffs) {
+Trie::Trie(const pattern::PatternSet& set, RowDiffs& diffs) {
   const auto count = static_cast<std::uint32_t>(set.size());
 
   // Phase 1: every pattern folded into one buffer; ids sorted by folded
@@ -162,30 +155,6 @@ void Trie::append_matches(std::uint32_t s, std::vector<std::uint32_t>& out) cons
     const std::span<const std::uint32_t> own = outputs(t);
     out.insert(out.end(), own.begin(), own.end());
   }
-}
-
-std::uint32_t Trie::child(std::uint32_t state, std::uint8_t folded) const {
-  const std::uint8_t* first = edge_.data() + child_begin_[state];
-  const std::uint8_t* last = edge_.data() + child_begin_[state + 1];
-  const std::uint8_t* it = std::lower_bound(first, last, folded);
-  if (it == last || *it != folded) return kNoState;
-  return static_cast<std::uint32_t>(it - edge_.data());
-}
-
-std::uint32_t Trie::next_state(std::uint32_t state, std::uint8_t folded) const {
-  for (;;) {
-    const std::uint32_t t = child(state, folded);
-    if (t != kNoState) return t;
-    if (state == 0) return 0;
-    state = fail_[state];
-  }
-}
-
-std::size_t Trie::memory_bytes() const {
-  return (child_begin_.capacity() + fail_.capacity() + report_.capacity() +
-          out_begin_.capacity() + out_count_.capacity() + ids_.capacity()) *
-             sizeof(std::uint32_t) +
-         edge_.capacity();
 }
 
 }  // namespace vpm::ac

@@ -1,6 +1,6 @@
 // Aho-Corasick goto/fail trie, built in linear time into flat arrays.
 //
-// Shared by the three automaton variants (full-matrix, sparse, compact).
+// Shared by the two automaton variants (full-matrix and compact).
 // Built over case-folded bytes, as Snort's acsm does: the automaton alphabet
 // is lowercased, nocase patterns match directly on an automaton hit, and
 // case-sensitive patterns are verified against the original input bytes at
@@ -59,10 +59,8 @@ struct RowDiffs {
 
 class Trie {
  public:
-  // Builds goto/fail/report links for all patterns in the set.
-  explicit Trie(const pattern::PatternSet& set);
-  // The same trie; also hands out the row diffs the fail links were read
-  // from, which the full-matrix and compact engines build their rows from.
+  // Builds goto/fail/report links for all patterns in the set, and hands
+  // out the row diffs the fail links were read from.
   Trie(const pattern::PatternSet& set, RowDiffs& diffs);
 
   std::size_t state_count() const { return edge_.size(); }
@@ -74,31 +72,19 @@ class Trie {
   // The folded byte on the edge from s's parent (0 for the root).
   std::uint8_t edge_byte(std::uint32_t s) const { return edge_[s]; }
   std::uint32_t fail(std::uint32_t s) const { return fail_[s]; }
-  // Nearest state reachable via fail links that has outputs (kNoState when
-  // none) — the classic output-link chain for sparse scanning.
-  std::uint32_t report_link(std::uint32_t s) const { return report_[s]; }
   // Pattern ids whose folded form ends exactly at s, ascending.
   std::span<const std::uint32_t> outputs(std::uint32_t s) const {
     return {ids_.data() + out_begin_[s], out_count_[s]};
   }
   // Appends every pattern id whose folded form is a suffix of s's string:
-  // s's own outputs, then those along its report-link chain.
+  // s's own outputs, then those along its report-link chain (the nearest
+  // state along the fail chain that has outputs, and so on).
   void append_matches(std::uint32_t s, std::vector<std::uint32_t>& out) const;
 
   // The root's DFA row: its child on each folded byte, else the root.
   std::array<std::uint32_t, 256> root_row() const;
 
-  // The goto function: kNoState when s has no child on `folded`.
-  std::uint32_t child(std::uint32_t state, std::uint8_t folded) const;
-
-  // goto with fail fallback resolved (the DFA transition).
-  std::uint32_t next_state(std::uint32_t state, std::uint8_t folded) const;
-
-  std::size_t memory_bytes() const;
-
  private:
-  void build(const pattern::PatternSet& set, RowDiffs& diffs);
-
   std::vector<std::uint32_t> child_begin_;  // state_count() + 1 entries
   std::vector<std::uint8_t> edge_;
   std::vector<std::uint32_t> fail_;

@@ -2,21 +2,27 @@
 
 #include "ac/ac_compact.hpp"
 #include "ac/ac_full.hpp"
-#include "ac/ac_sparse.hpp"
 #include "core/naive.hpp"
 #include "core/spatch.hpp"
 #include "dfc/dfc.hpp"
 #include "dfc/vector_dfc.hpp"
 #include "simd/cpu_features.hpp"
-#include "wm/wu_manber.hpp"
 
 namespace vpm::core {
+namespace {
+
+constexpr Algorithm kAlgorithms[] = {
+    Algorithm::naive,  Algorithm::aho_corasick, Algorithm::aho_corasick_compact,
+    Algorithm::dfc,    Algorithm::vector_dfc,   Algorithm::spatch,
+    Algorithm::vpatch, Algorithm::vpatch_avx2,  Algorithm::vpatch_avx512,
+};
+
+}  // namespace
 
 std::string_view algorithm_name(Algorithm a) {
   switch (a) {
     case Algorithm::naive: return "naive";
     case Algorithm::aho_corasick: return "aho-corasick";
-    case Algorithm::aho_corasick_sparse: return "aho-corasick-sparse";
     case Algorithm::aho_corasick_compact: return "aho-corasick-compact";
     case Algorithm::dfc: return "dfc";
     case Algorithm::vector_dfc: return "vector-dfc";
@@ -24,16 +30,12 @@ std::string_view algorithm_name(Algorithm a) {
     case Algorithm::vpatch: return "v-patch";
     case Algorithm::vpatch_avx2: return "v-patch-avx2";
     case Algorithm::vpatch_avx512: return "v-patch-avx512";
-    case Algorithm::wu_manber: return "wu-manber";
   }
   return "?";
 }
 
 std::optional<Algorithm> algorithm_from_name(std::string_view name) {
-  for (Algorithm a : {Algorithm::naive, Algorithm::aho_corasick, Algorithm::aho_corasick_sparse,
-                      Algorithm::aho_corasick_compact, Algorithm::dfc, Algorithm::vector_dfc,
-                      Algorithm::spatch, Algorithm::vpatch, Algorithm::vpatch_avx2,
-                      Algorithm::vpatch_avx512, Algorithm::wu_manber}) {
+  for (Algorithm a : kAlgorithms) {
     if (algorithm_name(a) == name) return a;
   }
   return std::nullopt;
@@ -53,10 +55,7 @@ bool algorithm_available(Algorithm a) {
 
 std::vector<Algorithm> available_algorithms() {
   std::vector<Algorithm> out;
-  for (Algorithm a : {Algorithm::naive, Algorithm::aho_corasick, Algorithm::aho_corasick_sparse,
-                      Algorithm::aho_corasick_compact, Algorithm::dfc, Algorithm::vector_dfc,
-                      Algorithm::spatch, Algorithm::vpatch, Algorithm::vpatch_avx2,
-                      Algorithm::vpatch_avx512, Algorithm::wu_manber}) {
+  for (Algorithm a : kAlgorithms) {
     if (algorithm_available(a)) out.push_back(a);
   }
   return out;
@@ -68,8 +67,6 @@ MatcherPtr make_matcher(Algorithm a, const pattern::PatternSet& set) {
       return std::make_unique<NaiveMatcher>(set);
     case Algorithm::aho_corasick:
       return std::make_unique<ac::AcFullMatcher>(set);
-    case Algorithm::aho_corasick_sparse:
-      return std::make_unique<ac::AcSparseMatcher>(set);
     case Algorithm::aho_corasick_compact:
       // Always available: the scalar compact scan needs no vector ISA; the
       // lane-parallel scan_batch kernel dispatches through simd::cpu().
@@ -92,8 +89,6 @@ MatcherPtr make_matcher(Algorithm a, const pattern::PatternSet& set) {
       cfg.isa = Isa::avx512;
       return std::make_unique<VpatchMatcher>(set, cfg);
     }
-    case Algorithm::wu_manber:
-      return std::make_unique<wm::WuManberMatcher>(set);
   }
   throw std::runtime_error("unknown algorithm");
 }

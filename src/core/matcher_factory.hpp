@@ -1,5 +1,7 @@
-// Engine factory: the five evaluated algorithms (paper §V) plus the extra
-// baselines, behind one constructor for benches, examples and tests.
+// Engine factory: the five evaluated algorithms (paper §V: AC, DFC,
+// Vector-DFC, S-PATCH, V-PATCH), V-PATCH at a forced width, compact AC (the
+// engine of sensorbench's `tls_screened` workload) and the naive oracle,
+// behind one constructor for benches, examples and tests.
 //
 // NOTE — compile/runtime split: new code should prefer the Database/Scanner
 // API in core/database.hpp (`vpm::compile(algorithm, set)` returns an
@@ -22,18 +24,18 @@
 
 namespace vpm::core {
 
+// Saved databases store an engine's number (Database::save_patterns), so a
+// number is never reused: 2 and 10 stay retired.
 enum class Algorithm : std::uint8_t {
-  naive,
-  aho_corasick,          // full-matrix (the paper's AC baseline)
-  aho_corasick_sparse,   // failure-link variant
-  aho_corasick_compact,  // compressed interleaved layout + SIMD lane batch kernel
-  dfc,                  // Choi et al. baseline
-  vector_dfc,           // direct vectorization of DFC
-  spatch,               // scalar restructured design
-  vpatch,               // vectorized, widest available kernel
-  vpatch_avx2,          // forced W=8
-  vpatch_avx512,        // forced W=16
-  wu_manber,
+  naive = 0,
+  aho_corasick = 1,          // full-matrix (the paper's AC baseline)
+  aho_corasick_compact = 3,  // compressed interleaved layout + SIMD lane batch kernel
+  dfc = 4,                   // Choi et al. baseline
+  vector_dfc = 5,            // direct vectorization of DFC
+  spatch = 6,                // scalar restructured design
+  vpatch = 7,                // vectorized, widest available kernel
+  vpatch_avx2 = 8,           // forced W=8
+  vpatch_avx512 = 9,         // forced W=16
 };
 
 std::string_view algorithm_name(Algorithm a);

@@ -1,9 +1,9 @@
 // The common exact-multiple-pattern-matching interface.
 //
-// Every engine (Aho-Corasick, DFC, Vector-DFC, S-PATCH, V-PATCH, Wu-Manber,
-// naive) reports the identical multiset of (pattern_id, start position) for
-// all occurrences of all patterns — "producing the same output as
-// Aho-Corasick" (paper §IV-A2).  That contract is the backbone of the
+// Every engine (Aho-Corasick full and compact, DFC, Vector-DFC, S-PATCH,
+// V-PATCH, naive) reports the identical multiset of (pattern_id, start
+// position) for all occurrences of all patterns — "producing the same output
+// as Aho-Corasick" (paper §IV-A2).  That contract is the backbone of the
 // differential test suite.
 #pragma once
 

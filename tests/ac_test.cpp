@@ -1,12 +1,13 @@
-// Aho-Corasick tests: trie construction, the three automaton variants
-// (full-matrix, sparse failure-link, compressed interleaved), textbook
-// cases, overlap semantics, randomized differential checks vs naive, an
-// independent brute-force oracle for every transition and output list of
-// the trie and the compact arena, and the lane-parallel batch kernel vs
-// scalar full-table AC.
+// Aho-Corasick tests: trie construction, the two automaton variants
+// (full-matrix and compressed interleaved), textbook cases, overlap
+// semantics, randomized differential checks vs naive, an independent
+// brute-force oracle for every transition and output list of the trie's row
+// diffs and the compact arena, and the lane-parallel batch kernel vs scalar
+// full-table AC.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <deque>
 #include <map>
@@ -16,7 +17,6 @@
 
 #include "ac/ac_compact.hpp"
 #include "ac/ac_full.hpp"
-#include "ac/ac_sparse.hpp"
 #include "ac/trie.hpp"
 #include "helpers.hpp"
 #include "simd/cpu_features.hpp"
@@ -27,36 +27,48 @@ namespace {
 using testutil::classic_set;
 using testutil::expect_matches_naive;
 
+// The DFA transition the full-matrix and compact engines build their rows
+// from: state s's row-diff entry at byte b, else the root row's.
+std::uint32_t diff_step(const RowDiffs& diffs, const std::array<std::uint32_t, 256>& root,
+                        std::uint32_t s, std::uint8_t b) {
+  for (std::uint32_t k = diffs.begin[s]; k < diffs.begin[s + 1]; ++k) {
+    if (diffs.bytes[k] == b) return diffs.targets[k];
+  }
+  return root[b];
+}
+
 TEST(Trie, StateCountMatchesDistinctPrefixes) {
   // he, she, his, hers -> root + h,e | s,h,e | i,s | r,s = 10 states.
-  const Trie trie(classic_set());
+  RowDiffs diffs;
+  const Trie trie(classic_set(), diffs);
   EXPECT_EQ(trie.state_count(), 10u);
 }
 
 TEST(Trie, RootFallbackOnUnknownByte) {
-  const Trie trie(classic_set());
-  EXPECT_EQ(trie.next_state(0, 'z'), 0u);
+  RowDiffs diffs;
+  const Trie trie(classic_set(), diffs);
+  EXPECT_EQ(diff_step(diffs, trie.root_row(), 0, 'z'), 0u);
 }
 
 TEST(Trie, GotoFollowsPatternBytes) {
-  const Trie trie(classic_set());
+  RowDiffs diffs;
+  const Trie trie(classic_set(), diffs);
+  const std::array<std::uint32_t, 256> root = trie.root_row();
   std::uint32_t s = 0;
   for (char c : std::string("she")) {
-    s = trie.next_state(s, static_cast<std::uint8_t>(c));
+    s = diff_step(diffs, root, s, static_cast<std::uint8_t>(c));
     EXPECT_NE(s, 0u);
   }
   // "she" end state must output both "she" and (via fail) "he".
-  std::size_t outputs = 0;
-  for (std::uint32_t n = s; n != kNoState; n = trie.report_link(n)) {
-    outputs += trie.outputs(n).size();
-  }
-  EXPECT_EQ(outputs, 2u);
+  std::vector<std::uint32_t> outputs;
+  trie.append_matches(s, outputs);
+  EXPECT_EQ(outputs.size(), 2u);
 }
 
 template <typename M>
 class AcVariants : public ::testing::Test {};
 
-using Variants = ::testing::Types<AcFullMatcher, AcSparseMatcher, AcCompactMatcher>;
+using Variants = ::testing::Types<AcFullMatcher, AcCompactMatcher>;
 TYPED_TEST_SUITE(AcVariants, Variants);
 
 TYPED_TEST(AcVariants, ClassicUshersExample) {
@@ -194,21 +206,6 @@ TEST(AcFull, MemoryGrowsWithPatternCount) {
   const AcFullMatcher b(large);
   EXPECT_GT(b.memory_bytes(), a.memory_bytes()) << testutil::seed_note();
   EXPECT_GT(b.state_count(), a.state_count()) << testutil::seed_note();
-}
-
-TEST(AcFull, SparseUsesLessMemoryThanFull) {
-  const auto set = testutil::random_set(500, 16, testutil::case_seed(3), 26);
-  const AcFullMatcher full(set);
-  const AcSparseMatcher sparse(set);
-  EXPECT_LT(sparse.memory_bytes(), full.memory_bytes()) << testutil::seed_note();
-}
-
-TEST(AcFull, FullAndSparseAgreeOnRealisticSet) {
-  const auto set = testutil::random_set(200, 10, testutil::case_seed(4));
-  const AcFullMatcher full(set);
-  const AcSparseMatcher sparse(set);
-  const auto text = testutil::random_text(20000, testutil::case_seed(5));
-  EXPECT_EQ(full.find_matches(text), sparse.find_matches(text)) << testutil::seed_note();
 }
 
 // ---- compact layout ---------------------------------------------------------------
@@ -376,7 +373,9 @@ void expect_compact_matches_oracle(const pattern::PatternSet& set) {
 
 void expect_trie_matches_oracle(const pattern::PatternSet& set) {
   const Oracle oracle(set);
-  const Trie trie(set);
+  RowDiffs diffs;
+  const Trie trie(set, diffs);
+  const std::array<std::uint32_t, 256> root = trie.root_row();
   ASSERT_EQ(trie.state_count(), oracle.prefixes.size());
   std::vector<std::string> string_of(trie.state_count());
   std::vector<bool> seen(trie.state_count(), false);
@@ -394,10 +393,14 @@ void expect_trie_matches_oracle(const pattern::PatternSet& set) {
     // Children are contiguous and in ascending edge-byte order.
     for (std::uint32_t k = 0; k < trie.child_count(s); ++k) {
       const std::uint32_t c = trie.first_child(s) + k;
-      ASSERT_EQ(trie.child(s, trie.edge_byte(c)), c);
+      ASSERT_EQ(diff_step(diffs, root, s, trie.edge_byte(c)), c);
       if (k > 0) {
         ASSERT_LT(trie.edge_byte(c - 1), trie.edge_byte(c));
       }
+    }
+    // The diff is sorted by byte, as the compact arena's fill reads it.
+    for (std::uint32_t k = diffs.begin[s] + 1; k < diffs.begin[s + 1]; ++k) {
+      ASSERT_LT(diffs.bytes[k - 1], diffs.bytes[k]) << "diff of \"" << w << '"';
     }
     if (s != 0) {
       // Breadth-first discovery reaches shorter strings first, so the
@@ -408,7 +411,7 @@ void expect_trie_matches_oracle(const pattern::PatternSet& set) {
     }
     for (unsigned raw = 0; raw < 256; ++raw) {
       const std::uint8_t b = oracle_fold(static_cast<std::uint8_t>(raw));
-      const std::uint32_t next = trie.next_state(s, b);
+      const std::uint32_t next = diff_step(diffs, root, s, b);
       ASSERT_LT(next, trie.state_count());
       const std::string u = oracle.state_of(w + static_cast<char>(b));
       if (!seen[next]) {

@@ -389,6 +389,9 @@ TEST(Factory, NamesRoundTrip) {
     EXPECT_EQ(*parsed, a);
   }
   EXPECT_FALSE(algorithm_from_name("nonsense").has_value());
+  // Deleted engines: their names select nothing.
+  EXPECT_FALSE(algorithm_from_name("aho-corasick-sparse").has_value());
+  EXPECT_FALSE(algorithm_from_name("wu-manber").has_value());
 }
 
 TEST(Factory, BuildsEveryAvailableAlgorithm) {

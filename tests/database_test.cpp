@@ -170,9 +170,25 @@ TEST(Database, SaveLoadRoundTripsFingerprintAndAlgorithm) {
   EXPECT_EQ(loaded->engine().find_matches(text), db->engine().find_matches(text));
 
   // Explicit algorithm override.
-  const DatabasePtr overridden = Database::from_serialized(blob, Algorithm::wu_manber);
-  EXPECT_EQ(overridden->algorithm(), Algorithm::wu_manber);
+  const DatabasePtr overridden = Database::from_serialized(blob, Algorithm::dfc);
+  EXPECT_EQ(overridden->algorithm(), Algorithm::dfc);
   EXPECT_EQ(overridden->engine().find_matches(text), db->engine().find_matches(text));
+}
+
+// Hints 2 and 10 named deleted engines (sparse AC, Wu-Manber).  A blob
+// carrying one must not load as whatever engine the number means later;
+// naming an engine explicitly still loads it.
+TEST(Database, RetiredAlgorithmHintIsRefused) {
+  const DatabasePtr db = compile(Algorithm::dfc, small_set());
+  for (const std::uint8_t retired : {std::uint8_t{2}, std::uint8_t{10}}) {
+    util::Bytes blob = db->save_patterns();
+    ASSERT_EQ(blob[12], static_cast<std::uint8_t>(Algorithm::dfc));  // the v2 hint byte
+    blob[12] = retired;
+    EXPECT_THROW(Database::from_serialized(blob), std::invalid_argument) << int{retired};
+    const DatabasePtr loaded = Database::from_serialized(blob, Algorithm::dfc);
+    EXPECT_EQ(loaded->algorithm(), Algorithm::dfc);
+    EXPECT_EQ(loaded->fingerprint(), db->fingerprint());
+  }
 }
 
 TEST(Database, FromSerializedV1NeedsExplicitAlgorithm) {

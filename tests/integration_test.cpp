@@ -147,8 +147,7 @@ TEST(Integration, LargeScaleSmoke) {
       core::make_matcher(core::Algorithm::aho_corasick, set)->count_matches(trace);
   EXPECT_GT(reference, 0u);
   for (core::Algorithm algo :
-       {core::Algorithm::dfc, core::Algorithm::spatch, core::Algorithm::vpatch,
-        core::Algorithm::wu_manber}) {
+       {core::Algorithm::dfc, core::Algorithm::spatch, core::Algorithm::vpatch}) {
     EXPECT_EQ(core::make_matcher(algo, set)->count_matches(trace), reference)
         << core::algorithm_name(algo);
   }

@@ -589,7 +589,7 @@ TEST(PrefilterEngineDifferential, AlertsIdenticalWithScreenOnAcrossEngines) {
 
   for (core::Algorithm algo :
        {core::Algorithm::aho_corasick, core::Algorithm::aho_corasick_compact,
-        core::Algorithm::vpatch, core::Algorithm::dfc, core::Algorithm::wu_manber}) {
+        core::Algorithm::vpatch, core::Algorithm::dfc}) {
     if (!core::algorithm_available(algo)) continue;
     const DatabasePtr db = compile(algo, rules);
     for (std::size_t batch : {std::size_t{1}, std::size_t{32}}) {
