@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "core/spatch.hpp"
 #include "core/vpatch.hpp"
 #include "dfc/dfc.hpp"
 #include "simd/cpu_features.hpp"
@@ -90,10 +89,11 @@ int main_impl(int argc, char** argv) {
 
   // Two-round split vs interleaved verification: S-PATCH vs DFC (scalar).
   {
-    const core::SpatchMatcher spatch(set);
+    const MatcherPtr spatch = core::make_matcher(core::Algorithm::spatch, set);
     const dfc::DfcMatcher dfcm(set);
-    const Throughput ts = measure_scan(spatch, trace, opt.runs);
-    const Throughput td = measure_scan(dfcm, trace, opt.runs);
+    const std::vector<Throughput> t = measure_scan({spatch.get(), &dfcm}, trace, opt.runs);
+    const Throughput& ts = t[0];
+    const Throughput& td = t[1];
     print_row({"S-PATCH (two rounds, scalar)", fmt(ts.mean_gbps), fmt(ts.mean_gbps / base)},
               widths);
     print_row({"DFC (interleaved, scalar)", fmt(td.mean_gbps), fmt(td.mean_gbps / base)},

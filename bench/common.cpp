@@ -35,23 +35,32 @@ Options parse_options(int argc, char** argv) {
   return opt;
 }
 
-Throughput measure_scan(const Matcher& matcher, util::ByteView data, unsigned runs) {
-  Throughput result;
-  result.matches = matcher.count_matches(data);  // warm-up + match count
-  util::RunningStats stats;
-  for (unsigned r = 0; r < runs; ++r) {
-    util::Timer timer;
-    const std::uint64_t n = matcher.count_matches(data);
-    const double secs = timer.seconds();
-    if (n != result.matches) {
-      std::fprintf(stderr, "non-deterministic match count from %s\n",
-                   std::string(matcher.name()).c_str());
-    }
-    stats.add(util::gbps(data.size(), secs));
+std::vector<Throughput> measure_scan(const std::vector<const Matcher*>& matchers,
+                                     util::ByteView data, unsigned runs) {
+  const std::size_t k = matchers.size();
+  std::vector<Throughput> results(k);
+  std::vector<util::RunningStats> stats(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    results[i].matches = matchers[i]->count_matches(data);  // warm-up + match count
   }
-  result.mean_gbps = stats.mean();
-  result.stddev_gbps = stats.stddev();
-  return result;
+  for (unsigned r = 0; r < runs; ++r) {
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t i = (r + j) % k;
+      util::Timer timer;
+      const std::uint64_t n = matchers[i]->count_matches(data);
+      const double secs = timer.seconds();
+      if (n != results[i].matches) {
+        std::fprintf(stderr, "non-deterministic match count from %s\n",
+                     std::string(matchers[i]->name()).c_str());
+      }
+      stats[i].add(util::gbps(data.size(), secs));
+    }
+  }
+  for (std::size_t i = 0; i < k; ++i) {
+    results[i].mean_gbps = stats[i].mean();
+    results[i].stddev_gbps = stats[i].stddev();
+  }
+  return results;
 }
 
 std::vector<Workload> paper_workloads(const Options& opt) {

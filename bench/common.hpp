@@ -58,9 +58,13 @@ struct Throughput {
   std::uint64_t matches = 0;
 };
 
-// Scans `data` `runs` times (after one untimed warm-up) and reports
-// throughput statistics.
-Throughput measure_scan(const Matcher& matcher, util::ByteView data, unsigned runs);
+// Scans `data` with every matcher `runs` times, after one untimed warm-up
+// each, and reports each one's throughput statistics, in input order.  Each
+// run times every matcher once, in an order that rotates from run to run, so
+// host drift between runs falls on all of them alike: the matchers a row
+// group compares are timed together, and their ratios compare one moment.
+std::vector<Throughput> measure_scan(const std::vector<const Matcher*>& matchers,
+                                     util::ByteView data, unsigned runs);
 
 // The paper's four evaluation workloads at the configured size.
 struct Workload {

@@ -13,7 +13,6 @@
 #include <cstring>
 
 #include "common.hpp"
-#include "core/spatch.hpp"
 #include "core/vpatch.hpp"
 #include "traffic/trace.hpp"
 
@@ -42,14 +41,15 @@ int main_impl(int argc, char** argv) {
   const std::size_t counts[] = {1000, 2500, 5000, 10000, 15000, 20000};
   for (std::size_t n : counts) {
     const auto subset = full.random_subset(n, opt.seed + n);
-    core::SpatchConfig scfg;
-    scfg.filters.f3_bits_log2 = f3_bits;
-    core::VpatchConfig vcfg;
+    core::VpatchConfig vcfg;  // widest available kernel
     vcfg.filters.f3_bits_log2 = f3_bits;
-    const core::SpatchMatcher spatch(subset, scfg);
-    const core::VpatchMatcher vpatch(subset, vcfg);  // widest available kernel
-    const Throughput ts = measure_scan(spatch, trace, opt.runs);
-    const Throughput tv = measure_scan(vpatch, trace, opt.runs);
+    core::VpatchConfig scfg = vcfg;
+    scfg.isa = core::Isa::scalar;  // S-PATCH: the same class at width 1
+    const core::VpatchMatcher spatch(subset, scfg);
+    const core::VpatchMatcher vpatch(subset, vcfg);
+    const std::vector<Throughput> t = measure_scan({&spatch, &vpatch}, trace, opt.runs);
+    const Throughput& ts = t[0];
+    const Throughput& tv = t[1];
     print_row({std::to_string(subset.size()), fmt(ts.mean_gbps), fmt(tv.mean_gbps),
                fmt(ts.mean_gbps > 0 ? tv.mean_gbps / ts.mean_gbps : 0.0),
                std::to_string(tv.matches)},

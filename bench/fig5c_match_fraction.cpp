@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "core/spatch.hpp"
 #include "core/vpatch.hpp"
 #include "traffic/match_injector.hpp"
 #include "traffic/random_trace.hpp"
@@ -19,7 +18,7 @@ int main_impl(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
   const auto full = s2_full_patterns(opt.seed);
   const auto rules = full.random_subset(2000, opt.seed + 5);
-  const core::SpatchMatcher spatch(rules);
+  const MatcherPtr spatch = core::make_matcher(core::Algorithm::spatch, rules);
   const core::VpatchMatcher vpatch(rules);
 
   std::printf("=== Fig 5c: speedup vs fraction of matching input (2K patterns) ===\n");
@@ -30,8 +29,9 @@ int main_impl(int argc, char** argv) {
   for (double frac : {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}) {
     auto trace = traffic::generate_random_printable_trace(opt.trace_mb << 20, opt.seed + 20);
     const auto report = traffic::inject_matches(trace, rules, frac, opt.seed + 21);
-    const Throughput ts = measure_scan(spatch, trace, opt.runs);
-    const Throughput tv = measure_scan(vpatch, trace, opt.runs);
+    const std::vector<Throughput> t = measure_scan({spatch.get(), &vpatch}, trace, opt.runs);
+    const Throughput& ts = t[0];
+    const Throughput& tv = t[1];
     print_row({fmt(report.achieved_fraction * 100, 0) + "%", fmt(ts.mean_gbps),
                fmt(tv.mean_gbps), fmt(ts.mean_gbps > 0 ? tv.mean_gbps / ts.mean_gbps : 0.0),
                std::to_string(tv.matches)},

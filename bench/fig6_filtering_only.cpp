@@ -9,7 +9,6 @@
 #include <memory>
 
 #include "common.hpp"
-#include "core/spatch.hpp"
 #include "core/vpatch.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -36,7 +35,9 @@ void run_set(const char* label, const pattern::PatternSet& set,
   const std::vector<int> widths{14, 26, 12, 12};
   print_row({"trace", "variant", "Gbps", "vs-scalar"}, widths);
 
-  const core::SpatchMatcher spatch(set);
+  core::VpatchConfig scalar_cfg;
+  scalar_cfg.isa = core::Isa::scalar;  // S-PATCH
+  const core::VpatchMatcher spatch(set, scalar_cfg);
   // The paper's Fig. 6 platform is Haswell (W=8); the W=16 rows show the
   // wide-vector scaling on AVX-512 hosts.
   std::vector<std::unique_ptr<core::VpatchMatcher>> vectors;
@@ -58,7 +59,7 @@ void run_set(const char* label, const pattern::PatternSet& set,
     if (w.name == "random") continue;  // Fig. 6 uses the realistic traces
     volatile std::uint64_t guard = 0;  // keep the no-store variant honest
     const double scalar = measure_gbps(w.trace.size(), opt.runs, [&] {
-      const auto r = spatch.filter_only(w.trace, true);
+      const auto r = spatch.filter_only(w.trace, true, scratch);
       guard = guard + r.short_candidates + r.long_candidates;
     });
     print_row({w.name, "S-PATCH-filtering", fmt(scalar), "1.00"}, widths);

@@ -29,13 +29,18 @@ void run_set(const char* set_name, const pattern::PatternSet& set,
   algos.push_back(core::Algorithm::vpatch_avx512);
 
   std::vector<MatcherPtr> matchers;
-  for (core::Algorithm a : algos) matchers.push_back(core::make_matcher(a, set));
+  std::vector<const Matcher*> engines;
+  for (core::Algorithm a : algos) {
+    matchers.push_back(core::make_matcher(a, set));
+    engines.push_back(matchers.back().get());
+  }
+  const std::size_t dfc = 1;  // algos[1], the "vs-DFC" column's base
 
   for (const Workload& w : workloads) {
-    double dfc_gbps = 0.0;
+    const std::vector<Throughput> ts = measure_scan(engines, w.trace, opt.runs);
+    const double dfc_gbps = ts[dfc].mean_gbps;
     for (std::size_t i = 0; i < matchers.size(); ++i) {
-      const Throughput t = measure_scan(*matchers[i], w.trace, opt.runs);
-      if (algos[i] == core::Algorithm::dfc) dfc_gbps = t.mean_gbps;
+      const Throughput& t = ts[i];
       print_row({w.name, std::string(matchers[i]->name()), fmt(t.mean_gbps),
                  fmt(t.stddev_gbps, 3),
                  dfc_gbps > 0.0 ? fmt(t.mean_gbps / dfc_gbps) : std::string("-"),

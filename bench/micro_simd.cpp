@@ -7,7 +7,6 @@
 
 #include "core/candidates.hpp"
 #include "core/filter_bank.hpp"
-#include "core/spatch.hpp"
 #include "core/vpatch.hpp"
 #include "core/vpatch_kernels.hpp"
 #include "pattern/ruleset_gen.hpp"
@@ -152,7 +151,9 @@ BENCHMARK(BM_leftpack_avx2);
 void BM_spatch_filter_http(benchmark::State& state) {
   const auto trace = traffic::generate_http_trace(traffic::iscx_day2_config(1 << 20, 5));
   const auto set = pattern::generate_ruleset({.count = 2000, .seed = 6});
-  const core::SpatchMatcher m(set);
+  core::VpatchConfig cfg;
+  cfg.isa = core::Isa::scalar;  // S-PATCH
+  const core::VpatchMatcher m(set, cfg);
   for (auto _ : state) {
     const auto r = m.filter_only(trace, true);
     benchmark::DoNotOptimize(r);

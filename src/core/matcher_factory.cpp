@@ -3,7 +3,6 @@
 #include "ac/ac_compact.hpp"
 #include "ac/ac_full.hpp"
 #include "core/naive.hpp"
-#include "core/spatch.hpp"
 #include "dfc/dfc.hpp"
 #include "dfc/vector_dfc.hpp"
 #include "simd/cpu_features.hpp"
@@ -62,6 +61,11 @@ std::vector<Algorithm> available_algorithms() {
 }
 
 MatcherPtr make_matcher(Algorithm a, const pattern::PatternSet& set) {
+  const auto vpatch_at = [&set](Isa isa) {
+    VpatchConfig cfg;
+    cfg.isa = isa;
+    return std::make_unique<VpatchMatcher>(set, cfg);
+  };
   switch (a) {
     case Algorithm::naive:
       return std::make_unique<NaiveMatcher>(set);
@@ -76,19 +80,13 @@ MatcherPtr make_matcher(Algorithm a, const pattern::PatternSet& set) {
     case Algorithm::vector_dfc:
       return std::make_unique<dfc::VectorDfcMatcher>(set);
     case Algorithm::spatch:
-      return std::make_unique<SpatchMatcher>(set);
+      return vpatch_at(Isa::scalar);
     case Algorithm::vpatch:
-      return std::make_unique<VpatchMatcher>(set);
-    case Algorithm::vpatch_avx2: {
-      VpatchConfig cfg;
-      cfg.isa = Isa::avx2;
-      return std::make_unique<VpatchMatcher>(set, cfg);
-    }
-    case Algorithm::vpatch_avx512: {
-      VpatchConfig cfg;
-      cfg.isa = Isa::avx512;
-      return std::make_unique<VpatchMatcher>(set, cfg);
-    }
+      return vpatch_at(Isa::best);
+    case Algorithm::vpatch_avx2:
+      return vpatch_at(Isa::avx2);
+    case Algorithm::vpatch_avx512:
+      return vpatch_at(Isa::avx512);
   }
   throw std::runtime_error("unknown algorithm");
 }

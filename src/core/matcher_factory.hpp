@@ -1,7 +1,9 @@
 // Engine factory: the five evaluated algorithms (paper §V: AC, DFC,
 // Vector-DFC, S-PATCH, V-PATCH), V-PATCH at a forced width, compact AC (the
 // engine of sensorbench's `tls_screened` workload) and the naive oracle,
-// behind one constructor for benches, examples and tests.
+// behind one constructor for benches, examples and tests.  S-PATCH and every
+// V-PATCH width are one class, VpatchMatcher: S-PATCH is its Isa::scalar
+// width.
 //
 // NOTE — compile/runtime split: new code should prefer the Database/Scanner
 // API in core/database.hpp (`vpm::compile(algorithm, set)` returns an
@@ -32,7 +34,7 @@ enum class Algorithm : std::uint8_t {
   aho_corasick_compact = 3,  // compressed interleaved layout + SIMD lane batch kernel
   dfc = 4,                   // Choi et al. baseline
   vector_dfc = 5,            // direct vectorization of DFC
-  spatch = 6,                // scalar restructured design
+  spatch = 6,                // scalar restructured design: V-PATCH at Isa::scalar
   vpatch = 7,                // vectorized, widest available kernel
   vpatch_avx2 = 8,           // forced W=8
   vpatch_avx512 = 9,         // forced W=16

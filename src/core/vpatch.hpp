@@ -1,11 +1,15 @@
-// V-PATCH — the vectorized pattern matcher (paper §IV-B).
+// V-PATCH — the vectorized pattern matcher (paper §IV-B) — and S-PATCH, the
+// scalar restructuring of DFC that it vectorizes (§IV-A, Algorithm 1): one
+// class, S-PATCH being its Isa::scalar width.
 //
-// Round one runs the SIMD filtering kernel (AVX-512 W=16 or AVX2 W=8, each
-// covering every position of its input, or the scalar S-PATCH loop when no
-// vector kernel is available); round two is the shared scalar
-// verification over the stored candidate positions.  The kernel choice, the
-// unroll factor, filter merging and speculative-Filter-3 evaluation are all
-// configurable so the ablation benches can isolate each design decision.
+// Round one filters each input chunk: a short-pattern (1-3 B) position must
+// pass Filter 1, a long-pattern position Filter 2 and the hashed 4-byte
+// Filter 3, before it is stored.  It runs the SIMD kernel (AVX-512 W=16 or
+// AVX2 W=8, each covering every position of its input) or, at Isa::scalar,
+// S-PATCH's scalar loop.  Round two is the shared scalar verification over
+// the stored candidate positions.  The kernel choice, the unroll factor,
+// filter merging and speculative-Filter-3 evaluation are all configurable so
+// the ablation benches can isolate each design decision.
 //
 // Batch fast path (scan_batch) and the deferred-verification contract:
 // round one runs across ALL payloads of a batch, appending candidates to one
@@ -30,13 +34,17 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "core/spatch.hpp"
+#include "core/candidates.hpp"
+#include "core/filter_bank.hpp"
+#include "core/scan_stats.hpp"
+#include "core/verifier.hpp"
 #include "core/vpatch_kernels.hpp"
+#include "match/matcher.hpp"
 
 namespace vpm::core {
 
 enum class Isa : std::uint8_t {
-  scalar,  // no vector kernel: equivalent to S-PATCH with V-PATCH plumbing
+  scalar,  // no vector kernel: S-PATCH
   avx2,    // W = 8 (the paper's Haswell configuration)
   avx512,  // W = 16 (the paper's Xeon-Phi configuration, on AVX-512 hosts)
   best,    // widest available at runtime
@@ -51,6 +59,8 @@ bool isa_supported(Isa isa);
 struct VpatchConfig {
   FilterBankConfig filters{};
   unsigned long_bucket_bits = 15;
+  // Input positions filtered per round-one pass before verification runs;
+  // sized so the candidate arrays stay cache-resident next to the filters.
   std::size_t chunk_size = 32 * 1024;
   Isa isa = Isa::best;
   KernelOptions kernel{};
@@ -71,6 +81,7 @@ class VpatchMatcher final : public Matcher {
     return bank_.memory_bytes() + verifier_.memory_bytes();
   }
 
+  // Instrumented scan for the Fig. 5b filtering/verification time split.
   void scan_with_stats(util::ByteView data, MatchSink& sink, ScanStats& stats) const;
 
   // Round one in isolation (Fig. 6): with_stores=true exercises the real

@@ -7,7 +7,8 @@
 //     second byte at p = total_len - 1 (only 1-byte patterns can start
 //     there), and a position reports a long candidate only when its 4-byte
 //     window fits (p + 4 <= total_len) — the candidates, in position order,
-//     are exactly those of S-PATCH's scalar loop plus its tail probe;
+//     are exactly those of the Isa::scalar width (S-PATCH), whose loop and
+//     tail probe are file-local to vpatch.cpp;
 //   * read only bytes [begin, total_len): the positions the full-width loop
 //     cannot reach get one more block whose bytes come from a masked load
 //     (AVX-512) or a zeroed stack copy (AVX2);

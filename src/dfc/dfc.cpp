@@ -18,9 +18,13 @@ DfcMatcher::DfcMatcher(const pattern::PatternSet& set)
 
 void DfcMatcher::scan(util::ByteView data, MatchSink& sink) const {
   if (data.empty()) return;
+  scan_from(data, 0, sink);
+}
+
+void DfcMatcher::scan_from(util::ByteView data, std::size_t begin, MatchSink& sink) const {
   const std::uint8_t* d = data.data();
   const std::size_t n = data.size();
-  for (std::size_t i = 0; i + 1 < n; ++i) {
+  for (std::size_t i = begin; i + 1 < n; ++i) {
     const std::uint32_t window = util::load_u16(d + i);
     if (!df_all_.test(window)) continue;
     if (df_short_.test(window)) short_table_.verify_at(data, i, sink);

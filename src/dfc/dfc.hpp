@@ -36,6 +36,11 @@ class DfcMatcher final : public Matcher {
  private:
   friend class VectorDfcMatcher;
 
+  // The scalar loop over positions [begin, n - 1) of data (n >= 1), then the
+  // last position; Vector-DFC runs it over the positions its vector loop
+  // leaves.
+  void scan_from(util::ByteView data, std::size_t begin, MatchSink& sink) const;
+
   DirectFilter2B df_all_;    // first two bytes of every pattern
   DirectFilter2B df_short_;  // patterns of 1..3 bytes
   DirectFilter2B df_long_;   // patterns of >= 4 bytes

@@ -73,19 +73,8 @@ void VectorDfcMatcher::scan(util::ByteView data, MatchSink& sink) const {
     }
   }
 
-  // Scalar tail, identical to DfcMatcher::scan over the remaining positions.
-  for (; i + 1 < n; ++i) {
-    const std::uint32_t window = util::load_u16(d + i);
-    if (!scalar_.df_all_.test(window)) continue;
-    if (scalar_.df_short_.test(window)) scalar_.short_table_.verify_at(data, i, sink);
-    if (scalar_.df_long_.test(window)) scalar_.long_table_.verify_at(data, i, sink);
-  }
-  if (i == n - 1) {
-    const std::uint32_t tail = d[n - 1];
-    if (scalar_.df_all_.test(tail) && scalar_.df_short_.test(tail)) {
-      scalar_.short_table_.verify_at(data, n - 1, sink);
-    }
-  }
+  // The positions the vector loop leaves: DFC's own scalar loop.
+  scalar_.scan_from(data, i, sink);
 }
 
 #else

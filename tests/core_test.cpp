@@ -1,12 +1,12 @@
 // Core S-PATCH / V-PATCH tests: filter bank construction, the two-round
-// engines, kernel/ISA equivalence, chunking, tails, stats instrumentation,
-// and ablation option sanity.
+// engine at every width (S-PATCH is its Isa::scalar width), kernel/ISA
+// equivalence, chunking, tails, stats instrumentation, and ablation option
+// sanity.
 #include <gtest/gtest.h>
 
 #include "core/filter_bank.hpp"
 #include "core/matcher_factory.hpp"
 #include "core/naive.hpp"
-#include "core/spatch.hpp"
 #include "core/vpatch.hpp"
 #include "helpers.hpp"
 #include "simd/cpu_features.hpp"
@@ -86,115 +86,7 @@ TEST(FilterBank, OccupancyGrowsWithPatterns) {
   EXPECT_GT(b.f3_occupancy(), a.f3_occupancy());
 }
 
-// ---- S-PATCH ------------------------------------------------------------------
-
-TEST(Spatch, BoundarySetAgainstOracle) {
-  const auto set = testutil::boundary_set();
-  const SpatchMatcher m(set);
-  expect_matches_naive(m, set, util::as_view("a ab abc abcd abcde GET HtTp/1.1 xx"));
-}
-
-TEST(Spatch, RandomizedDifferential) {
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    const auto set = testutil::random_set(80, 8, seed);
-    const SpatchMatcher m(set);
-    const auto text = testutil::random_text(4000, seed + 30);
-    expect_matches_naive(m, set, text, "seed=" + std::to_string(seed));
-  }
-}
-
-TEST(Spatch, ChunkBoundariesDoNotLoseMatches) {
-  pattern::PatternSet set;
-  set.add("boundary-crossing-pattern");
-  SpatchConfig cfg;
-  cfg.chunk_size = 64;  // force many chunks
-  const SpatchMatcher m(set, cfg);
-  std::string text(1000, '.');
-  text.replace(60, 25, "boundary-crossing-pattern");   // straddles chunk 0/1
-  text.replace(640, 25, "boundary-crossing-pattern");  // chunk 10
-  EXPECT_EQ(m.count_matches(util::as_view(text)), 2u);
-}
-
-TEST(Spatch, ChunkSizeDoesNotChangeResults) {
-  const auto set = testutil::random_set(50, 8, 5);
-  const auto text = testutil::random_text(5000, 6);
-  std::vector<Match> reference;
-  for (std::size_t chunk : {7u, 64u, 333u, 4096u, 1u << 20}) {
-    SpatchConfig cfg;
-    cfg.chunk_size = chunk;
-    const SpatchMatcher m(set, cfg);
-    const auto got = m.find_matches(text);
-    if (reference.empty()) {
-      reference = got;
-    } else {
-      EXPECT_EQ(got, reference) << "chunk=" << chunk;
-    }
-  }
-  EXPECT_FALSE(reference.empty());
-}
-
-TEST(Spatch, TailPositions) {
-  pattern::PatternSet set;
-  set.add("x");
-  set.add("yz");
-  set.add("wxyz");
-  const SpatchMatcher m(set);
-  EXPECT_EQ(m.count_matches(util::as_view("x")), 1u);       // 1-byte input
-  EXPECT_EQ(m.count_matches(util::as_view("yz")), 1u);      // exact 2-byte
-  EXPECT_EQ(m.count_matches(util::as_view("wxyz")), 3u);    // wxyz@0, x@1, yz@2
-  EXPECT_EQ(m.count_matches(util::as_view("aax")), 1u);     // match at last byte
-}
-
-TEST(Spatch, EmptyAndDegenerateInputs) {
-  const auto set = testutil::boundary_set();
-  const SpatchMatcher m(set);
-  EXPECT_EQ(m.count_matches({}), 0u);
-  for (std::size_t len = 1; len <= 8; ++len) {
-    const auto text = testutil::random_text(len, len);
-    expect_matches_naive(m, set, text, "len=" + std::to_string(len));
-  }
-}
-
-TEST(Spatch, StatsSplitFilteringAndVerification) {
-  const auto set = testutil::random_set(100, 8, 7);
-  const SpatchMatcher m(set);
-  const auto text = testutil::random_text(1 << 16, 8);
-  ScanStats stats;
-  CountingSink sink;
-  m.scan_with_stats(text, sink, stats);
-  EXPECT_GT(stats.filter_seconds, 0.0);
-  EXPECT_EQ(stats.matches, sink.count());
-  EXPECT_GT(stats.short_candidates + stats.long_candidates, 0u);
-  EXPECT_GE(stats.filter_time_fraction(), 0.0);
-  EXPECT_LE(stats.filter_time_fraction(), 1.0);
-}
-
-TEST(Spatch, FilterOnlyCountsAgreeWithStores) {
-  const auto set = testutil::random_set(100, 8, 9);
-  const SpatchMatcher m(set);
-  const auto text = testutil::random_text(20000, 10);
-  const auto with = m.filter_only(text, true);
-  const auto without = m.filter_only(text, false);
-  EXPECT_EQ(with.short_candidates, without.short_candidates);
-  EXPECT_EQ(with.long_candidates, without.long_candidates);
-}
-
-TEST(Spatch, FewerLongCandidatesThanDfcStyleF2Alone) {
-  // Filter 3 must strictly reduce candidates vs Filter 2 alone on random
-  // input — the design point of the third filter.
-  const auto set = testutil::random_set(200, 10, 11);
-  const SpatchMatcher m(set);
-  const auto text = testutil::random_text(50000, 12);
-  const auto& bank = m.filter_bank();
-  std::uint64_t f2_hits = 0;
-  for (std::size_t i = 0; i + 1 < text.size(); ++i) {
-    if (bank.test_f2(util::load_u16(text.data() + i))) ++f2_hits;
-  }
-  const auto result = m.filter_only(text, false);
-  EXPECT_LT(result.long_candidates, f2_hits);
-}
-
-// ---- V-PATCH ------------------------------------------------------------------
+// ---- S-PATCH and V-PATCH, at every width ------------------------------------
 
 std::vector<Isa> testable_isas() {
   std::vector<Isa> isas{Isa::scalar};
@@ -211,6 +103,13 @@ class VpatchIsa : public ::testing::TestWithParam<Isa> {
     return cfg;
   }
 };
+
+// S-PATCH: the reference the vector widths must agree with.
+VpatchMatcher spatch(const pattern::PatternSet& set) {
+  VpatchConfig cfg;
+  cfg.isa = Isa::scalar;
+  return VpatchMatcher(set, cfg);
+}
 
 INSTANTIATE_TEST_SUITE_P(AllIsas, VpatchIsa, ::testing::ValuesIn(testable_isas()),
                          [](const auto& info) { return std::string(isa_name(info.param)); });
@@ -232,10 +131,13 @@ TEST_P(VpatchIsa, RandomizedDifferential) {
 
 TEST_P(VpatchIsa, AgreesWithSpatchOnHttpLikeText) {
   const auto set = testutil::random_set(150, 10, 13);
-  const SpatchMatcher scalar(set);
+  const VpatchMatcher scalar = spatch(set);
   const VpatchMatcher vec(set, config());
   const auto text = testutil::random_text(100000, 14);
   EXPECT_EQ(vec.find_matches(text), scalar.find_matches(text));
+  // The widths share their plumbing, so agreeing with S-PATCH alone could
+  // hide a fault in it: the naive oracle checks both.
+  expect_matches_naive(vec, set, text);
 }
 
 TEST_P(VpatchIsa, AllLengthsNearVectorBoundaries) {
@@ -265,6 +167,72 @@ TEST_P(VpatchIsa, MatchesAtChunkAndVectorSeams) {
   }
 }
 
+TEST_P(VpatchIsa, ChunkBoundariesDoNotLoseMatches) {
+  pattern::PatternSet set;
+  set.add("boundary-crossing-pattern");
+  VpatchConfig cfg = config();
+  cfg.chunk_size = 64;  // force many chunks
+  const VpatchMatcher m(set, cfg);
+  std::string text(1000, '.');
+  text.replace(60, 25, "boundary-crossing-pattern");   // straddles chunk 0/1
+  text.replace(640, 25, "boundary-crossing-pattern");  // chunk 10
+  EXPECT_EQ(m.count_matches(util::as_view(text)), 2u);
+}
+
+TEST_P(VpatchIsa, ChunkSizeDoesNotChangeResults) {
+  const auto set = testutil::random_set(50, 8, 5);
+  const auto text = testutil::random_text(5000, 6);
+  std::vector<Match> reference;
+  for (std::size_t chunk : {7u, 64u, 333u, 4096u, 1u << 20}) {
+    VpatchConfig cfg = config();
+    cfg.chunk_size = chunk;
+    const VpatchMatcher m(set, cfg);
+    const auto got = m.find_matches(text);
+    if (reference.empty()) {
+      reference = got;
+    } else {
+      EXPECT_EQ(got, reference) << "chunk=" << chunk;
+    }
+  }
+  EXPECT_FALSE(reference.empty());
+}
+
+TEST_P(VpatchIsa, TailPositions) {
+  pattern::PatternSet set;
+  set.add("x");
+  set.add("yz");
+  set.add("wxyz");
+  const VpatchMatcher m(set, config());
+  EXPECT_EQ(m.count_matches(util::as_view("x")), 1u);       // 1-byte input
+  EXPECT_EQ(m.count_matches(util::as_view("yz")), 1u);      // exact 2-byte
+  EXPECT_EQ(m.count_matches(util::as_view("wxyz")), 3u);    // wxyz@0, x@1, yz@2
+  EXPECT_EQ(m.count_matches(util::as_view("aax")), 1u);     // match at last byte
+}
+
+TEST_P(VpatchIsa, EmptyAndDegenerateInputs) {
+  const auto set = testutil::boundary_set();
+  const VpatchMatcher m(set, config());
+  EXPECT_EQ(m.count_matches({}), 0u);
+  for (std::size_t len = 1; len <= 8; ++len) {
+    const auto text = testutil::random_text(len, len);
+    expect_matches_naive(m, set, text, "len=" + std::to_string(len));
+  }
+}
+
+TEST_P(VpatchIsa, StatsSplitFilteringAndVerification) {
+  const auto set = testutil::random_set(100, 8, 7);
+  const VpatchMatcher m(set, config());
+  const auto text = testutil::random_text(1 << 16, 8);
+  ScanStats stats;
+  CountingSink sink;
+  m.scan_with_stats(text, sink, stats);
+  EXPECT_GT(stats.filter_seconds, 0.0);
+  EXPECT_EQ(stats.matches, sink.count());
+  EXPECT_GT(stats.short_candidates + stats.long_candidates, 0u);
+  EXPECT_GE(stats.filter_time_fraction(), 0.0);
+  EXPECT_LE(stats.filter_time_fraction(), 1.0);
+}
+
 TEST_P(VpatchIsa, StatsTrackLaneUtilization) {
   const auto set = testutil::random_set(200, 10, 15);
   const VpatchMatcher m(set, config());
@@ -282,7 +250,7 @@ TEST_P(VpatchIsa, StatsTrackLaneUtilization) {
 
 TEST_P(VpatchIsa, FilterOnlyMatchesScalarCounts) {
   const auto set = testutil::random_set(120, 10, 17);
-  const SpatchMatcher scalar(set);
+  const VpatchMatcher scalar = spatch(set);
   const VpatchMatcher vec(set, config());
   const auto text = testutil::random_text(50000, 18);
   const auto s = scalar.filter_only(text, true);
@@ -294,10 +262,26 @@ TEST_P(VpatchIsa, FilterOnlyMatchesScalarCounts) {
   EXPECT_EQ(v_nostores.long_candidates, s.long_candidates);
 }
 
+TEST_P(VpatchIsa, FewerLongCandidatesThanDfcStyleF2Alone) {
+  // Filter 3 must strictly reduce candidates vs Filter 2 alone on random
+  // input — the design point of the third filter.
+  const auto set = testutil::random_set(200, 10, 11);
+  const VpatchMatcher m(set, config());
+  const auto text = testutil::random_text(50000, 12);
+  const auto& bank = m.filter_bank();
+  std::uint64_t f2_hits = 0;
+  for (std::size_t i = 0; i + 1 < text.size(); ++i) {
+    if (bank.test_f2(util::load_u16(text.data() + i))) ++f2_hits;
+  }
+  const auto result = m.filter_only(text, false);
+  EXPECT_LT(result.long_candidates, f2_hits);
+}
+
 TEST_P(VpatchIsa, KernelOptionCombinationsAreEquivalent) {
   const auto set = testutil::random_set(100, 10, 19);
   const auto text = testutil::random_text(30000, 20);
-  const SpatchMatcher reference(set);
+  const VpatchMatcher reference = spatch(set);
+  expect_matches_naive(reference, set, text);
   const auto expected = reference.find_matches(text);
   for (bool unroll : {false, true}) {
     for (bool merged : {false, true}) {
@@ -367,6 +351,8 @@ TEST(MatcherFactory, VpatchConstructsOnScalarAndBestIsa) {
 
 TEST(Vpatch, NameReflectsIsa) {
   const auto set = testutil::boundary_set();
+  EXPECT_EQ(spatch(set).name(), "S-PATCH");
+  EXPECT_EQ(make_matcher(Algorithm::spatch, set)->name(), "S-PATCH");
   if (simd::cpu().has_avx2_kernel()) {
     VpatchConfig cfg;
     cfg.isa = Isa::avx2;

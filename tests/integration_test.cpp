@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "core/matcher_factory.hpp"
-#include "core/spatch.hpp"
 #include "core/vpatch.hpp"
 #include "helpers.hpp"
 #include "ids/engine.hpp"

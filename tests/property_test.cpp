@@ -13,7 +13,6 @@
 
 #include "core/database.hpp"
 #include "core/matcher_factory.hpp"
-#include "core/spatch.hpp"
 #include "core/vpatch.hpp"
 #include "helpers.hpp"
 #include "ids/engine.hpp"
@@ -52,11 +51,12 @@ TEST_P(ConfigInvariance, SpatchMatchesOracle) {
   const ConfigCase& cc = GetParam();
   const auto set = testutil::random_set(70, 9, testutil::case_seed(111));
   const auto text = testutil::random_text(20000, testutil::case_seed(112));
-  SpatchConfig cfg;
+  VpatchConfig cfg;
+  cfg.isa = Isa::scalar;  // S-PATCH
   cfg.chunk_size = cc.chunk_size;
   cfg.filters.f3_bits_log2 = cc.f3_bits;
   cfg.long_bucket_bits = cc.bucket_bits;
-  const SpatchMatcher m(set, cfg);
+  const VpatchMatcher m(set, cfg);
   testutil::expect_matches_naive(m, set, text);
 }
 
@@ -169,7 +169,9 @@ TEST_P(InjectionCompleteness, FindsAtLeastInjectedCopies) {
 TEST(FilterInvariance, CandidateCountsAcrossIsas) {
   const auto set = testutil::random_set(150, 10, testutil::case_seed(130));
   const auto text = testutil::random_text(60000, testutil::case_seed(131));
-  const SpatchMatcher scalar(set);
+  VpatchConfig scalar_cfg;
+  scalar_cfg.isa = Isa::scalar;  // S-PATCH
+  const VpatchMatcher scalar(set, scalar_cfg);
   const auto ref = scalar.filter_only(text, true);
   for (Isa isa : {Isa::avx2, Isa::avx512}) {
     if (!isa_supported(isa)) continue;
