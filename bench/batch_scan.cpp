@@ -8,6 +8,8 @@
 // batch path is the generic per-payload loop), and compact AC's batch path
 // is the lane kernel (8/16 payloads walk the arena through gathers; batch 1
 // falls back to the per-payload path, so that row measures dispatch cost).
+// On an AVX-512 host, v-patch is the W=16 kernel and v-patch-avx2 adds the
+// W=8 rows.
 //
 //   bench_batch_scan [--mb=N] [--runs=N] [--seed=N] [--quick] [--json=FILE]
 #include <cstdio>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "core/vpatch.hpp"
 #include "traffic/trace.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -45,10 +48,16 @@ int run_set(const char* label, const pattern::PatternSet& set, const util::Bytes
   print_row({"algorithm", "payload", "batch", "scan-Gbps", "batch-Gbps", "speedup"},
             widths);
 
-  for (core::Algorithm algo :
-       {core::Algorithm::aho_corasick, core::Algorithm::aho_corasick_compact,
-        core::Algorithm::dfc, core::Algorithm::vector_dfc, core::Algorithm::spatch,
-        core::Algorithm::vpatch}) {
+  std::vector<core::Algorithm> algos{
+      core::Algorithm::aho_corasick, core::Algorithm::aho_corasick_compact,
+      core::Algorithm::dfc,          core::Algorithm::vector_dfc,
+      core::Algorithm::spatch,       core::Algorithm::vpatch};
+  // v-patch runs the widest kernel; on an AVX-512 host the AVX2 width gets
+  // its own rows, so both vector widths' batch paths are measured.
+  if (core::resolve_isa(core::Isa::best) == core::Isa::avx512) {
+    algos.push_back(core::Algorithm::vpatch_avx2);
+  }
+  for (core::Algorithm algo : algos) {
     if (!core::algorithm_available(algo)) continue;
     const auto matcher = core::make_matcher(algo, set);
 

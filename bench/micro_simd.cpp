@@ -76,9 +76,11 @@ void BM_filter_probe_scalar(benchmark::State& state) {
 }
 BENCHMARK(BM_filter_probe_scalar);
 
-void BM_filter_probe_gather_avx2(benchmark::State& state) {
-  if (!simd::avx2_available()) {
-    state.SkipWithError("AVX2 unavailable");
+// The no-store kernel of one vector width's table (null when not compiled).
+void filter_probe_gather(benchmark::State& state, bool available,
+                         const core::VpatchKernel* kernel) {
+  if (!available || kernel == nullptr) {
+    state.SkipWithError("kernel unavailable");
     return;
   }
   const auto data = make_data(1 << 16);
@@ -86,29 +88,19 @@ void BM_filter_probe_gather_avx2(benchmark::State& state) {
   const core::FilterBank bank(set);
   core::NoStoreCounts counts;
   for (auto _ : state) {
-    core::vpatch_filter_nostore_avx2(data.data(), 0, data.size() - 1, data.size(), bank,
-                                     counts);
+    kernel->filter_nostore(data.data(), 0, data.size() - 1, data.size(), bank, counts);
     benchmark::DoNotOptimize(counts);
   }
   state.SetBytesProcessed(state.iterations() * ((1 << 16) - 1));
 }
+
+void BM_filter_probe_gather_avx2(benchmark::State& state) {
+  filter_probe_gather(state, simd::avx2_available(), core::vpatch_kernel_avx2());
+}
 BENCHMARK(BM_filter_probe_gather_avx2);
 
 void BM_filter_probe_gather_avx512(benchmark::State& state) {
-  if (!simd::avx512_available()) {
-    state.SkipWithError("AVX-512 unavailable");
-    return;
-  }
-  const auto data = make_data(1 << 16);
-  const auto set = pattern::generate_ruleset({.count = 2000, .seed = 2});
-  const core::FilterBank bank(set);
-  core::NoStoreCounts counts;
-  for (auto _ : state) {
-    core::vpatch_filter_nostore_avx512(data.data(), 0, data.size() - 1, data.size(), bank,
-                                       counts);
-    benchmark::DoNotOptimize(counts);
-  }
-  state.SetBytesProcessed(state.iterations() * ((1 << 16) - 1));
+  filter_probe_gather(state, simd::avx512_available(), core::vpatch_kernel_avx512());
 }
 BENCHMARK(BM_filter_probe_gather_avx512);
 

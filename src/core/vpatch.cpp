@@ -10,37 +10,77 @@
 namespace vpm::core {
 namespace {
 
-// S-PATCH's round one: filters positions [begin, end) of data (end <=
-// total_len - 1; every position has a full 2-byte window) into `out`.  One
-// 2-byte load of the merged layout serves both Filter 1 (low byte) and
-// Filter 2 (high byte).
-void spatch_filter_scalar(const std::uint8_t* data, std::size_t begin, std::size_t end,
-                          std::size_t total_len, const FilterBank& bank,
-                          CandidateBuffers& out) {
+// S-PATCH's round one (the Isa::scalar width), under the VpatchKernel
+// contract.  One 2-byte load of the merged layout serves both Filter 1 (low
+// byte) and Filter 2 (high byte).  The counts, the output and filter
+// pointers and Filter 3's hash bits live in locals: a uint32_t candidate
+// store could alias the buffers' and the bank's fields, so read through
+// them, each would be reloaded for every position.
+void spatch_filter(const std::uint8_t* data, std::size_t begin, std::size_t end,
+                   std::size_t total_len, const FilterBank& bank, CandidateBuffers& out,
+                   const KernelOptions&, ScanStats*) {
   const std::uint8_t* merged = bank.merged_data();
-  for (std::size_t i = begin; i < end; ++i) {
+  const std::uint8_t* f3 = bank.f3_data();
+  const unsigned f3_bits = bank.f3_bits_log2();
+  std::uint32_t* short_pos = out.short_pos.data();
+  std::uint32_t* long_pos = out.long_pos.data();
+  std::uint32_t n_short = out.n_short;
+  std::uint32_t n_long = out.n_long;
+  // Every position below total_len - 1 has a full 2-byte window.
+  const std::size_t full_end = std::min(end, total_len - 1);
+  for (std::size_t i = begin; i < full_end; ++i) {
     const std::uint32_t window = util::load_u16(data + i);
     const std::uint32_t word = util::load_u16(merged + 2 * (window >> 3));
     const std::uint32_t bit = window & 7u;
-    if ((word >> bit) & 1u) {
-      out.short_pos[out.n_short++] = static_cast<std::uint32_t>(i);
-    }
+    if ((word >> bit) & 1u) short_pos[n_short++] = static_cast<std::uint32_t>(i);
     if ((word >> (bit + 8)) & 1u && i + 4 <= total_len) {
-      const std::uint32_t window4 = util::load_u32(data + i);
-      if (bank.test_f3(window4)) {
-        out.long_pos[out.n_long++] = static_cast<std::uint32_t>(i);
-      }
+      const std::uint32_t key = util::multiplicative_hash(util::load_u32(data + i), f3_bits);
+      if ((f3[key >> 3] >> (key & 7u)) & 1u) long_pos[n_long++] = static_cast<std::uint32_t>(i);
     }
   }
+  // The zero-padded final-position probe (only 1..3-byte patterns can start
+  // at the last bytes; 1-byte wildcard expansion makes the padded test exact).
+  if (end == total_len && bank.test_f1(data[total_len - 1])) {
+    short_pos[n_short++] = static_cast<std::uint32_t>(total_len - 1);
+  }
+  out.n_short = n_short;
+  out.n_long = n_long;
 }
 
-// The zero-padded final-position probe (only 1..3-byte patterns can start at
-// the last bytes; 1-byte wildcard expansion makes the padded test exact).
-void spatch_filter_tail(const std::uint8_t* data, std::size_t total_len,
-                        const FilterBank& bank, CandidateBuffers& out) {
-  const std::uint32_t window = data[total_len - 1];  // zero-padded second byte
-  if (bank.test_f1(window)) {
-    out.short_pos[out.n_short++] = static_cast<std::uint32_t>(total_len - 1);
+void spatch_filter_batch(std::span<const util::ByteView> payloads, const FilterBank& bank,
+                         CandidateBuffers& out, std::uint32_t* short_item,
+                         std::uint32_t* long_item, std::size_t max_payload,
+                         const KernelOptions& opt) {
+  filter_each_payload(payloads, out, short_item, long_item, max_payload,
+                      [&](const std::uint8_t* d, std::size_t n) {
+                        spatch_filter(d, 0, n, n, bank, out, opt, nullptr);
+                      });
+}
+
+// spatch_filter's probe sequence, counting only.
+void spatch_filter_nostore(const std::uint8_t* data, std::size_t begin, std::size_t end,
+                           std::size_t total_len, const FilterBank& bank,
+                           NoStoreCounts& counts) {
+  for (std::size_t i = begin; i < std::min(end, total_len - 1); ++i) {
+    const std::uint32_t window = util::load_u16(data + i);
+    if (bank.test_f1(window)) ++counts.short_hits;
+    if (bank.test_f2(window) && i + 4 <= total_len &&
+        bank.test_f3(util::load_u32(data + i))) {
+      ++counts.long_hits;
+    }
+  }
+  if (end == total_len && bank.test_f1(data[total_len - 1])) ++counts.short_hits;
+}
+
+constexpr VpatchKernel kSpatchKernel{spatch_filter, spatch_filter_batch,
+                                     spatch_filter_nostore};
+
+// The table of a supported ISA.
+const VpatchKernel* kernel_for(Isa isa) {
+  switch (isa) {
+    case Isa::avx2: return vpatch_kernel_avx2();
+    case Isa::avx512: return vpatch_kernel_avx512();
+    default: return &kSpatchKernel;
   }
 }
 
@@ -48,10 +88,14 @@ void spatch_filter_tail(const std::uint8_t* data, std::size_t total_len,
 // inlined into the scan_impl template, GCC 12 compiles these table probes
 // into code that verifies up to a fifth slower (S-PATCH's scan() on the
 // S1-web and S2-full sets).
-void verify_chunk(const Verifier& verifier, util::ByteView data,
-                  const CandidateBuffers& buffers, MatchSink& sink) {
-  verifier.verify_short(data, {buffers.short_pos.data(), buffers.n_short}, sink);
-  verifier.verify_long(data, {buffers.long_pos.data(), buffers.n_long}, sink);
+void verify_chunk(const dfc::ShortTable& short_table, const dfc::LongTable& long_table,
+                  util::ByteView data, const CandidateBuffers& buffers, MatchSink& sink) {
+  for (std::uint32_t pos : std::span(buffers.short_pos.data(), buffers.n_short)) {
+    short_table.verify_at(data, pos, sink);
+  }
+  for (std::uint32_t pos : std::span(buffers.long_pos.data(), buffers.n_long)) {
+    long_table.verify_at(data, pos, sink);
+  }
 }
 
 }  // namespace
@@ -86,9 +130,11 @@ Isa resolve_isa(Isa requested) {
 VpatchMatcher::VpatchMatcher(const pattern::PatternSet& set, VpatchConfig cfg)
     : cfg_(cfg),
       isa_(resolve_isa(cfg.isa)),
+      kernel_(isa_supported(isa_) ? kernel_for(isa_) : nullptr),
       bank_(set, cfg.filters),
-      verifier_(set, cfg.long_bucket_bits) {
-  if (!isa_supported(isa_)) {
+      short_table_(set),
+      long_table_(set) {
+  if (kernel_ == nullptr) {
     throw std::runtime_error("V-PATCH: requested ISA not supported on this CPU");
   }
 }
@@ -109,24 +155,6 @@ unsigned VpatchMatcher::vector_width() const {
   }
 }
 
-void VpatchMatcher::round_one(const std::uint8_t* d, std::size_t begin, std::size_t end,
-                              std::size_t n, CandidateBuffers& buffers, ScanStats* stats) const {
-  switch (isa_) {
-    case Isa::avx2:
-      vpatch_filter_avx2(d, begin, end, n, bank_, buffers, cfg_.kernel, stats);
-      return;
-    case Isa::avx512:
-      vpatch_filter_avx512(d, begin, end, n, bank_, buffers, cfg_.kernel, stats);
-      return;
-    default:
-      // S-PATCH: the scalar loop over the positions with a full 2-byte
-      // window, then the zero-padded probe of the last one.
-      spatch_filter_scalar(d, begin, std::min(end, n - 1), n, bank_, buffers);
-      if (end == n) spatch_filter_tail(d, n, bank_, buffers);
-      return;
-  }
-}
-
 template <bool kWithStats>
 void VpatchMatcher::scan_impl(util::ByteView data, MatchSink& sink, ScanStats* stats) const {
   const std::size_t n = data.size();
@@ -144,7 +172,7 @@ void VpatchMatcher::scan_impl(util::ByteView data, MatchSink& sink, ScanStats* s
     buffers.clear();
 
     RoundTimer timer;
-    round_one(d, chunk, end, n, buffers, stats);
+    kernel_->filter(d, chunk, end, n, bank_, buffers, cfg_.kernel, stats);
     if constexpr (kWithStats) {
       stats->filter_seconds += timer.seconds();
       stats->short_candidates += buffers.n_short;
@@ -152,7 +180,7 @@ void VpatchMatcher::scan_impl(util::ByteView data, MatchSink& sink, ScanStats* s
       timer.reset();
     }
 
-    verify_chunk(verifier_, data, buffers, sink);
+    verify_chunk(short_table_, long_table_, data, buffers, sink);
     if constexpr (kWithStats) {
       stats->verify_seconds += timer.seconds();
     }
@@ -203,46 +231,17 @@ void VpatchMatcher::scan_batch(std::span<const util::ByteView> payloads, BatchSi
 
   // Round one across the whole batch: candidates accumulate in the shared
   // pool; slack stores past the logical end are overwritten by the next
-  // payload's appends (or ignored), per the pool capacity contract.  The
-  // vector ISAs run the whole batch through one kernel call (setup hoisted
-  // across payloads); oversized payloads are skipped there and scanned
-  // through the chunked per-payload path below.
-  bool batched_round_one = true;
-  switch (isa_) {
-    case Isa::avx2:
-      vpatch_filter_batch_avx2(payloads, bank_, st.buffers, st.short_item.data(),
-                               st.long_item.data(), cfg_.chunk_size, cfg_.kernel);
-      break;
-    case Isa::avx512:
-      vpatch_filter_batch_avx512(payloads, bank_, st.buffers, st.short_item.data(),
-                                 st.long_item.data(), cfg_.chunk_size, cfg_.kernel);
-      break;
-    default:
-      batched_round_one = false;
-      break;
-  }
-
+  // payload's appends (or ignored), per the pool capacity contract.  One
+  // kernel call covers the batch (setup hoisted across payloads); it skips
+  // oversized payloads, which take the chunked per-payload path here.
+  kernel_->filter_batch(payloads, bank_, st.buffers, st.short_item.data(),
+                        st.long_item.data(), cfg_.chunk_size, cfg_.kernel);
   for (std::size_t p = 0; p < payloads.size(); ++p) {
-    const util::ByteView data = payloads[p];
-    const std::size_t n = data.size();
-    if (n == 0) continue;
-    if (n > cfg_.chunk_size) {
-      PacketSinkAdapter adapter;
-      adapter.out = &sink;
-      adapter.packet = static_cast<std::uint32_t>(p);
-      scan(data, adapter);
-      continue;
-    }
-    if (batched_round_one) continue;  // the batch kernel already filtered it
-    const std::uint32_t short_begin = st.buffers.n_short;
-    const std::uint32_t long_begin = st.buffers.n_long;
-    round_one(data.data(), 0, n, n, st.buffers, nullptr);
-    for (std::uint32_t k = short_begin; k < st.buffers.n_short; ++k) {
-      st.short_item[k] = static_cast<std::uint32_t>(p);
-    }
-    for (std::uint32_t k = long_begin; k < st.buffers.n_long; ++k) {
-      st.long_item[k] = static_cast<std::uint32_t>(p);
-    }
+    if (payloads[p].size() <= cfg_.chunk_size) continue;
+    PacketSinkAdapter adapter;
+    adapter.out = &sink;
+    adapter.packet = static_cast<std::uint32_t>(p);
+    scan(payloads[p], adapter);
   }
 
   // Round two, deferred: one verification pass over the whole pool.  The
@@ -250,12 +249,11 @@ void VpatchMatcher::scan_batch(std::span<const util::ByteView> payloads, BatchSi
   const auto emit = [&sink](std::uint32_t packet, const Match& m) {
     sink.on_match(packet, m);
   };
-  verifier_.short_table().verify_flat(payloads, st.buffers.short_pos.data(),
-                                      st.short_item.data(), st.buffers.n_short, emit);
-  verifier_.long_table().verify_flat(payloads, st.buffers.long_pos.data(),
-                                     st.long_item.data(), st.buffers.n_long,
-                                     st.entry_begin.data(), st.entry_end.data(),
-                                     st.window4.data(), emit);
+  short_table_.verify_flat(payloads, st.buffers.short_pos.data(),
+                            st.short_item.data(), st.buffers.n_short, emit);
+  long_table_.verify_flat(payloads, st.buffers.long_pos.data(),
+                           st.long_item.data(), st.buffers.n_long, st.entry_begin.data(),
+                           st.entry_end.data(), st.window4.data(), emit);
 }
 
 VpatchMatcher::FilterOnlyResult VpatchMatcher::filter_only(util::ByteView data,
@@ -274,26 +272,7 @@ VpatchMatcher::FilterOnlyResult VpatchMatcher::filter_only(util::ByteView data,
 
   if (!with_stores) {
     NoStoreCounts counts;
-    switch (isa_) {
-      case Isa::avx2:
-        vpatch_filter_nostore_avx2(d, 0, n, n, bank_, counts);
-        break;
-      case Isa::avx512:
-        vpatch_filter_nostore_avx512(d, 0, n, n, bank_, counts);
-        break;
-      default:
-        // Scalar, counting only: the probe sequence of round_one().
-        for (std::size_t i = 0; i + 1 < n; ++i) {
-          const std::uint32_t window = util::load_u16(d + i);
-          if (bank_.test_f1(window)) ++counts.short_hits;
-          if (bank_.test_f2(window) && i + 4 <= n &&
-              bank_.test_f3(util::load_u32(d + i))) {
-            ++counts.long_hits;
-          }
-        }
-        if (bank_.test_f1(d[n - 1])) ++counts.short_hits;
-        break;
-    }
+    kernel_->filter_nostore(d, 0, n, n, bank_, counts);
     result.short_candidates = counts.short_hits;
     result.long_candidates = counts.long_hits;
     return result;
@@ -303,7 +282,8 @@ VpatchMatcher::FilterOnlyResult VpatchMatcher::filter_only(util::ByteView data,
   buffers.ensure_capacity(std::min(cfg_.chunk_size, n));
   for (std::size_t chunk = 0; chunk < n; chunk += cfg_.chunk_size) {
     buffers.clear();
-    round_one(d, chunk, std::min(chunk + cfg_.chunk_size, n), n, buffers, nullptr);
+    kernel_->filter(d, chunk, std::min(chunk + cfg_.chunk_size, n), n, bank_, buffers,
+                    cfg_.kernel, nullptr);
     result.short_candidates += buffers.n_short;
     result.long_candidates += buffers.n_long;
   }

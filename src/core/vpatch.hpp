@@ -4,20 +4,28 @@
 //
 // Round one filters each input chunk: a short-pattern (1-3 B) position must
 // pass Filter 1, a long-pattern position Filter 2 and the hashed 4-byte
-// Filter 3, before it is stored.  It runs the SIMD kernel (AVX-512 W=16 or
-// AVX2 W=8, each covering every position of its input) or, at Isa::scalar,
-// S-PATCH's scalar loop.  Round two is the shared scalar verification over
-// the stored candidate positions.  The kernel choice, the unroll factor,
-// filter merging and speculative-Filter-3 evaluation are all configurable so
-// the ablation benches can isolate each design decision.
+// Filter 3, before it is stored.  Round two is DFC's scalar verification
+// over the stored candidate positions ("the verification round is as in
+// DFC", §IV-A2): short candidates through dfc::ShortTable, long ones through
+// dfc::LongTable.  Splitting the rounds keeps the filters cache-resident
+// during round one and keeps scalar verification out of the vector code.
+//
+// The constructor picks round one's kernel table once (core/vpatch_kernels.hpp):
+// the AVX-512 (W=16) or AVX2 (W=8) table, whose kernels share one
+// width-generic body and differ only in their Block type, or at Isa::scalar
+// S-PATCH's own scalar loop, the reference the tests check the vector
+// candidates against.  Every scan path calls through that table.  The unroll
+// factor, filter merging and speculative-Filter-3 evaluation are
+// configurable so the ablation benches can isolate each design decision.
 //
 // Batch fast path (scan_batch) and the deferred-verification contract:
 // round one runs across ALL payloads of a batch, appending candidates to one
 // shared, caller-owned candidate pool segmented per payload (each candidate
 // carries its payload index; positions stay payload-relative).  Verification
-// is then DEFERRED into a single round over the whole pool, software-
-// prefetching the compact-table bucket of candidate i+K while candidate i is
-// compared (kVerifyPrefetchDistance).  Consequences callers rely on:
+// is then DEFERRED into a single round over the whole pool, whose long pass
+// prefetches each level of the compact table for every candidate before
+// any candidate needs it (dfc::LongTable::verify_flat).  Consequences
+// callers rely on:
 //   * per-payload match multisets equal scan(), but matches of one payload
 //     arrive in two bursts (short pass, then long pass) interleaved with
 //     other payloads' matches — consumers must not assume payload-contiguous
@@ -37,8 +45,8 @@
 #include "core/candidates.hpp"
 #include "core/filter_bank.hpp"
 #include "core/scan_stats.hpp"
-#include "core/verifier.hpp"
 #include "core/vpatch_kernels.hpp"
+#include "dfc/compact_table.hpp"
 #include "match/matcher.hpp"
 
 namespace vpm::core {
@@ -58,7 +66,6 @@ bool isa_supported(Isa isa);
 
 struct VpatchConfig {
   FilterBankConfig filters{};
-  unsigned long_bucket_bits = 15;
   // Input positions filtered per round-one pass before verification runs;
   // sized so the candidate arrays stay cache-resident next to the filters.
   std::size_t chunk_size = 32 * 1024;
@@ -78,7 +85,7 @@ class VpatchMatcher final : public Matcher {
                   ScanScratch& scratch) const override;
   std::string_view name() const override;
   std::size_t memory_bytes() const override {
-    return bank_.memory_bytes() + verifier_.memory_bytes();
+    return bank_.memory_bytes() + short_table_.memory_bytes() + long_table_.memory_bytes();
   }
 
   // Instrumented scan for the Fig. 5b filtering/verification time split.
@@ -105,16 +112,12 @@ class VpatchMatcher final : public Matcher {
   template <bool kWithStats>
   void scan_impl(util::ByteView data, MatchSink& sink, ScanStats* stats) const;
 
-  // Round one over positions [begin, end) of a view of n bytes (end <= n;
-  // end == n includes the zero-padded last position) on the configured
-  // kernel, which covers every position itself.
-  void round_one(const std::uint8_t* d, std::size_t begin, std::size_t end, std::size_t n,
-                 CandidateBuffers& buffers, ScanStats* stats) const;
-
   VpatchConfig cfg_;
   Isa isa_;
+  const VpatchKernel* kernel_;  // round one at isa_
   FilterBank bank_;
-  Verifier verifier_;
+  dfc::ShortTable short_table_;
+  dfc::LongTable long_table_;
 };
 
 }  // namespace vpm::core

@@ -74,19 +74,18 @@ std::size_t ShortTable::memory_bytes() const {
          window_entries_.size() * sizeof(WindowEntry);
 }
 
-LongTable::LongTable(const pattern::PatternSet& set, unsigned bucket_bits_log2)
-    : bucket_bits_log2_(bucket_bits_log2) {
+LongTable::LongTable(const pattern::PatternSet& set) {
   std::vector<std::pair<std::uint32_t, Entry>> keyed;
   for (const pattern::Pattern& p : set) {
     if (p.size() < pattern::kShortLongBoundary) continue;
     ++pattern_count_;
     const std::uint32_t offset = arena_.add(p.bytes);
     for (std::uint32_t v : pattern::prefix_variants({p.bytes.data(), 4}, p.nocase)) {
-      keyed.emplace_back(util::multiplicative_hash(v, bucket_bits_log2_),
+      keyed.emplace_back(util::multiplicative_hash(v, kBucketBits),
                          Entry{v, p.id, static_cast<std::uint32_t>(p.size()), offset, p.nocase});
     }
   }
-  build_csr(keyed, std::size_t{1} << bucket_bits_log2_, offsets_, entries_);
+  build_csr(keyed, std::size_t{1} << kBucketBits, offsets_, entries_);
 }
 
 double LongTable::mean_bucket_entries() const {

@@ -124,15 +124,17 @@ class ShortTable {
 
 class LongTable {
  public:
-  // Builds from the long family (size() >= 4) of `set`. bucket_bits_log2
-  // controls the bucket count (2^bits); the default keeps mean bucket
-  // occupancy around one entry for 20 K patterns.
-  explicit LongTable(const pattern::PatternSet& set, unsigned bucket_bits_log2 = 15);
+  // 2^15 buckets keep mean bucket occupancy around one entry for 20 K
+  // patterns.
+  static constexpr unsigned kBucketBits = 15;
+
+  // Builds from the long family (size() >= 4) of `set`.
+  explicit LongTable(const pattern::PatternSet& set);
 
   void verify_at(util::ByteView data, std::size_t pos, MatchSink& sink) const {
     if (pos + 4 > data.size()) return;  // no long pattern can fit
     const std::uint32_t window = util::load_u32(data.data() + pos);
-    const std::uint32_t bucket = util::multiplicative_hash(window, bucket_bits_log2_);
+    const std::uint32_t bucket = util::multiplicative_hash(window, kBucketBits);
     verify_entries(data, pos, window, offsets_[bucket], offsets_[bucket + 1],
                    [&](const Match& m) { sink.on_match(m); });
   }
@@ -168,7 +170,7 @@ class LongTable {
         continue;
       }
       const std::uint32_t w = util::load_u32(d.data() + pos);
-      const std::uint32_t b = util::multiplicative_hash(w, bucket_bits_log2_);
+      const std::uint32_t b = util::multiplicative_hash(w, kBucketBits);
       window4[k] = w;
       entry_begin[k] = 0;
       entry_end[k] = b;
@@ -208,7 +210,6 @@ class LongTable {
 
   std::size_t entry_count() const { return entries_.size(); }
   std::size_t pattern_count() const { return pattern_count_; }
-  unsigned bucket_bits_log2() const { return bucket_bits_log2_; }
   double mean_bucket_entries() const;
   std::size_t memory_bytes() const;
 
@@ -238,9 +239,8 @@ class LongTable {
   }
 
   std::vector<Entry> entries_;
-  std::vector<std::uint32_t> offsets_;  // 2^bits + 1 CSR offsets
+  std::vector<std::uint32_t> offsets_;  // 2^kBucketBits + 1 CSR offsets
   util::ByteArena arena_;
-  unsigned bucket_bits_log2_;
   std::size_t pattern_count_ = 0;
 };
 

@@ -4,6 +4,10 @@
 // sanity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/filter_bank.hpp"
 #include "core/matcher_factory.hpp"
 #include "core/naive.hpp"
@@ -283,6 +287,25 @@ TEST_P(VpatchIsa, KernelOptionCombinationsAreEquivalent) {
   const VpatchMatcher reference = spatch(set);
   expect_matches_naive(reference, set, text);
   const auto expected = reference.find_matches(text);
+
+  // The batch path gets the text cut, in order, into one payload of each
+  // length 1-64 B and one of 1,500 B, so the views start at every alignment.
+  std::vector<util::ByteView> payloads;
+  std::size_t offset = 0;
+  for (std::size_t len = 1; len <= 64; ++len) {
+    payloads.push_back(util::ByteView(text).subspan(offset, len));
+    offset += len;
+  }
+  payloads.push_back(util::ByteView(text).subspan(offset, 1500));
+  std::vector<std::vector<Match>> expected_batch;
+  for (const util::ByteView& p : payloads) expected_batch.push_back(reference.find_matches(p));
+  struct PerPayloadSink final : BatchSink {
+    std::vector<std::vector<Match>> matches;
+    void on_match(std::uint32_t packet, const Match& m) override {
+      matches[packet].push_back(m);
+    }
+  };
+
   for (bool unroll : {false, true}) {
     for (bool merged : {false, true}) {
       for (bool spec : {false, true}) {
@@ -291,8 +314,20 @@ TEST_P(VpatchIsa, KernelOptionCombinationsAreEquivalent) {
         cfg.kernel.merged_filters = merged;
         cfg.kernel.speculative_f3 = spec;
         const VpatchMatcher m(set, cfg);
-        EXPECT_EQ(m.find_matches(text), expected)
-            << "unroll=" << unroll << " merged=" << merged << " spec=" << spec;
+        const std::string options = "unroll=" + std::to_string(unroll) +
+                                    " merged=" + std::to_string(merged) +
+                                    " spec=" + std::to_string(spec);
+        EXPECT_EQ(m.find_matches(text), expected) << options;
+
+        PerPayloadSink sink;
+        sink.matches.resize(payloads.size());
+        ScanScratch scratch;
+        m.scan_batch(payloads, sink, scratch);
+        for (std::size_t p = 0; p < payloads.size(); ++p) {
+          std::sort(sink.matches[p].begin(), sink.matches[p].end());
+          EXPECT_EQ(sink.matches[p], expected_batch[p])
+              << options << " payload of " << payloads[p].size() << " B";
+        }
       }
     }
   }

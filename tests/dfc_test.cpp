@@ -293,7 +293,7 @@ TEST(LongTable, DuplicatePrefixesShareBucket) {
 
 TEST(LongTable, MeanBucketOccupancyReasonable) {
   const auto set = testutil::random_set(2000, 16, testutil::case_seed(10), 26);
-  const LongTable table(set, 15);
+  const LongTable table(set);
   EXPECT_LT(table.mean_bucket_entries(), 4.0) << testutil::seed_note();
 }
 
