@@ -213,8 +213,8 @@ void AcCompactMatcher::scan_batch(std::span<const util::ByteView> payloads, Batc
   const AcCompactView view{arena_.data()};
   const AcStagedBatch in{st.folded.data(), st.offsets.data(), st.lens.data(),
                          st.packets.data(), staged};
-  const std::size_t n_hits = (width == 16) ? ac_lanes_scan_avx512(view, in, st.hits.data())
-                                           : ac_lanes_scan_avx2(view, in, st.hits.data());
+  const AcLanesScan lanes = (width == 16) ? ac_lanes_avx512() : ac_lanes_avx2();
+  const std::size_t n_hits = lanes(view, in, st.hits.data());
 
   // Deferred verification round: resolve CSR output lists and case-verify
   // against the ORIGINAL payload bytes (the staged copy is folded).

@@ -1,6 +1,7 @@
 // Lane-parallel Aho-Corasick traversal kernels over the compact interleaved
-// layout (ac_compact.hpp), linked from translation units compiled with the
-// matching -m flags (ISA-split like core/vpatch_kernels.hpp).
+// layout (ac_compact.hpp), compiled in translation units with the matching
+// -m flags, each of which exports only its getter below (ISA-split like
+// core/vpatch_kernels.hpp).
 //
 // Model: one BATCH PAYLOAD PER VECTOR LANE.  8 (AVX2) or 16 (AVX-512)
 // independent automaton walks advance in lockstep; per input byte each lane
@@ -56,13 +57,14 @@ struct AcStagedBatch {
   std::size_t count = 0;
 };
 
-// AVX2, 8 payload lanes. Requires simd::cpu().has_avx2_kernel().
-// Returns the number of hits appended to `hits`.
-std::size_t ac_lanes_scan_avx2(const AcCompactView& view, const AcStagedBatch& in,
-                               AcLaneHit* hits);
+// Walks every staged payload and returns the number of hits appended to
+// `hits`.
+using AcLanesScan = std::size_t (*)(const AcCompactView& view, const AcStagedBatch& in,
+                                    AcLaneHit* hits);
 
-// AVX-512, 16 payload lanes. Requires simd::cpu().has_avx512_kernel().
-std::size_t ac_lanes_scan_avx512(const AcCompactView& view, const AcStagedBatch& in,
-                                 AcLaneHit* hits);
+// The lane kernels; null when the library was compiled without the width's
+// -m flags.  Call one only when simd::cpu() reports its kernel.
+AcLanesScan ac_lanes_avx2();    // 8 payload lanes
+AcLanesScan ac_lanes_avx512();  // 16 payload lanes
 
 }  // namespace vpm::ac

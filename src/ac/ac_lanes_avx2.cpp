@@ -39,10 +39,7 @@ inline void store8(std::uint32_t* p, __m256i v) {
   _mm256_store_si256(reinterpret_cast<__m256i*>(p), v);
 }
 
-}  // namespace
-
-std::size_t ac_lanes_scan_avx2(const AcCompactView& view, const AcStagedBatch& in,
-                               AcLaneHit* hits) {
+std::size_t scan(const AcCompactView& view, const AcStagedBatch& in, AcLaneHit* hits) {
   const int* arena = reinterpret_cast<const int*>(view.arena);
   const int* folded = reinterpret_cast<const int*>(in.folded);
 
@@ -237,16 +234,16 @@ std::size_t ac_lanes_scan_avx2(const AcCompactView& view, const AcStagedBatch& i
   return n_hits;
 }
 
+}  // namespace
+
+AcLanesScan ac_lanes_avx2() { return scan; }
+
 }  // namespace vpm::ac
 
 #else  // !__AVX2__
 
-#include <cstdlib>
-
 namespace vpm::ac {
-std::size_t ac_lanes_scan_avx2(const AcCompactView&, const AcStagedBatch&, AcLaneHit*) {
-  std::abort();
-}
+AcLanesScan ac_lanes_avx2() { return nullptr; }
 }  // namespace vpm::ac
 
 #endif

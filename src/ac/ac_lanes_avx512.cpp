@@ -34,10 +34,7 @@ inline void store16(std::uint32_t* p, __m512i v) {
   _mm512_store_si512(reinterpret_cast<void*>(p), v);
 }
 
-}  // namespace
-
-std::size_t ac_lanes_scan_avx512(const AcCompactView& view, const AcStagedBatch& in,
-                                 AcLaneHit* hits) {
+std::size_t scan(const AcCompactView& view, const AcStagedBatch& in, AcLaneHit* hits) {
   const void* arena = reinterpret_cast<const void*>(view.arena);
   const void* folded = reinterpret_cast<const void*>(in.folded);
 
@@ -208,16 +205,16 @@ std::size_t ac_lanes_scan_avx512(const AcCompactView& view, const AcStagedBatch&
   return n_hits;
 }
 
+}  // namespace
+
+AcLanesScan ac_lanes_avx512() { return scan; }
+
 }  // namespace vpm::ac
 
 #else  // !AVX-512
 
-#include <cstdlib>
-
 namespace vpm::ac {
-std::size_t ac_lanes_scan_avx512(const AcCompactView&, const AcStagedBatch&, AcLaneHit*) {
-  std::abort();
-}
+AcLanesScan ac_lanes_avx512() { return nullptr; }
 }  // namespace vpm::ac
 
 #endif

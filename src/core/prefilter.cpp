@@ -52,9 +52,6 @@ PrefilterView view_of(const Prefilter& pf) {
           pf.threshold()};
 }
 
-// A whole-payload screen of a raw view with len >= q.
-using ScreenKernel = bool (*)(const PrefilterView&, const std::uint8_t*, std::size_t);
-
 bool screen_scalar(const PrefilterView& v, const std::uint8_t* data, std::size_t len) {
   return prefilter_screen_tail(v, data, len, 0);
 }
@@ -116,11 +113,11 @@ bool Prefilter::screen(util::ByteView payload) const {
 void Prefilter::screen_batch(std::span<const util::ByteView> payloads,
                              std::uint8_t* verdicts) const {
   const simd::CpuFeatures& cpu = simd::cpu();
-  ScreenKernel kernel = screen_scalar;
+  PrefilterScreen kernel = screen_scalar;
   if (cpu.has_avx512_kernel()) {
-    kernel = prefilter_screen_avx512;
+    kernel = prefilter_screen_avx512();
   } else if (cpu.has_avx2_kernel()) {
-    kernel = prefilter_screen_avx2;
+    kernel = prefilter_screen_avx2();
   }
   const PrefilterView v = view_of(*this);
   const std::size_t min_len = min_payload();

@@ -74,28 +74,23 @@ bool screen(const PrefilterView& v, const std::uint8_t* data, std::size_t len) {
   return prefilter_screen_tail(v, data, len, p);
 }
 
-}  // namespace
-
 // Every read stays inside [data, data + len): a block reads at most
 // data[p + 7*threshold .. p + 7*threshold + 3] and runs only while that is
 // in range; the tail and the verify go through prefilter_gram.
-bool prefilter_screen_avx2(const PrefilterView& v, const std::uint8_t* data,
-                           std::size_t len) {
+bool screen_payload(const PrefilterView& v, const std::uint8_t* data, std::size_t len) {
   return v.threshold == 4 ? screen<true>(v, data, len) : screen<false>(v, data, len);
 }
+
+}  // namespace
+
+PrefilterScreen prefilter_screen_avx2() { return screen_payload; }
 
 }  // namespace vpm::core
 
 #else  // no AVX2 toolchain support
 
-#include <cstdlib>
-
 namespace vpm::core {
-
-bool prefilter_screen_avx2(const PrefilterView&, const std::uint8_t*, std::size_t) {
-  std::abort();  // dispatch must not select an uncompiled kernel
-}
-
+PrefilterScreen prefilter_screen_avx2() { return nullptr; }
 }  // namespace vpm::core
 
 #endif

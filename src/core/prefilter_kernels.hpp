@@ -25,8 +25,9 @@
 // inside [data, data + len) of the view it screens: no padding, no copy.
 // The vector kernels fold ASCII case in registers; the scalar paths fold
 // through prefilter_gram.  The kernels are compiled per-ISA in
-// prefilter_avx2.cpp / prefilter_avx512.cpp with abort stubs on narrower
-// toolchains; dispatch goes through simd::cpu() and never reaches a stub.
+// prefilter_avx2.cpp / prefilter_avx512.cpp, each of which exports only its
+// getter below.  The inline helpers sit in an unnamed namespace, because the
+// vector units compile them with their own -m flags.
 #pragma once
 
 #include <cstddef>
@@ -43,6 +44,18 @@ struct PrefilterView {
   std::uint32_t q = 0;          // 3 or 4
   std::uint32_t threshold = 0;  // required consecutive-hit run length, >= 1
 };
+
+// A whole-payload screen of a raw payload with len >= q (see the read
+// contract above).
+using PrefilterScreen = bool (*)(const PrefilterView& v, const std::uint8_t* data,
+                                 std::size_t len);
+
+// The vectorized screens; null when the library was compiled without the
+// width's -m flags.  Call one only when simd::cpu() reports its kernel.
+PrefilterScreen prefilter_screen_avx2();    // 8 strided probes per block
+PrefilterScreen prefilter_screen_avx512();  // 16 strided probes per block
+
+namespace {
 
 inline bool prefilter_probe(const PrefilterView& v, std::uint32_t gram) {
   const std::uint32_t h = gram * util::kGoldenGamma;
@@ -106,12 +119,5 @@ inline bool prefilter_screen_tail(const PrefilterView& v, const std::uint8_t* da
   return false;
 }
 
-// Vectorized whole-payload screens of a raw payload with len >= q (see the
-// read contract above).  Defined in the ISA-split translation units; must
-// only be called when simd::cpu() reports the matching kernel.
-bool prefilter_screen_avx2(const PrefilterView& v, const std::uint8_t* data,
-                           std::size_t len);
-bool prefilter_screen_avx512(const PrefilterView& v, const std::uint8_t* data,
-                             std::size_t len);
-
+}  // namespace
 }  // namespace vpm::core

@@ -1,5 +1,7 @@
 #include "dfc/dfc.hpp"
 
+#include <bit>
+
 #include "util/hash.hpp"
 
 namespace vpm::dfc {
@@ -34,6 +36,16 @@ void DfcMatcher::scan_from(util::ByteView data, std::size_t begin, MatchSink& si
   // window is covered by the wildcard expansion of 1-byte prefixes.
   const std::uint32_t tail = d[n - 1];
   if (df_all_.test(tail) && df_short_.test(tail)) short_table_.verify_at(data, n - 1, sink);
+}
+
+void DfcMatcher::verify_block(util::ByteView data, std::size_t base, std::uint32_t short_mask,
+                              std::uint32_t long_mask, MatchSink& sink) const {
+  for (; short_mask != 0; short_mask &= short_mask - 1) {
+    short_table_.verify_at(data, base + std::countr_zero(short_mask), sink);
+  }
+  for (; long_mask != 0; long_mask &= long_mask - 1) {
+    long_table_.verify_at(data, base + std::countr_zero(long_mask), sink);
+  }
 }
 
 std::size_t DfcMatcher::memory_bytes() const {

@@ -33,6 +33,12 @@ class DfcMatcher final : public Matcher {
   const DirectFilter2B& short_filter() const { return df_short_; }
   const DirectFilter2B& long_filter() const { return df_long_; }
 
+  // Verifies the hit lanes of one Vector-DFC block at positions base + j:
+  // every short-family lane j of short_mask, then every long-family lane of
+  // long_mask.  Out of line, so the vector unit compiles no table code.
+  void verify_block(util::ByteView data, std::size_t base, std::uint32_t short_mask,
+                    std::uint32_t long_mask, MatchSink& sink) const;
+
  private:
   friend class VectorDfcMatcher;
 

@@ -7,13 +7,24 @@
 // gains for this variant, motivating S-PATCH's two-round redesign.
 #pragma once
 
-#include <memory>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "dfc/dfc.hpp"
 #include "match/matcher.hpp"
 
 namespace vpm::dfc {
+
+// Vector-DFC's block loop over data (n >= 1): probes 8 positions per block
+// through `merged`, hands each block's short and long hit masks to
+// dfc.verify_block, and returns the first position it left unprobed.
+using VectorDfcLoop = std::size_t (*)(const DfcMatcher& dfc, const std::uint8_t* merged,
+                                      util::ByteView data, MatchSink& sink);
+
+// The loop of dfc/vector_dfc_avx2.cpp, the one unit compiled with -mavx2;
+// null when the library was compiled without it.
+VectorDfcLoop vector_dfc_loop_avx2();
 
 class VectorDfcMatcher final : public Matcher {
  public:
@@ -28,7 +39,7 @@ class VectorDfcMatcher final : public Matcher {
   DfcMatcher scalar_;
   // df_short_/df_long_ byte-interleaved for one-gather probing.
   std::vector<std::uint8_t> merged_;
+  const VectorDfcLoop loop_;
 };
 
-// Defined in vector_dfc.cpp (compiled with -mavx2): the vectorized scan body.
 }  // namespace vpm::dfc

@@ -1,9 +1,10 @@
-// AVX2 (W = 8) intrinsic sequences for the V-PATCH filtering kernel.
+// AVX2 (W = 8) intrinsic sequences of V-PATCH's round one (both widths),
+// the AC lanes and Vector-DFC.
 //
 // Include only from translation units compiled with -mavx2 (guarded below).
-// Both the exported test wrappers (backend_avx2.cpp) and the hot kernel
-// (core/vpatch_avx2.cpp) inline these, so correctness is established once by
-// the unit tests and shared by the engine.
+// Everything sits in an unnamed namespace: each vector unit gets its own
+// internal copy, so no definition compiled with one unit's -m flags can
+// stand in for another's at link time.
 #pragma once
 
 #if !defined(__AVX2__)
@@ -19,6 +20,7 @@
 #include "util/hash.hpp"
 
 namespace vpm::simd::avx2 {
+namespace {
 
 // Shuffle control producing, per 128-bit lane, four dwords of `bytes`-byte
 // sliding windows (remaining dword bytes zeroed).  The raw input register
@@ -50,11 +52,6 @@ inline __m256i windows_of(__m128i raw, __m256i shuffle) {
 // uses p[0..8]).
 inline __m256i windows2(const std::uint8_t* p, __m256i shuffle2) {
   return windows_of(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), shuffle2);
-}
-
-// W=8 sliding 4-byte windows from the 16 raw bytes at p (uses p[0..10]).
-inline __m256i windows4(const std::uint8_t* p, __m256i shuffle4) {
-  return windows_of(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), shuffle4);
 }
 
 // Hardware gather of 8 dwords at byte offsets idx[j] from base.
@@ -127,4 +124,5 @@ inline unsigned leftpack_positions(std::uint32_t base_pos, std::uint32_t mask8,
   return static_cast<unsigned>(std::popcount(mask8));
 }
 
+}  // namespace
 }  // namespace vpm::simd::avx2

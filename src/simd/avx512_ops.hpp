@@ -2,7 +2,8 @@
 // paper's Xeon-Phi 512-bit VPU experiments (Fig. 7).
 //
 // Include only from translation units compiled with
-// -mavx512f -mavx512bw -mavx512vl (guarded below).
+// -mavx512f -mavx512bw -mavx512vl (guarded below).  Internal linkage, as in
+// avx2_ops.hpp.
 #pragma once
 
 #if !defined(__AVX512F__) || !defined(__AVX512BW__) || !defined(__AVX512VL__)
@@ -18,6 +19,7 @@
 #include "util/hash.hpp"
 
 namespace vpm::simd::avx512 {
+namespace {
 
 // W=16 sliding windows from two 16-byte registers: `lo` holds the bytes at
 // p, `hi` the bytes at p+8.  Lanes 0..7 come from lo and lanes 8..15 from hi
@@ -25,18 +27,6 @@ namespace vpm::simd::avx512 {
 inline __m512i windows_of(__m128i lo, __m128i hi, __m256i shuffle) {
   return _mm512_inserti64x4(_mm512_castsi256_si512(avx2::windows_of(lo, shuffle)),
                             avx2::windows_of(hi, shuffle), 1);
-}
-
-// W=16 sliding 2-byte windows from the 24 raw bytes at p (uses p[0..16]).
-inline __m512i windows2(const std::uint8_t* p, __m256i shuffle2) {
-  return windows_of(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)),
-                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 8)), shuffle2);
-}
-
-// W=16 sliding 4-byte windows from the raw bytes at p (uses p[0..18]).
-inline __m512i windows4(const std::uint8_t* p, __m256i shuffle4) {
-  return windows_of(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)),
-                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 8)), shuffle4);
 }
 
 inline __m512i gather_u32(const std::uint8_t* base, __m512i idx) {
@@ -80,4 +70,5 @@ inline unsigned leftpack_positions(std::uint32_t base_pos, std::uint32_t mask16,
   return static_cast<unsigned>(std::popcount(mask16));
 }
 
+}  // namespace
 }  // namespace vpm::simd::avx512

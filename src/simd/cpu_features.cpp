@@ -19,7 +19,7 @@ void apply_force_isa(CpuFeatures& f) {
   if (std::strcmp(force, "scalar") == 0) {
     f = CpuFeatures{};
   } else if (std::strcmp(force, "avx2") == 0) {
-    f.avx512f = f.avx512bw = f.avx512vl = f.avx512dq = false;
+    f.avx512f = f.avx512bw = f.avx512vl = false;
   } else if (std::strcmp(force, "avx512") != 0 && std::strcmp(force, "best") != 0) {
     // A typo must not silently yield full vector dispatch: anyone setting
     // this variable believes a cap is active (the scalar-forced CI run
@@ -36,17 +36,15 @@ CpuFeatures detect() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_cpu_init();
   f.avx2 = __builtin_cpu_supports("avx2");
-  f.bmi2 = __builtin_cpu_supports("bmi2");
   f.avx512f = __builtin_cpu_supports("avx512f");
   f.avx512bw = __builtin_cpu_supports("avx512bw");
   f.avx512vl = __builtin_cpu_supports("avx512vl");
-  f.avx512dq = __builtin_cpu_supports("avx512dq");
 #endif
 #if !defined(VPM_HAVE_AVX2_BUILD)
   f.avx2 = false;  // compiler could not build the AVX2 TUs
 #endif
 #if !defined(VPM_HAVE_AVX512_BUILD)
-  f.avx512f = f.avx512bw = f.avx512vl = f.avx512dq = false;
+  f.avx512f = f.avx512bw = f.avx512vl = false;
 #endif
   apply_force_isa(f);
   return f;

@@ -9,13 +9,11 @@ namespace vpm::simd {
 
 struct CpuFeatures {
   bool avx2 = false;
-  bool bmi2 = false;
   bool avx512f = false;
   bool avx512bw = false;
   bool avx512vl = false;
-  bool avx512dq = false;
 
-  // The AVX2 V-PATCH kernel needs AVX2 gathers; BMI helps but is not required.
+  // The AVX2 kernels need AVX2 gathers.
   bool has_avx2_kernel() const { return avx2; }
   // The wide kernel needs F (gather, compress) + BW/VL (byte shuffles, masks).
   bool has_avx512_kernel() const { return avx512f && avx512bw && avx512vl; }

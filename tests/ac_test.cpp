@@ -553,5 +553,26 @@ TEST(AcLanes, MatchesScalarAcOnDenseHeavyAutomaton) {
   expect_lanes_match_scalar_ac(set, payloads, "dense-heavy");
 }
 
+TEST(AcLanes, MatchesScalarAcOnFullSparseChunk) {
+  // State `x` diffs on bytes [96, 120), which fill one whole 24-bit sparse
+  // chunk, so the lanes' rank popcount sees every prefix count 0-23.
+  pattern::PatternSet set;
+  for (unsigned b = 96; b < 120; ++b) {
+    set.add(util::Bytes{static_cast<std::uint8_t>('x'), static_cast<std::uint8_t>(b)});
+  }
+  util::Rng rng(testutil::case_seed(14));
+  std::vector<util::Bytes> payloads;
+  for (int i = 0; i < 24; ++i) {
+    util::Bytes text;
+    const std::size_t len = 1 + rng.below(200);
+    for (std::size_t k = 0; k < len; ++k) {
+      text.push_back(rng.chance(0.5) ? std::uint8_t{'x'}
+                                     : static_cast<std::uint8_t>(96 + rng.below(24)));
+    }
+    payloads.push_back(std::move(text));
+  }
+  expect_lanes_match_scalar_ac(set, payloads, "full sparse chunk");
+}
+
 }  // namespace
 }  // namespace vpm::ac

@@ -4,8 +4,10 @@
 // payload mixes (empty, 1-byte, cross-boundary near-misses), and churny
 // scratch reuse (the same ScanScratch handed between matchers).  Runs under
 // ASan in CI, pinning the shared-candidate-pool aliasing and slack-store
-// contracts; guard pages pin the vector kernels' read bound; the
-// scalar-forced rerun pins the fallback kernels.
+// contracts; guard pages pin the vector kernels' read bound, and
+// exact-extent heap buffers every engine's end-of-buffer reads and the AC
+// lanes' staging contract; the scalar-forced rerun pins the fallback
+// kernels.
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 #include <unistd.h>
@@ -16,6 +18,7 @@
 #include <tuple>
 #include <vector>
 
+#include "ac/ac_compact.hpp"
 #include "core/matcher_factory.hpp"
 #include "core/naive.hpp"
 #include "core/vpatch.hpp"
@@ -250,6 +253,52 @@ TEST(BatchScanReadBound, VectorKernelsNeverReadPastAPayload) {
       }
     }
   }
+}
+
+// Exactly `n` addressable bytes on the heap ending in "abcde" (or the prefix
+// of it that fits) over a deterministic fill whose byte i differs from byte
+// i+1, so under ASan any read past the buffer faults.
+util::Bytes exact_buffer_ending_in_match(std::size_t n) {
+  util::Bytes buf(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    buf[i] = static_cast<std::uint8_t>(0x11 * (i + 1) ^ (i >> 3));
+  }
+  const char* needle = "abcde";
+  const std::size_t k = std::min<std::size_t>(5, n);
+  std::copy(needle, needle + k, buf.end() - static_cast<std::ptrdiff_t>(k));
+  return buf;
+}
+
+// A pattern ending on the very last byte of an exactly-sized heap buffer
+// must be reported by every available engine, and (under ASan) scanning
+// must not read past the buffer.
+TEST(BatchScanReadBound, EveryEngineMatchesAtExactBufferEnd) {
+  const auto set = testutil::boundary_set();
+  for (const std::size_t n : std::vector<std::size_t>{5, 16, 17, 31, 32, 33, 64, 1000}) {
+    const util::Bytes buf = exact_buffer_ending_in_match(n);
+    for (const auto algo : core::available_algorithms()) {
+      const auto m = core::make_matcher(algo, set);
+      testutil::expect_matches_naive(*m, set, buf, "tail n=" + std::to_string(n));
+    }
+  }
+}
+
+// The AC lane kernel's read contract (ac_lanes.hpp): input bytes are
+// fetched 4 at a time, but only from the STAGED copy — never from the
+// caller's payload buffers.  Exact-extent heap payloads driven through
+// scan_batch (under ASan in CI) trip any kernel change that starts reading
+// user memory wide; the value check pins batch/scan equality at the same
+// time.
+TEST(BatchScanReadBound, AcLaneKernelNeverReadsPastCallerPayloads) {
+  const auto set = testutil::boundary_set();
+  const ac::AcCompactMatcher compact(set);
+  std::vector<util::Bytes> payloads;
+  for (const std::size_t n : {1, 2, 3, 5, 13, 64, 129}) {
+    payloads.push_back(exact_buffer_ending_in_match(n));
+  }
+  ScanScratch scratch;
+  EXPECT_EQ(batched(compact, payloads, payloads.size(), scratch),
+            per_payload_reference(compact, payloads));
 }
 
 // The engine-level batch entry point: stage()+flush_batch() must produce the

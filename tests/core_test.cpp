@@ -1,7 +1,7 @@
 // Core S-PATCH / V-PATCH tests: filter bank construction, the two-round
 // engine at every width (S-PATCH is its Isa::scalar width), kernel/ISA
-// equivalence, chunking, tails, stats instrumentation, and ablation option
-// sanity.
+// equivalence, chunking, tails, stats instrumentation, ablation option
+// sanity, and runtime CPU feature detection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -437,6 +437,26 @@ TEST(Naive, FindsOverlapsAndDuplicates) {
   const NaiveMatcher m(set);
   // "aaa": a@0,1,2 and aa@0,1 = 5 matches.
   EXPECT_EQ(m.count_matches(util::as_view("aaa")), 5u);
+}
+
+// ---- cpu feature detection ----------------------------------------------------
+
+TEST(CpuFeatures, DetectionIsStable) {
+  const simd::CpuFeatures& a = simd::cpu();
+  const simd::CpuFeatures& b = simd::cpu();
+  EXPECT_EQ(&a, &b);
+}
+
+TEST(CpuFeatures, KernelImpliesBaseFeature) {
+  const simd::CpuFeatures& f = simd::cpu();
+  if (f.has_avx512_kernel()) {
+    EXPECT_TRUE(f.avx512f);
+    EXPECT_TRUE(f.avx512bw);
+    EXPECT_TRUE(f.avx512vl);
+  }
+  if (f.has_avx2_kernel()) {
+    EXPECT_TRUE(f.avx2);
+  }
 }
 
 }  // namespace
