@@ -1,11 +1,12 @@
 // The capture-path scale benches of the sharded pipeline runtime: steady
-// live ingestion and million-flow churn.  End-to-end sensor throughput and
-// its per-stage split are sensorbench/'s job; the matcher-only figures are
-// the fig* benches'.
+// live ingestion, million-flow churn and overload floods.  End-to-end
+// sensor throughput and its per-stage split are sensorbench/'s job; the
+// matcher-only figures are the fig* benches'.
 //
 //   pipeline_throughput --source=trace --soak-seconds=N [--flows=N]
 //                       [--evict-steps=K] [--seed=N] [--json=FILE]
 //   pipeline_throughput --churn=N [--evict-steps=K] [--seed=N] [--json=FILE]
+//   pipeline_throughput --flood [--runs=N] [--quick] [--seed=N] [--json=FILE]
 //
 // --source=trace --soak-seconds=N switches to the live-ingestion soak: an
 // endless TraceSource (fresh flows every epoch) feeds the pipeline for N
@@ -17,16 +18,29 @@
 // tables sustain >= 1M tracked flows, plus a direct FlowTable measurement
 // of the full-sweep latency spike vs the bounded-step bound.
 //
-// With neither --soak-seconds nor --churn, it prints this usage and exits 2.
+// --flood measures what one worker keeps when it is offered more than it
+// can inspect: each mix replayed open loop at 2x and 4x of its closed-loop
+// capacity under drop backpressure, once per overload setting per run.
+//
+// With none of --soak-seconds, --churn and --flood, it prints this usage and
+// exits 2.
+#include <malloc.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
 
+#include "capture/topology.hpp"
 #include "capture/trace_source.hpp"
 #include "common.hpp"
 #include "pipeline/runtime.hpp"
 #include "util/flow_table.hpp"
+#include "util/hash.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
 
@@ -246,14 +260,302 @@ int churn_mode(const Options& opt, std::size_t total_flows, std::size_t evict_st
   return identity_ok ? 0 : 1;
 }
 
+// ---------------------------------------------------------------- flood
+
+double rss_mib() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0.0;
+  unsigned long size = 0, resident = 0;
+  const int n = std::fscanf(f, "%lu %lu", &size, &resident);
+  std::fclose(f);
+  if (n != 2) return 0.0;
+  return static_cast<double>(resident) * static_cast<double>(sysconf(_SC_PAGESIZE)) /
+         (1024.0 * 1024.0);
+}
+
+// One traffic mix of the flood: a generated base epoch, replayed with
+// TraceSource's per-epoch remap (both addresses XORed, capture time shifted
+// by one span), so every epoch brings fresh connections.
+struct FloodMix {
+  std::string name;
+  pattern::PatternSet rules;
+  std::vector<net::Packet> base;
+  std::uint64_t span_us = 0;
+  std::uint64_t packets = 0;  // offered per run
+};
+
+// http: 256 flows x 64 KiB, reorder 0.05, S1-web.  evasion: the evasion
+// corpus at MSS 64, 256 flows x 8 KiB, on S2-full — one worker inspects
+// 64 B packets with S1-web faster than a single producer can offer twice
+// its rate.
+FloodMix flood_mix(bool evasion, const Options& opt) {
+  net::FlowGenConfig g;
+  g.flow_count = 256;
+  g.seed = opt.seed + 7;
+  FloodMix m;
+  if (evasion) {
+    g.bytes_per_flow = 8 * 1024;
+    g.mss = 64;
+    g.evasion = true;
+    m = {"evasion", s2_full_patterns(), {}, 0, 2'000'000};
+  } else {
+    g.bytes_per_flow = 64 * 1024;
+    g.reorder_fraction = 0.05;
+    m = {"http", s1_web_patterns(), {}, 0, 400'000};
+  }
+  if (opt.quick) m.packets /= 10;
+  m.base = net::generate_flows(g).packets;
+  for (const net::Packet& p : m.base) m.span_us = std::max(m.span_us, p.timestamp_us);
+  m.span_us += 1000;
+  return m;
+}
+
+// An alert's identity as one 64-bit key: the kept share compares key
+// multisets, at 8 bytes an alert instead of a whole ids::Alert.
+std::uint64_t alert_key(const ids::Alert& a) {
+  return util::mix64(a.flow_id ^ util::mix64(a.stream_offset ^ util::mix64(a.pattern_id)));
+}
+
+// Collects alert keys for one worker (never called concurrently).  Its
+// storage is sized and touched before a run's RSS baseline, so the RSS peak
+// measures the sensor and not this log.
+class KeySink final : public ids::AlertSink {
+ public:
+  explicit KeySink(std::size_t reserve) {
+    keys_.resize(reserve);
+    keys_.clear();
+  }
+  void on_alert(const ids::Alert& a) override { keys_.push_back(alert_key(a)); }
+  std::vector<std::uint64_t> sorted() && {
+    std::sort(keys_.begin(), keys_.end());
+    return std::move(keys_);
+  }
+
+ private:
+  std::vector<std::uint64_t> keys_;
+};
+
+struct FloodRun {
+  double seconds = 0.0;                 // first submit to the end of stop()
+  double offered_kpps = 0.0;            // achieved offered rate
+  std::vector<std::uint64_t> alert_keys;  // sorted
+  pipeline::WorkerStats totals;
+  std::uint64_t ring_drops = 0;
+  std::uint64_t tracked_peak = 0;
+  double rss_peak_mib = 0.0;  // above the pre-run baseline
+};
+
+// Offers mix.packets packets at `kpps` (0: as fast as submit() returns)
+// while a sampler thread reads RSS and the tracked-flow count every 5 ms.
+FloodRun flood_run(const FloodMix& mix, const DatabasePtr& db,
+                   pipeline::PipelineConfig cfg, double kpps, std::size_t alert_reserve) {
+  KeySink sink(alert_reserve);
+  cfg.alert_sink = &sink;
+  malloc_trim(0);
+  const double rss_base = rss_mib();
+  FloodRun r;
+  pipeline::PipelineRuntime rt(db, cfg);
+  rt.start();
+  std::atomic<bool> sampling{true};
+  std::thread sampler([&] {
+    while (sampling.load(std::memory_order_relaxed)) {
+      r.rss_peak_mib = std::max(r.rss_peak_mib, rss_mib() - rss_base);
+      r.tracked_peak = std::max(r.tracked_peak, rt.stats().totals().tracked_connections);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+  const double period_ns = kpps > 0.0 ? 1e6 / kpps : 0.0;
+  const std::uint64_t t0 = util::monotonic_ns();
+  std::size_t cursor = 0;
+  std::uint64_t epoch = 0;
+  for (std::uint64_t k = 0; k < mix.packets; ++k) {
+    net::Packet p = mix.base[cursor];
+    const auto remap = static_cast<std::uint32_t>(epoch * 0x9E3779B1u);
+    p.tuple.src_ip ^= remap;
+    p.tuple.dst_ip ^= remap;
+    p.timestamp_us += epoch * mix.span_us;
+    if (++cursor == mix.base.size()) {
+      cursor = 0;
+      ++epoch;
+    }
+    if (period_ns > 0.0) {
+      const auto due = t0 + static_cast<std::uint64_t>(static_cast<double>(k) * period_ns);
+      while (util::monotonic_ns() < due) {
+      }
+    }
+    rt.submit(std::move(p));
+  }
+  const std::uint64_t t1 = util::monotonic_ns();
+  rt.stop();
+  r.seconds = static_cast<double>(util::monotonic_ns() - t0) * 1e-9;
+  sampling.store(false, std::memory_order_relaxed);
+  sampler.join();
+  r.offered_kpps = static_cast<double>(mix.packets) / (static_cast<double>(t1 - t0) * 1e-6);
+  const pipeline::PipelineStats stats = rt.stats();
+  r.totals = stats.totals();
+  r.ring_drops = stats.dropped_backpressure;
+  r.tracked_peak = std::max(r.tracked_peak, r.totals.tracked_connections);
+  r.alert_keys = std::move(sink).sorted();
+  return r;
+}
+
+// The share of the lossless multiset that `got` still holds (both sorted).
+double kept_share(const std::vector<std::uint64_t>& lossless,
+                  const std::vector<std::uint64_t>& got) {
+  std::size_t kept = 0;
+  auto a = lossless.begin();
+  auto b = got.begin();
+  while (a != lossless.end() && b != got.end()) {
+    if (*a < *b) {
+      ++a;
+    } else if (*b < *a) {
+      ++b;
+    } else {
+      ++kept, ++a, ++b;
+    }
+  }
+  return lossless.empty() ? 1.0
+                          : static_cast<double>(kept) / static_cast<double>(lossless.size());
+}
+
+struct FloodSetting {
+  const char* name;
+  pipeline::OverloadConfig overload;  // disabled: plain drop
+};
+
+// The ladder climbs one rung per evaluation, so an enter watermark above a
+// full ring caps the climb below that rung.
+std::vector<FloodSetting> flood_settings() {
+  const auto capped = [](std::size_t top) {
+    pipeline::OverloadConfig c;
+    c.enabled = true;
+    for (std::size_t i = top; i + 1 < pipeline::kDegradationLevels; ++i) c.enter_fill[i] = 2.0;
+    return c;
+  };
+  return {{"drop", {}},
+          {"rung1", capped(1)},
+          {"rungs1-2", capped(2)},
+          {"conservative", *pipeline::overload_policy_from_name("conservative")},
+          {"aggressive", *pipeline::overload_policy_from_name("aggressive")}};
+}
+
+// --flood: every round of a mix starts with one closed-loop run under block
+// backpressure, whose rate is the worker's capacity in that round and whose
+// alerts are the lossless reference; then each offered rate runs every
+// setting once, in an order that rotates from round to round.  Measuring
+// the capacity in every round keeps the offered multiple true while the
+// host drifts.  One worker on CPU 2, the producer on CPU 1 (no pinning
+// below 4 CPUs); the idle timeout is one epoch span.
+int flood_mode(const Options& opt) {
+  const bool pin = std::thread::hardware_concurrency() >= 4;
+  if (pin) capture::pin_current_thread(1);
+  const std::vector<FloodSetting> settings = flood_settings();
+  const std::vector<double> rates{2.0, 4.0};
+  JsonReport report("overload", opt);
+  const std::vector<int> widths{9, 6, 14, 24, 8, 8, 9, 9, 9};
+  for (const bool evasion : {false, true}) {
+    const FloodMix mix = flood_mix(evasion, opt);
+    const DatabasePtr db = compile(core::Algorithm::vpatch, mix.rules);
+    pipeline::PipelineConfig cfg;
+    cfg.workers = 1;
+    cfg.idle_timeout_us = mix.span_us;
+    if (pin) cfg.worker_cpus = {2};
+
+    struct Samples {
+      std::vector<double> kept, drop_share, shed_share, tracked, rss, kpps, evicted;
+    };
+    std::vector<Samples> cells(rates.size() * settings.size());
+    std::vector<double> capacity_kpps;
+    std::vector<std::uint64_t> lossless;
+    for (unsigned r = 0; r < opt.runs; ++r) {
+      cfg.backpressure = pipeline::BackpressurePolicy::block;
+      cfg.overload = {};
+      FloodRun closed = flood_run(mix, db, cfg, 0.0, lossless.size());
+      const double capacity = static_cast<double>(mix.packets) / closed.seconds / 1e3;
+      capacity_kpps.push_back(capacity);
+      if (r == 0) {
+        lossless = std::move(closed.alert_keys);
+      } else if (closed.alert_keys != lossless) {
+        std::fprintf(stderr, "flood: closed-loop alerts differ between rounds\n");
+        return 1;
+      }
+      cfg.backpressure = pipeline::BackpressurePolicy::drop;
+      for (std::size_t ri = 0; ri < rates.size(); ++ri) {
+        for (std::size_t j = 0; j < settings.size(); ++j) {
+          const std::size_t s = (r + j) % settings.size();
+          cfg.overload = settings[s].overload;
+          const FloodRun run =
+              flood_run(mix, db, cfg, rates[ri] * capacity, lossless.size());
+          const auto share = [&](std::uint64_t n) {
+            return static_cast<double>(n) / static_cast<double>(mix.packets);
+          };
+          Samples& c = cells[ri * settings.size() + s];
+          c.kept.push_back(kept_share(lossless, run.alert_keys));
+          c.drop_share.push_back(share(run.ring_drops));
+          c.shed_share.push_back(share(run.totals.shed_packets));
+          c.tracked.push_back(static_cast<double>(run.tracked_peak));
+          c.rss.push_back(run.rss_peak_mib);
+          c.kpps.push_back(run.offered_kpps);
+          c.evicted.push_back(static_cast<double>(run.totals.flows_evicted));
+        }
+      }
+    }
+
+    const auto med = [](const std::vector<double>& v) { return util::percentile_of(v, 50); };
+    std::printf("=== Flood: %s, %zu pkt/epoch, %llu pkt/run, capacity %.0f kpkt/s "
+                "[%.0f, %.0f], %zu lossless alerts, %u rounds ===\n",
+                mix.name.c_str(), mix.base.size(),
+                static_cast<unsigned long long>(mix.packets), med(capacity_kpps),
+                util::percentile_of(capacity_kpps, 25), util::percentile_of(capacity_kpps, 75),
+                lossless.size(), opt.runs);
+    report.add({{"mix", mix.name}, {"rate", "closed"}, {"setting", "block"}},
+               {{"capacity_kpps_median", med(capacity_kpps)},
+                {"capacity_kpps_q1", util::percentile_of(capacity_kpps, 25)},
+                {"capacity_kpps_q3", util::percentile_of(capacity_kpps, 75)}},
+               {{"packets", mix.packets}, {"lossless_alerts", lossless.size()}});
+    print_row({"mix", "rate", "setting", "kept % med [q1, q3]", "drop %", "shed %",
+               "tracked", "RSS MiB", "kpkt/s"},
+              widths);
+    for (std::size_t ri = 0; ri < rates.size(); ++ri) {
+      const std::string rate = fmt(rates[ri], 0) + "x";
+      for (std::size_t s = 0; s < settings.size(); ++s) {
+        const Samples& c = cells[ri * settings.size() + s];
+        const double q1 = util::percentile_of(c.kept, 25);
+        const double q3 = util::percentile_of(c.kept, 75);
+        print_row({mix.name, rate, settings[s].name,
+                   fmt(100 * med(c.kept), 1) + " [" + fmt(100 * q1, 1) + ", " +
+                       fmt(100 * q3, 1) + "]",
+                   fmt(100 * med(c.drop_share), 1), fmt(100 * med(c.shed_share), 1),
+                   fmt(med(c.tracked), 0), fmt(med(c.rss), 1), fmt(med(c.kpps), 0)},
+                  widths);
+        report.add({{"mix", mix.name}, {"rate", rate}, {"setting", settings[s].name}},
+                   {{"kept_median", med(c.kept)},
+                    {"kept_q1", q1},
+                    {"kept_q3", q3},
+                    {"ring_drop_share_median", med(c.drop_share)},
+                    {"shed_share_median", med(c.shed_share)},
+                    {"tracked_peak_median", med(c.tracked)},
+                    {"rss_peak_mib_median", med(c.rss)},
+                    {"offered_kpps_median", med(c.kpps)},
+                    {"flows_evicted_median", med(c.evicted)}},
+                   {{"runs", opt.runs}});
+      }
+    }
+  }
+  return report.write() ? 0 : 1;
+}
+
 int main_impl(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
   std::size_t flow_count = 32;
   double soak_seconds = 0.0;
   std::size_t churn_flows = 0;
   std::size_t evict_steps = 2048;
+  bool flood = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--flows=", 8) == 0) {
+    if (std::strcmp(argv[i], "--flood") == 0) {
+      flood = true;
+    } else if (std::strncmp(argv[i], "--flows=", 8) == 0) {
       flow_count = static_cast<std::size_t>(std::strtoull(argv[i] + 8, nullptr, 10));
     } else if (std::strncmp(argv[i], "--soak-seconds=", 15) == 0) {
       soak_seconds = std::strtod(argv[i] + 15, nullptr);
@@ -271,6 +573,7 @@ int main_impl(int argc, char** argv) {
       }
     }
   }
+  if (flood) return flood_mode(opt);
   if (churn_flows > 0) return churn_mode(opt, churn_flows, evict_steps);
   if (soak_seconds > 0.0) {
     return soak_mode(opt, std::max<std::size_t>(flow_count, 256), soak_seconds,
@@ -279,8 +582,9 @@ int main_impl(int argc, char** argv) {
   std::fprintf(stderr,
                "usage: %s --source=trace --soak-seconds=N [--flows=N] [--evict-steps=K]\n"
                "       %s --churn=N [--evict-steps=K]\n"
-               "       (both also take --seed=N --json=FILE)\n",
-               argv[0], argv[0]);
+               "       %s --flood [--runs=N] [--quick]\n"
+               "       (all also take --seed=N --json=FILE)\n",
+               argv[0], argv[0], argv[0]);
   return 2;
 }
 
