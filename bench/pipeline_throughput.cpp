@@ -20,7 +20,8 @@
 //
 // --flood measures what one worker keeps when it is offered more than it
 // can inspect: each mix replayed open loop at 2x and 4x of its closed-loop
-// capacity under drop backpressure, once per overload setting per run.
+// capacity under drop backpressure, with overload eviction off (`drop`) and
+// on (`evict`).
 //
 // With none of --soak-seconds, --churn and --flood, it prints this usage and
 // exits 2.
@@ -28,7 +29,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -356,9 +356,8 @@ FloodRun flood_run(const FloodMix& mix, const DatabasePtr& db,
   FloodRun r;
   pipeline::PipelineRuntime rt(db, cfg);
   rt.start();
-  std::atomic<bool> sampling{true};
-  std::thread sampler([&] {
-    while (sampling.load(std::memory_order_relaxed)) {
+  std::jthread sampler([&](std::stop_token stop) {
+    while (!stop.stop_requested()) {
       r.rss_peak_mib = std::max(r.rss_peak_mib, rss_mib() - rss_base);
       r.tracked_peak = std::max(r.tracked_peak, rt.stats().totals().tracked_connections);
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -388,7 +387,7 @@ FloodRun flood_run(const FloodMix& mix, const DatabasePtr& db,
   const std::uint64_t t1 = util::monotonic_ns();
   rt.stop();
   r.seconds = static_cast<double>(util::monotonic_ns() - t0) * 1e-9;
-  sampling.store(false, std::memory_order_relaxed);
+  sampler.request_stop();
   sampler.join();
   r.offered_kpps = static_cast<double>(mix.packets) / (static_cast<double>(t1 - t0) * 1e-6);
   const pipeline::PipelineStats stats = rt.stats();
@@ -420,24 +419,8 @@ double kept_share(const std::vector<std::uint64_t>& lossless,
 
 struct FloodSetting {
   const char* name;
-  pipeline::OverloadConfig overload;  // disabled: plain drop
+  bool overload_eviction;
 };
-
-// The ladder climbs one rung per evaluation, so an enter watermark above a
-// full ring caps the climb below that rung.
-std::vector<FloodSetting> flood_settings() {
-  const auto capped = [](std::size_t top) {
-    pipeline::OverloadConfig c;
-    c.enabled = true;
-    for (std::size_t i = top; i + 1 < pipeline::kDegradationLevels; ++i) c.enter_fill[i] = 2.0;
-    return c;
-  };
-  return {{"drop", {}},
-          {"rung1", capped(1)},
-          {"rungs1-2", capped(2)},
-          {"conservative", *pipeline::overload_policy_from_name("conservative")},
-          {"aggressive", *pipeline::overload_policy_from_name("aggressive")}};
-}
 
 // --flood: every round of a mix starts with one closed-loop run under block
 // backpressure, whose rate is the worker's capacity in that round and whose
@@ -449,10 +432,11 @@ std::vector<FloodSetting> flood_settings() {
 int flood_mode(const Options& opt) {
   const bool pin = std::thread::hardware_concurrency() >= 4;
   if (pin) capture::pin_current_thread(1);
-  const std::vector<FloodSetting> settings = flood_settings();
+  // `drop` first: every other row counts the rounds it kept more than drop.
+  const std::vector<FloodSetting> settings{{"drop", false}, {"evict", true}};
   const std::vector<double> rates{2.0, 4.0};
   JsonReport report("overload", opt);
-  const std::vector<int> widths{9, 6, 14, 24, 8, 8, 9, 9, 9};
+  const std::vector<int> widths{9, 6, 8, 24, 8, 8, 8, 9, 9, 9};
   for (const bool evasion : {false, true}) {
     const FloodMix mix = flood_mix(evasion, opt);
     const DatabasePtr db = compile(core::Algorithm::vpatch, mix.rules);
@@ -462,14 +446,14 @@ int flood_mode(const Options& opt) {
     if (pin) cfg.worker_cpus = {2};
 
     struct Samples {
-      std::vector<double> kept, drop_share, shed_share, tracked, rss, kpps, evicted;
+      std::vector<double> kept, drop_share, evicted, tracked, rss, kpps;
     };
     std::vector<Samples> cells(rates.size() * settings.size());
     std::vector<double> capacity_kpps;
     std::vector<std::uint64_t> lossless;
     for (unsigned r = 0; r < opt.runs; ++r) {
       cfg.backpressure = pipeline::BackpressurePolicy::block;
-      cfg.overload = {};
+      cfg.overload_eviction = false;
       FloodRun closed = flood_run(mix, db, cfg, 0.0, lossless.size());
       const double capacity = static_cast<double>(mix.packets) / closed.seconds / 1e3;
       capacity_kpps.push_back(capacity);
@@ -483,7 +467,7 @@ int flood_mode(const Options& opt) {
       for (std::size_t ri = 0; ri < rates.size(); ++ri) {
         for (std::size_t j = 0; j < settings.size(); ++j) {
           const std::size_t s = (r + j) % settings.size();
-          cfg.overload = settings[s].overload;
+          cfg.overload_eviction = settings[s].overload_eviction;
           const FloodRun run =
               flood_run(mix, db, cfg, rates[ri] * capacity, lossless.size());
           const auto share = [&](std::uint64_t n) {
@@ -492,11 +476,10 @@ int flood_mode(const Options& opt) {
           Samples& c = cells[ri * settings.size() + s];
           c.kept.push_back(kept_share(lossless, run.alert_keys));
           c.drop_share.push_back(share(run.ring_drops));
-          c.shed_share.push_back(share(run.totals.shed_packets));
+          c.evicted.push_back(static_cast<double>(run.totals.flows_evicted));
           c.tracked.push_back(static_cast<double>(run.tracked_peak));
           c.rss.push_back(run.rss_peak_mib);
           c.kpps.push_back(run.offered_kpps);
-          c.evicted.push_back(static_cast<double>(run.totals.flows_evicted));
         }
       }
     }
@@ -513,8 +496,8 @@ int flood_mode(const Options& opt) {
                 {"capacity_kpps_q1", util::percentile_of(capacity_kpps, 25)},
                 {"capacity_kpps_q3", util::percentile_of(capacity_kpps, 75)}},
                {{"packets", mix.packets}, {"lossless_alerts", lossless.size()}});
-    print_row({"mix", "rate", "setting", "kept % med [q1, q3]", "drop %", "shed %",
-               "tracked", "RSS MiB", "kpkt/s"},
+    print_row({"mix", "rate", "setting", "kept % med [q1, q3]", "> drop", "drop %",
+               "evicted", "tracked", "RSS MiB", "kpkt/s"},
               widths);
     for (std::size_t ri = 0; ri < rates.size(); ++ri) {
       const std::string rate = fmt(rates[ri], 0) + "x";
@@ -522,10 +505,17 @@ int flood_mode(const Options& opt) {
         const Samples& c = cells[ri * settings.size() + s];
         const double q1 = util::percentile_of(c.kept, 25);
         const double q3 = util::percentile_of(c.kept, 75);
+        // The paired comparison: rounds in which this setting kept more
+        // than `drop` at the same offered rate, immune to drift between
+        // rounds.
+        const Samples& drop = cells[ri * settings.size()];
+        std::uint64_t above_drop = 0;
+        for (std::size_t r = 0; r < c.kept.size(); ++r) above_drop += c.kept[r] > drop.kept[r];
         print_row({mix.name, rate, settings[s].name,
                    fmt(100 * med(c.kept), 1) + " [" + fmt(100 * q1, 1) + ", " +
                        fmt(100 * q3, 1) + "]",
-                   fmt(100 * med(c.drop_share), 1), fmt(100 * med(c.shed_share), 1),
+                   s == 0 ? "-" : std::to_string(above_drop) + "/" + std::to_string(opt.runs),
+                   fmt(100 * med(c.drop_share), 1), fmt(med(c.evicted), 0),
                    fmt(med(c.tracked), 0), fmt(med(c.rss), 1), fmt(med(c.kpps), 0)},
                   widths);
         report.add({{"mix", mix.name}, {"rate", rate}, {"setting", settings[s].name}},
@@ -533,12 +523,11 @@ int flood_mode(const Options& opt) {
                     {"kept_q1", q1},
                     {"kept_q3", q3},
                     {"ring_drop_share_median", med(c.drop_share)},
-                    {"shed_share_median", med(c.shed_share)},
                     {"tracked_peak_median", med(c.tracked)},
                     {"rss_peak_mib_median", med(c.rss)},
-                    {"offered_kpps_median", med(c.kpps)},
-                    {"flows_evicted_median", med(c.evicted)}},
-                   {{"runs", opt.runs}});
+                    {"flows_evicted_median", med(c.evicted)},
+                    {"offered_kpps_median", med(c.kpps)}},
+                   {{"runs", opt.runs}, {"rounds_above_drop", above_drop}});
       }
     }
   }

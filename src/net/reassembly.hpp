@@ -180,14 +180,6 @@ class TcpReassembler {
   const ReassemblyStats& stats() const { return stats_; }
   OverlapPolicy policy() const { return cfg_.overlap; }
 
-  // Runtime-adjustable buffering budget (the overload ladder's first rung
-  // shrinks it under pressure and restores it on recovery).  Applies to NEW
-  // buffering decisions only: already-buffered bytes above a lowered budget
-  // are not discarded — they drain normally, and further growth is refused
-  // until the connection is back under budget.
-  std::size_t max_buffered_bytes() const { return cfg_.max_buffered_bytes; }
-  void set_max_buffered_bytes(std::size_t n) { cfg_.max_buffered_bytes = n; }
-
   // Optional instrumentation: every delivered chunk's size in bytes is
   // recorded into `h` (relaxed-atomic, allocation-free).  Null disables; the
   // histogram must outlive the reassembler.

@@ -1,6 +1,7 @@
 #include "pattern/ruleset_gen.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 
 #include "pattern/attack_corpus.hpp"
@@ -106,8 +107,12 @@ util::Bytes make_short(util::Rng& rng, std::size_t len) {
   if (rng.chance(0.55)) {
     const std::string_view t = rng.pick(tokens);
     if (t.size() >= 3 && t.size() <= len) {
-      // Use the token as-is when it fits the drawn length class.
-      return util::to_bytes(t);
+      // Use the token as-is when it fits the drawn length class.  Copied by
+      // hand: GCC 12 at -O3 reports a false -Wstringop-overflow inside
+      // util::to_bytes here.
+      util::Bytes b(t.size());
+      std::memcpy(b.data(), t.data(), t.size());
+      return b;
     }
   }
   util::Bytes b(len);

@@ -15,7 +15,6 @@
 #include "ids/alert.hpp"
 #include "net/packet.hpp"
 #include "net/reassembly.hpp"
-#include "pipeline/overload.hpp"
 
 namespace vpm::telemetry {
 class MetricsRegistry;
@@ -94,10 +93,15 @@ struct PipelineConfig {
 
   net::ReassemblyConfig reassembly{};
 
-  // Graceful degradation under overload (see pipeline/overload.hpp for the
-  // ladder).  Disabled by default: the pipeline then behaves exactly as
-  // before — block or drop at the ring, full fidelity everywhere else.
-  OverloadConfig overload{};
+  // Overload eviction: while a worker's ring is at least 3/4 full, its idle
+  // sweeps run 4x as often and evict flows idle for 1 s of capture time (the
+  // smaller of that and idle_timeout_us; 1 s when idle eviction is off).
+  // Under a drop-policy flood every lost segment stalls its stream, and a
+  // stalled connection costs reassembly time until it is evicted.  Off by
+  // default: under the block policy a full ring loses nothing, and early
+  // eviction would only make alerts depend on thread timing
+  // (bench_pipeline_throughput --flood measures the trade).
+  bool overload_eviction = false;
 
   // Worker liveness watchdog.  0 disables (no sampler thread).  A worker
   // whose heartbeat stays flat for watchdog_stall_intervals consecutive

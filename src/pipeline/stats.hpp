@@ -2,10 +2,10 @@
 //
 // Each worker counts into a plain WorkerStats that only its own thread
 // touches and publishes it, field by field through the table below, into
-// release-stored atomics after every batch (and on swap adoption, ladder
-// moves and exit), so PipelineRuntime::stats() can be called from any
-// thread at any time and returns a coherent-enough snapshot (counts lag by
-// at most one in-flight batch per worker).
+// release-stored atomics after every batch (and on swap adoption and exit),
+// so PipelineRuntime::stats() can be called from any thread at any time and
+// returns a coherent-enough snapshot (counts lag by at most one in-flight
+// batch per worker).
 #pragma once
 
 #include <cstddef>
@@ -54,12 +54,11 @@ struct WorkerStats {
   //   packets == processed_packets + shed_packets        (per worker)
   //   routed  == Σ packets                               (across workers)
   // i.e. every packet that entered a ring was either fully processed or shed
-  // under the degradation ladder / failure drain — never silently lost.
+  // by the failure drain — never silently lost.
   std::uint64_t processed_packets = 0;  // packets fully handled (not shed)
-  std::uint64_t shed_packets = 0;       // packets discarded by the ladder/drain
+  std::uint64_t shed_packets = 0;       // packets discarded by the failure drain
   std::uint64_t shed_bytes = 0;         // payload bytes of shed packets
-  std::uint64_t degradation_level = 0;  // gauge: current ladder rung (0..3)
-  std::uint64_t degradation_transitions = 0;  // ladder moves (either direction)
+  std::uint64_t overload_sweeps = 0;    // idle sweeps run at the overload timeout
   std::uint64_t heartbeats = 0;         // worker loop iterations (liveness)
   std::uint64_t sink_errors = 0;        // alert-sink deliveries that threw
   std::uint64_t sink_dropped_alerts = 0;  // alerts dropped while quarantined
@@ -105,9 +104,7 @@ struct WorkerStats {
     f("processed_packets", StatKind::counter, &WorkerStats::processed_packets);
     f("shed_packets", StatKind::counter, &WorkerStats::shed_packets);
     f("shed_bytes", StatKind::counter, &WorkerStats::shed_bytes);
-    f("degradation_level", StatKind::gauge_max, &WorkerStats::degradation_level);
-    f("degradation_transitions", StatKind::counter,
-      &WorkerStats::degradation_transitions);
+    f("overload_sweeps", StatKind::counter, &WorkerStats::overload_sweeps);
     f("heartbeats", StatKind::counter, &WorkerStats::heartbeats);
     f("sink_errors", StatKind::counter, &WorkerStats::sink_errors);
     f("sink_dropped_alerts", StatKind::counter, &WorkerStats::sink_dropped_alerts);
@@ -121,9 +118,9 @@ struct WorkerStats {
       &WorkerStats::prefilter_reject_bytes);
   }
 
-  // 33 uint64 fields.  If this fires you added a field: list it in
+  // 32 uint64 fields.  If this fires you added a field: list it in
   // for_each_field (pick its StatKind deliberately) and bump the count.
-  static constexpr std::size_t kFieldCount = 33;
+  static constexpr std::size_t kFieldCount = 32;
 
   WorkerStats& operator+=(const WorkerStats& o) {
     for_each_field([&](const char*, StatKind kind, auto member) {

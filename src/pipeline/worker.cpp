@@ -14,8 +14,8 @@ namespace vpm::pipeline {
 
 namespace {
 
-// A packet consumed from the ring but discarded unprocessed (ladder shed or
-// failure drain).
+// A packet consumed from the ring but discarded unprocessed by the failure
+// drain.
 void count_shed(WorkerStats& s, const net::Packet& p) {
   ++s.packets;
   s.payload_bytes += p.payload.size();
@@ -63,9 +63,7 @@ Worker::Worker(const PipelineConfig& cfg, const RulesChannel& channel)
       guarded_sink_(cfg.alert_sink != nullptr ? cfg.alert_sink : &buffer_sink_,
                     cfg.sink_quarantine_after),
       sink_(&guarded_sink_),
-      swaps_(channel),
-      overload_(cfg.overload),
-      base_buffered_budget_(cfg.reassembly.max_buffered_bytes) {
+      swaps_(channel) {
   engine_.set_prefilter_mode(cfg.prefilter);
   // Connection end (FIN completion, RST, close, eviction) is a stream
   // boundary: scan anything still staged under the dying streams, then drop
@@ -167,7 +165,6 @@ void Worker::run_loop() {
     // Liveness: one bump per iteration, idle included — a flat heartbeat
     // therefore means the thread is wedged inside a batch, not merely idle.
     heartbeat_.fetch_add(1, std::memory_order_relaxed);
-    apply_overload();
     if (ring_.try_pop(batch)) {
       record_pop(batch);
       // Adopt AFTER the pop: the producer publishes a new generation before
@@ -246,27 +243,11 @@ void Worker::maybe_adopt_rules() {
   publish_stats();  // idle adoptions too: no batch follows to publish them
 }
 
-void Worker::apply_overload() {
-  if (!cfg_.overload.enabled) return;
-  const double fill = static_cast<double>(ring_.size_approx()) /
-                      static_cast<double>(ring_.capacity());
-  const DegradationLevel prev = overload_.level();
-  const DegradationLevel now = overload_.update(fill);
-  if (now == prev) return;
-  stats_.degradation_level = static_cast<std::uint64_t>(now);
-  stats_.degradation_transitions = overload_.transitions();
-  // Rung 1+: shrink (or on descent restore) the reassembly buffering budget.
-  if (now >= DegradationLevel::shrink_budgets) {
-    const auto shrunk = static_cast<std::size_t>(
-        cfg_.overload.budget_factor * static_cast<double>(base_buffered_budget_));
-    reassembler_.set_max_buffered_bytes(std::max<std::size_t>(1, shrunk));
-  } else {
-    reassembler_.set_max_buffered_bytes(base_buffered_budget_);
-  }
-  publish_stats();
-}
-
 void Worker::process(PacketBatch& batch) {
+  // Overloaded while the ring held at least 3/4 of its capacity as this
+  // batch was popped (the batch itself counted).
+  overloaded_ = cfg_.overload_eviction &&
+                4 * (ring_.size_approx() + 1) >= 3 * ring_.capacity();
   std::size_t handled = 0;
   try {
     if (util::failpoint::should_fail(util::failpoint::Site::worker_batch)) {
@@ -291,17 +272,8 @@ void Worker::process(PacketBatch& batch) {
   }
 }
 
-bool Worker::should_shed(const net::Packet& packet) const {
-  return overload_.level() == DegradationLevel::shed_load &&
-         packet.payload.size() > cfg_.overload.shed_payload_bytes;
-}
-
 void Worker::handle_packet(net::Packet& packet) {
   virtual_now_us_ = std::max(virtual_now_us_, packet.timestamp_us);
-  if (should_shed(packet)) {
-    count_shed(stats_, packet);
-    return;
-  }
   ++stats_.packets;
   stats_.payload_bytes += packet.payload.size();
   ++stats_.processed_packets;
@@ -318,13 +290,13 @@ void Worker::handle_packet(net::Packet& packet) {
                   *sink_);
   }
 
-  // Rung 2+ tightens eviction: a much shorter idle timeout (even when
-  // eviction was configured off) and 4x more frequent sweeps.
+  // Overload eviction: a 1 s idle timeout (even when eviction is configured
+  // off) and 4x more frequent sweeps.
+  constexpr std::uint64_t kOverloadIdleUs = 1'000'000;
   std::uint64_t idle_us = cfg_.idle_timeout_us;
   std::size_t sweep_every = cfg_.eviction_sweep_packets;
-  if (overload_.level() >= DegradationLevel::evict_early) {
-    const std::uint64_t degraded = cfg_.overload.degraded_idle_timeout_us;
-    idle_us = idle_us == 0 ? degraded : std::min(idle_us, degraded);
+  if (overloaded_) {
+    idle_us = idle_us == 0 ? kOverloadIdleUs : std::min(idle_us, kOverloadIdleUs);
     sweep_every = std::max<std::size_t>(1, sweep_every / 4);
   }
   if (idle_us > 0 && ++packets_since_sweep_ >= sweep_every) {
@@ -332,6 +304,7 @@ void Worker::handle_packet(net::Packet& packet) {
     // Scan staged chunks before tearing flows down: close_flow drops a
     // still-staged chunk unscanned.
     engine_.flush_batch(*sink_);
+    if (overloaded_) ++stats_.overload_sweeps;
     sweep_idle(idle_us);
   }
 }

@@ -37,7 +37,6 @@
 #include "ids/engine.hpp"
 #include "net/reassembly.hpp"
 #include "pipeline/config.hpp"
-#include "pipeline/overload.hpp"
 #include "pipeline/spsc_ring.hpp"
 #include "pipeline/stats.hpp"
 
@@ -174,8 +173,6 @@ class Worker {
   void maybe_adopt_rules();
   void process(PacketBatch& batch);
   void handle_packet(net::Packet& packet);
-  bool should_shed(const net::Packet& packet) const;
-  void apply_overload();
   void sweep_idle(std::uint64_t idle_us);
   // Copies the counts the engine, the reassembler and the sink own into
   // stats_ (skipped after a failure: the engine is then in an unknown
@@ -209,15 +206,13 @@ class Worker {
   // Worker-thread-local bookkeeping.
   std::uint64_t virtual_now_us_ = 0;  // max packet timestamp seen
   std::size_t packets_since_sweep_ = 0;
+  bool overloaded_ = false;  // cfg.overload_eviction and the ring >= 3/4 full
+                             // when the current batch was popped
   int pin_cpu_ = -1;
   // Last activity of engine-only (UDP) flows; TCP flows are tracked by the
   // reassembler itself.  Open-addressing like the reassembler's table so
   // bounded-step eviction (cfg.eviction_max_steps) covers UDP churn too.
   util::FlowTable<std::uint64_t, std::uint64_t, util::U64Hash> udp_last_seen_;
-
-  // Degradation ladder (worker-thread-only).
-  OverloadManager overload_;
-  const std::size_t base_buffered_budget_;  // configured reassembly budget
 
   // This worker's counters: stats_ is written only by the worker thread,
   // published_ is its per-field copy (WorkerStats::for_each_field order)

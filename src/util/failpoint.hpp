@@ -82,15 +82,18 @@ std::uint64_t fires(Site s);
 std::string describe();
 
 namespace detail {
-// Bit i set <=> site i armed.  Relaxed: arming mid-run is advisory; the
-// ordering of the first few post-arm hits does not matter.
+// Bit i set <=> site i armed.  arm() writes the sites' modes, then
+// release-stores the mask; should_fail() acquire-loads it, so a thread that
+// sees a site armed mid-run also sees its mode (a plain mov on x86, like a
+// relaxed load).  Which of the first post-arm hits see the arming does not
+// matter.
 extern std::atomic<std::uint32_t> g_armed_mask;
 bool fire_slow(Site s);
 }  // namespace detail
 
 // THE hot-path check.  Call as: if (should_fail(Site::ring_push)) ...
 inline bool should_fail(Site s) {
-  const std::uint32_t mask = detail::g_armed_mask.load(std::memory_order_relaxed);
+  const std::uint32_t mask = detail::g_armed_mask.load(std::memory_order_acquire);
   if (mask == 0) [[likely]] {
     return false;
   }

@@ -9,9 +9,9 @@
 //   * faults on   -> no deadlock, no crash, and the accounting identity
 //                    routed == Σ packets, packets == processed + shed
 //     holds per worker — every packet is processed or accounted shed, never
-//     silently lost;
-//   * the degradation ladder climbs/descends one rung per evaluation with
-//     hysteresis, and every shed byte lands in WorkerStats::shed_*.
+//     silently lost, and every shed byte lands in WorkerStats::shed_bytes;
+//   * overload eviction sweeps at its short timeout from a full ring when
+//     switched on, and never when off.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -34,7 +34,6 @@
 #include "net/reassembly.hpp"
 #include "pattern/serialize.hpp"
 #include "pattern/snort_rules.hpp"
-#include "pipeline/overload.hpp"
 #include "pipeline/runtime.hpp"
 #include "pipeline/watchdog.hpp"
 #include "telemetry/http_exporter.hpp"
@@ -342,83 +341,11 @@ TEST_F(ChaosSwap, PublishFailpointThrowsAndTheOldGenerationStaysLive) {
   expect_accounting_identity(rt.stats());
 }
 
-// ---- degradation ladder ----------------------------------------------------
-
-TEST(OverloadLadder, ClimbsAndDescendsOneRungPerUpdateWithHysteresis) {
-  pipeline::OverloadConfig cfg;
-  cfg.enabled = true;  // defaults: enter {.50,.75,.90}, exit {.30,.55,.75}
-  pipeline::OverloadManager mgr(cfg);
-  using L = pipeline::DegradationLevel;
-
-  EXPECT_EQ(mgr.update(0.95), L::shrink_budgets) << "one rung per evaluation, not a jump";
-  EXPECT_EQ(mgr.update(0.95), L::evict_early);
-  EXPECT_EQ(mgr.update(0.95), L::shed_load);
-  EXPECT_EQ(mgr.update(0.95), L::shed_load) << "the top rung saturates";
-
-  EXPECT_EQ(mgr.update(0.80), L::shed_load) << "0.80 is inside the hysteresis band";
-  EXPECT_EQ(mgr.update(0.74), L::evict_early);
-  EXPECT_EQ(mgr.update(0.60), L::evict_early) << "not yet below exit_fill[1]";
-  EXPECT_EQ(mgr.update(0.50), L::shrink_budgets);
-  EXPECT_EQ(mgr.update(0.10), L::normal);
-  EXPECT_EQ(mgr.transitions(), 6u);
-}
-
-TEST(OverloadLadder, NamedPoliciesResolve) {
-  const auto off = pipeline::overload_policy_from_name("off");
-  ASSERT_TRUE(off.has_value());
-  EXPECT_FALSE(off->enabled);
-
-  const auto conservative = pipeline::overload_policy_from_name("conservative");
-  ASSERT_TRUE(conservative.has_value());
-  EXPECT_TRUE(conservative->enabled);
-
-  const auto aggressive = pipeline::overload_policy_from_name("aggressive");
-  ASSERT_TRUE(aggressive.has_value());
-  EXPECT_TRUE(aggressive->enabled);
-  EXPECT_LT(aggressive->enter_fill[0], conservative->enter_fill[0]);
-  EXPECT_LT(aggressive->shed_payload_bytes, conservative->shed_payload_bytes);
-
-  EXPECT_FALSE(pipeline::overload_policy_from_name("yolo").has_value());
-}
+// ---- overload eviction -----------------------------------------------------
 
 using ChaosOverload = ChaosTest;
 
-TEST_F(ChaosOverload, ShedLoadAccountsEveryPacketAndByte) {
-  pipeline::PipelineConfig cfg;
-  cfg.workers = 2;
-  cfg.batch_packets = 1;  // one ladder evaluation per packet
-  cfg.overload.enabled = true;
-  // Force the climb: every evaluation sees fill >= enter, never below exit.
-  for (double& e : cfg.overload.enter_fill) e = 0.0;
-  for (double& e : cfg.overload.exit_fill) e = -1.0;
-  cfg.overload.shed_payload_bytes = 8;
-
-  pipeline::PipelineRuntime rt(demo_db(), cfg);
-  rt.start();
-  // Alternate oversized 32-byte payloads with 8-byte payloads that sit
-  // exactly at the bound; each flow (i % 8) keeps one size, so its sequence
-  // numbers stay contiguous.
-  const std::string oversized(32, 'x');
-  const std::string at_bound(8, 'y');
-  for (std::uint32_t i = 0; i < 200; ++i) {
-    const std::string& payload = i % 2 == 0 ? oversized : at_bound;
-    const auto len = static_cast<std::uint32_t>(payload.size());
-    rt.submit(tcp_packet(1 + i % 8, 40000, 100 + (i / 8) * len, payload, i));
-  }
-  rt.stop();
-
-  const auto stats = rt.stats();
-  expect_accounting_identity(stats);
-  const auto totals = stats.totals();
-  EXPECT_GT(totals.shed_packets, 0u) << "rung 3 must shed oversized payloads";
-  // Every shed packet is an oversized one: no payload at or below the bound
-  // is ever shed.
-  EXPECT_EQ(totals.shed_bytes, totals.shed_packets * oversized.size());
-  EXPECT_EQ(totals.degradation_level, 3u) << "gauge mirrors the top rung";
-  EXPECT_GE(totals.degradation_transitions, 3u);
-}
-
-TEST_F(ChaosOverload, DisabledLadderShedsNothing) {
+TEST_F(ChaosOverload, HealthyRunShedsNothing) {
   pipeline::PipelineConfig cfg;
   cfg.workers = 2;
   pipeline::PipelineRuntime rt(demo_db(), cfg);
@@ -430,7 +357,48 @@ TEST_F(ChaosOverload, DisabledLadderShedsNothing) {
   const auto totals = rt.stats().totals();
   EXPECT_EQ(totals.shed_packets, 0u);
   EXPECT_EQ(totals.processed_packets, totals.packets);
-  EXPECT_EQ(totals.degradation_level, 0u);
+}
+
+// Flow A goes idle at t = 0; flow B arrives at t = 2 s into a full ring (the
+// worker cannot pop while ring_pop fires).  The configured 10 s timeout
+// keeps A; with the switch on, the first batch popped from the full ring
+// sweeps at the 1 s overload timeout and evicts it.
+TEST_F(ChaosOverload, FullRingSweepsAtTheOverloadTimeout) {
+  for (const bool on : {false, true}) {
+    SCOPED_TRACE(on ? "overload eviction on" : "overload eviction off");
+    pipeline::PipelineConfig cfg;
+    cfg.workers = 1;
+    cfg.ring_batches = 4;
+    cfg.batch_packets = 1;
+    cfg.backpressure = pipeline::BackpressurePolicy::drop;
+    cfg.idle_timeout_us = 10'000'000;
+    cfg.eviction_sweep_packets = 1;
+    cfg.overload_eviction = on;
+    pipeline::PipelineRuntime rt(demo_db(), cfg);
+    rt.start();
+    rt.submit(tcp_packet(1, 40000, 100, "flow A", 0));
+    rt.quiesce();
+    ASSERT_EQ(fp::arm("ring_pop=always"), "");
+    // Once one pop has failed, the worker sees the arming on every later
+    // pop, so no batch of flow B is popped before all four are queued.
+    while (fp::fires(fp::Site::ring_pop) == 0) std::this_thread::yield();
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      rt.submit(tcp_packet(2, 40001, 100 + i * 6, "flow B", 2'000'000));
+    }
+    fp::disarm();
+    rt.stop();
+
+    const auto stats = rt.stats();
+    expect_accounting_identity(stats);
+    EXPECT_EQ(stats.dropped_backpressure, 0u) << "four one-packet batches fit the ring";
+    const auto totals = stats.totals();
+    EXPECT_EQ(totals.flows_evicted, on ? 1u : 0u);
+    if (on) {
+      EXPECT_GT(totals.overload_sweeps, 0u);
+    } else {
+      EXPECT_EQ(totals.overload_sweeps, 0u);
+    }
+  }
 }
 
 // ---- fault differential ----------------------------------------------------
@@ -503,6 +471,7 @@ TEST_F(ChaosWorker, BatchFailureIsContainedDrainedAndAccounted) {
   const auto totals = stats.totals();
   EXPECT_EQ(totals.processed_packets, 0u) << "every batch threw before processing";
   EXPECT_EQ(totals.shed_packets, totals.packets);
+  EXPECT_EQ(totals.shed_bytes, totals.payload_bytes);
 }
 
 TEST(ChaosWatchdog, FlagsOneStallPerEpisodeAndClearsOnRecovery) {
