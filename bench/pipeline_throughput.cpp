@@ -20,8 +20,8 @@
 //
 // --flood measures what one worker keeps when it is offered more than it
 // can inspect: each mix replayed open loop at 2x and 4x of its closed-loop
-// capacity under drop backpressure, with overload eviction off (`drop`) and
-// on (`evict`).
+// capacity under drop backpressure, where the drops start overload
+// eviction.
 //
 // With none of --soak-seconds, --churn and --flood, it prints this usage and
 // exits 2.
@@ -417,26 +417,19 @@ double kept_share(const std::vector<std::uint64_t>& lossless,
                           : static_cast<double>(kept) / static_cast<double>(lossless.size());
 }
 
-struct FloodSetting {
-  const char* name;
-  bool overload_eviction;
-};
-
 // --flood: every round of a mix starts with one closed-loop run under block
 // backpressure, whose rate is the worker's capacity in that round and whose
-// alerts are the lossless reference; then each offered rate runs every
-// setting once, in an order that rotates from round to round.  Measuring
-// the capacity in every round keeps the offered multiple true while the
-// host drifts.  One worker on CPU 2, the producer on CPU 1 (no pinning
-// below 4 CPUs); the idle timeout is one epoch span.
+// alerts are the lossless reference; then each offered rate runs once under
+// drop backpressure.  Measuring the capacity in every round keeps the
+// offered multiple true while the host drifts.  One worker on CPU 2, the
+// producer on CPU 1 (no pinning below 4 CPUs); the idle timeout is one
+// epoch span.
 int flood_mode(const Options& opt) {
   const bool pin = std::thread::hardware_concurrency() >= 4;
   if (pin) capture::pin_current_thread(1);
-  // `drop` first: every other row counts the rounds it kept more than drop.
-  const std::vector<FloodSetting> settings{{"drop", false}, {"evict", true}};
   const std::vector<double> rates{2.0, 4.0};
   JsonReport report("overload", opt);
-  const std::vector<int> widths{9, 6, 8, 24, 8, 8, 8, 9, 9, 9};
+  const std::vector<int> widths{9, 6, 24, 8, 8, 10, 9, 9, 9};
   for (const bool evasion : {false, true}) {
     const FloodMix mix = flood_mix(evasion, opt);
     const DatabasePtr db = compile(core::Algorithm::vpatch, mix.rules);
@@ -446,14 +439,13 @@ int flood_mode(const Options& opt) {
     if (pin) cfg.worker_cpus = {2};
 
     struct Samples {
-      std::vector<double> kept, drop_share, evicted, tracked, rss, kpps;
+      std::vector<double> kept, drop_share, evicted, overload_sweeps, tracked, rss, kpps;
     };
-    std::vector<Samples> cells(rates.size() * settings.size());
+    std::vector<Samples> cells(rates.size());
     std::vector<double> capacity_kpps;
     std::vector<std::uint64_t> lossless;
     for (unsigned r = 0; r < opt.runs; ++r) {
       cfg.backpressure = pipeline::BackpressurePolicy::block;
-      cfg.overload_eviction = false;
       FloodRun closed = flood_run(mix, db, cfg, 0.0, lossless.size());
       const double capacity = static_cast<double>(mix.packets) / closed.seconds / 1e3;
       capacity_kpps.push_back(capacity);
@@ -465,22 +457,16 @@ int flood_mode(const Options& opt) {
       }
       cfg.backpressure = pipeline::BackpressurePolicy::drop;
       for (std::size_t ri = 0; ri < rates.size(); ++ri) {
-        for (std::size_t j = 0; j < settings.size(); ++j) {
-          const std::size_t s = (r + j) % settings.size();
-          cfg.overload_eviction = settings[s].overload_eviction;
-          const FloodRun run =
-              flood_run(mix, db, cfg, rates[ri] * capacity, lossless.size());
-          const auto share = [&](std::uint64_t n) {
-            return static_cast<double>(n) / static_cast<double>(mix.packets);
-          };
-          Samples& c = cells[ri * settings.size() + s];
-          c.kept.push_back(kept_share(lossless, run.alert_keys));
-          c.drop_share.push_back(share(run.ring_drops));
-          c.evicted.push_back(static_cast<double>(run.totals.flows_evicted));
-          c.tracked.push_back(static_cast<double>(run.tracked_peak));
-          c.rss.push_back(run.rss_peak_mib);
-          c.kpps.push_back(run.offered_kpps);
-        }
+        const FloodRun run = flood_run(mix, db, cfg, rates[ri] * capacity, lossless.size());
+        Samples& c = cells[ri];
+        c.kept.push_back(kept_share(lossless, run.alert_keys));
+        c.drop_share.push_back(static_cast<double>(run.ring_drops) /
+                               static_cast<double>(mix.packets));
+        c.evicted.push_back(static_cast<double>(run.totals.flows_evicted));
+        c.overload_sweeps.push_back(static_cast<double>(run.totals.overload_sweeps));
+        c.tracked.push_back(static_cast<double>(run.tracked_peak));
+        c.rss.push_back(run.rss_peak_mib);
+        c.kpps.push_back(run.offered_kpps);
       }
     }
 
@@ -491,44 +477,37 @@ int flood_mode(const Options& opt) {
                 static_cast<unsigned long long>(mix.packets), med(capacity_kpps),
                 util::percentile_of(capacity_kpps, 25), util::percentile_of(capacity_kpps, 75),
                 lossless.size(), opt.runs);
-    report.add({{"mix", mix.name}, {"rate", "closed"}, {"setting", "block"}},
+    report.add({{"mix", mix.name}, {"rate", "closed"}},
                {{"capacity_kpps_median", med(capacity_kpps)},
                 {"capacity_kpps_q1", util::percentile_of(capacity_kpps, 25)},
                 {"capacity_kpps_q3", util::percentile_of(capacity_kpps, 75)}},
                {{"packets", mix.packets}, {"lossless_alerts", lossless.size()}});
-    print_row({"mix", "rate", "setting", "kept % med [q1, q3]", "> drop", "drop %",
-               "evicted", "tracked", "RSS MiB", "kpkt/s"},
+    print_row({"mix", "rate", "kept % med [q1, q3]", "drop %", "evicted", "overload", "tracked",
+               "RSS MiB", "kpkt/s"},
               widths);
     for (std::size_t ri = 0; ri < rates.size(); ++ri) {
       const std::string rate = fmt(rates[ri], 0) + "x";
-      for (std::size_t s = 0; s < settings.size(); ++s) {
-        const Samples& c = cells[ri * settings.size() + s];
-        const double q1 = util::percentile_of(c.kept, 25);
-        const double q3 = util::percentile_of(c.kept, 75);
-        // The paired comparison: rounds in which this setting kept more
-        // than `drop` at the same offered rate, immune to drift between
-        // rounds.
-        const Samples& drop = cells[ri * settings.size()];
-        std::uint64_t above_drop = 0;
-        for (std::size_t r = 0; r < c.kept.size(); ++r) above_drop += c.kept[r] > drop.kept[r];
-        print_row({mix.name, rate, settings[s].name,
-                   fmt(100 * med(c.kept), 1) + " [" + fmt(100 * q1, 1) + ", " +
-                       fmt(100 * q3, 1) + "]",
-                   s == 0 ? "-" : std::to_string(above_drop) + "/" + std::to_string(opt.runs),
-                   fmt(100 * med(c.drop_share), 1), fmt(med(c.evicted), 0),
-                   fmt(med(c.tracked), 0), fmt(med(c.rss), 1), fmt(med(c.kpps), 0)},
-                  widths);
-        report.add({{"mix", mix.name}, {"rate", rate}, {"setting", settings[s].name}},
-                   {{"kept_median", med(c.kept)},
-                    {"kept_q1", q1},
-                    {"kept_q3", q3},
-                    {"ring_drop_share_median", med(c.drop_share)},
-                    {"tracked_peak_median", med(c.tracked)},
-                    {"rss_peak_mib_median", med(c.rss)},
-                    {"flows_evicted_median", med(c.evicted)},
-                    {"offered_kpps_median", med(c.kpps)}},
-                   {{"runs", opt.runs}, {"rounds_above_drop", above_drop}});
-      }
+      const Samples& c = cells[ri];
+      const double q1 = util::percentile_of(c.kept, 25);
+      const double q3 = util::percentile_of(c.kept, 75);
+      print_row({mix.name, rate,
+                 fmt(100 * med(c.kept), 1) + " [" + fmt(100 * q1, 1) + ", " + fmt(100 * q3, 1) +
+                     "]",
+                 fmt(100 * med(c.drop_share), 1), fmt(med(c.evicted), 0),
+                 fmt(med(c.overload_sweeps), 0), fmt(med(c.tracked), 0), fmt(med(c.rss), 1),
+                 fmt(med(c.kpps), 0)},
+                widths);
+      report.add({{"mix", mix.name}, {"rate", rate}},
+                 {{"kept_median", med(c.kept)},
+                  {"kept_q1", q1},
+                  {"kept_q3", q3},
+                  {"ring_drop_share_median", med(c.drop_share)},
+                  {"tracked_peak_median", med(c.tracked)},
+                  {"rss_peak_mib_median", med(c.rss)},
+                  {"flows_evicted_median", med(c.evicted)},
+                  {"overload_sweeps_median", med(c.overload_sweeps)},
+                  {"offered_kpps_median", med(c.kpps)}},
+                 {{"runs", opt.runs}});
     }
   }
   return report.write() ? 0 : 1;

@@ -82,7 +82,6 @@ struct SensorOptions {
   int metrics_port = -1;          // >= 0: serve /metrics on this port (0 = ephemeral)
   unsigned serve_seconds = 0;     // keep the /metrics endpoint up after the run
   std::string alert_json;         // non-empty: NDJSON alert file
-  bool overload_eviction = false;  // --overload-eviction
   std::string fail_spec;          // non-empty: arm failpoints (chaos runs)
   std::uint64_t fail_seed = 1;
 };
@@ -132,7 +131,6 @@ int run(capture::CaptureSource& source, const pattern::PatternSet& rules,
   cfg.workers = opt.workers;
   cfg.prefilter = opt.prefilter;
   cfg.reassembly = opt.reassembly;
-  cfg.overload_eviction = opt.overload_eviction;
   cfg.worker_cpus = opt.worker_cpus;
   if (opt.batch_packets > 0) cfg.batch_packets = opt.batch_packets;
   if (opt.metrics_port >= 0) cfg.metrics = &registry;
@@ -244,10 +242,9 @@ int run(capture::CaptureSource& source, const pattern::PatternSet& rules,
   const auto stats = rt.stats();
   const auto totals = stats.totals();
   std::printf("%zu packets (skipped %llu), batch %zu, overlap policy %s, "
-              "overload eviction %s, prefilter %s\n",
+              "prefilter %s\n",
               submitted, static_cast<unsigned long long>(cap_stats.skipped),
               cfg.batch_packets, net::overlap_policy_name(opt.reassembly.overlap),
-              opt.overload_eviction ? "on" : "off",
               std::string(core::prefilter_mode_name(opt.prefilter)).c_str());
   std::printf("%s\n", capture::describe_capture_stats(source).c_str());
   // The one shared stats formatter (every WorkerStats field, totals + per
@@ -332,7 +329,7 @@ void print_usage(const char* prog) {
                "usage: %s [--source=SPEC] [--workers=N] [--batch=N] [--algo=NAME] "
                "[--prefilter=MODE] [--swap-after=N] [--cpu-list=LIST] "
                "[--max-packets=N] "
-               "[--overlap-policy=NAME] [--overload-eviction] [--fail=SPEC] "
+               "[--overlap-policy=NAME] [--fail=SPEC] "
                "[--fail-seed=N] [--metrics-port=N] [--serve-seconds=N] "
                "[--alert-json=FILE] <capture.pcap> [rules.rules]  |  %s --demo\n"
                "  --source=SPEC    pcap:FILE | trace:mixed|evasion[,flows=N,"
@@ -349,8 +346,6 @@ void print_usage(const char* prog) {
                "packets\n"
                "  --overlap-policy=NAME  segment-overlap arbitration: "
                "first|last|target_bsd|target_linux (default first)\n"
-               "  --overload-eviction    while a worker's ring is 3/4 full, "
-               "evict flows idle for 1 s of capture time\n"
                "  --fail=SPEC      arm deterministic failpoints, e.g. "
                "ring_push=every:100,alert_sink_write=prob:0.01\n"
                "  --fail-seed=N    seed for probabilistic failpoint modes\n"
@@ -402,8 +397,6 @@ int main(int argc, char** argv) {
           static_cast<unsigned>(std::strtoul(argv[i] + 16, nullptr, 10));
     } else if (std::strncmp(argv[i], "--alert-json=", 13) == 0) {
       opt.alert_json = argv[i] + 13;
-    } else if (std::strcmp(argv[i], "--overload-eviction") == 0) {
-      opt.overload_eviction = true;
     } else if (std::strncmp(argv[i], "--fail=", 7) == 0) {
       opt.fail_spec = argv[i] + 7;
     } else if (std::strncmp(argv[i], "--fail-seed=", 12) == 0) {

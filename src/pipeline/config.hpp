@@ -26,6 +26,8 @@ namespace vpm::pipeline {
 // amortize queue synchronization over many small segments.  The router
 // stamps enqueue_ns (steady-clock) as it pushes when telemetry is enabled,
 // so the consuming worker can histogram ring dwell time; 0 = unstamped.
+// after_drop tells the worker that the drop policy discarded the batch
+// before this one on its shard (see PipelineConfig::idle_timeout_us).
 //
 // A batch makes a round trip: the producer fills it, its shard's worker
 // drains it and hands it back, packets intact, through the return ring, and
@@ -34,6 +36,7 @@ namespace vpm::pipeline {
 struct PacketBatch {
   std::vector<net::Packet> packets;
   std::uint64_t enqueue_ns = 0;
+  bool after_drop = false;
 
   auto begin() { return packets.begin(); }
   auto end() { return packets.end(); }
@@ -46,6 +49,7 @@ struct PacketBatch {
   void clear() {
     packets.clear();
     enqueue_ns = 0;
+    after_drop = false;
   }
 };
 
@@ -77,6 +81,16 @@ struct PipelineConfig {
   // Idle-flow eviction keeps per-worker flow tables bounded under churn.
   // Time is packet-capture time (Packet::timestamp_us), not wall time, so
   // replays behave identically at any speed.  0 disables eviction.
+  //
+  // Overload eviction needs no setting.  Under the drop policy every lost
+  // segment stalls its stream, and a stalled connection costs reassembly
+  // time until it is evicted.  So from the first drop on a shard until its
+  // worker finds its ring empty, each batch the worker pops from a ring at
+  // least 3/4 full sweeps 4x as often and evicts flows idle for 1 s (the
+  // smaller of that and idle_timeout_us; 1 s when eviction is off).  A ring
+  // that fills without a drop (block, or a stall the drop policy absorbs)
+  // never arms it, so lossless runs keep their alerts independent of thread
+  // timing (bench_pipeline_throughput --flood measures what it keeps).
   std::uint64_t idle_timeout_us = 0;
   std::size_t eviction_sweep_packets = 512;  // packets between sweeps
   // Upper bound on flow-table slots examined per eviction sweep: each sweep
@@ -92,16 +106,6 @@ struct PipelineConfig {
   std::vector<int> worker_cpus;
 
   net::ReassemblyConfig reassembly{};
-
-  // Overload eviction: while a worker's ring is at least 3/4 full, its idle
-  // sweeps run 4x as often and evict flows idle for 1 s of capture time (the
-  // smaller of that and idle_timeout_us; 1 s when idle eviction is off).
-  // Under a drop-policy flood every lost segment stalls its stream, and a
-  // stalled connection costs reassembly time until it is evicted.  Off by
-  // default: under the block policy a full ring loses nothing, and early
-  // eviction would only make alerts depend on thread timing
-  // (bench_pipeline_throughput --flood measures the trade).
-  bool overload_eviction = false;
 
   // Worker liveness watchdog.  0 disables (no sampler thread).  A worker
   // whose heartbeat stays flat for watchdog_stall_intervals consecutive

@@ -11,12 +11,11 @@
 //   rt.stop();                       // flush + drain + join
 //   use rt.alerts(), rt.stats();     // alerts carry their ruleset generation
 //
-// Determinism contract: with eviction, overload eviction and the drop policy
-// disabled, the union of all workers' alerts is the multiset of one scan of
-// each whole directional stream that one TcpReassembler joins from the same
-// packets, cut at connection end (flow ids are flow_key(tuple)) — flows
-// never split across workers and per-flow order is preserved through the
-// FIFO rings.
+// Determinism contract: with eviction and the drop policy disabled, the
+// union of all workers' alerts is the multiset of one scan of each whole
+// directional stream that one TcpReassembler joins from the same packets,
+// cut at connection end (flow ids are flow_key(tuple)) — flows never split
+// across workers and per-flow order is preserved through the FIFO rings.
 // The differential test suites enforce this against a naive whole-stream
 // oracle across worker counts and algorithms.
 //

@@ -75,6 +75,8 @@ bool ShardRouter::push_batch(std::size_t shard) {
   // reserve allocates only when no drained batch was waiting.
   batch.clear();
   batch.reserve(batch_packets_);
+  // The next batch this shard gets through tells its worker of the loss.
+  batch.after_drop = !pushed;
   return pushed;
 }
 

@@ -244,10 +244,18 @@ void Worker::maybe_adopt_rules() {
 }
 
 void Worker::process(PacketBatch& batch) {
-  // Overloaded while the ring held at least 3/4 of its capacity as this
-  // batch was popped (the batch itself counted).
-  overloaded_ = cfg_.overload_eviction &&
-                4 * (ring_.size_approx() + 1) >= 3 * ring_.capacity();
+  // Overload eviction (see PipelineConfig::idle_timeout_us) arms with the
+  // first batch pushed after a drop on this shard and disarms once the
+  // worker has caught up (the ring empty).  While armed, it applies to each
+  // batch popped while the ring holds at least 3/4 of its capacity (the
+  // batch itself counted).  Unarmed, the fill is not read: that reads the
+  // producer's index, a cross-core cache line.
+  overloaded_ = false;
+  if (batch.after_drop || overload_armed_) {
+    const std::size_t queued = ring_.size_approx();
+    overload_armed_ = batch.after_drop || queued > 0;
+    overloaded_ = overload_armed_ && 4 * (queued + 1) >= 3 * ring_.capacity();
+  }
   std::size_t handled = 0;
   try {
     if (util::failpoint::should_fail(util::failpoint::Site::worker_batch)) {

@@ -206,8 +206,8 @@ class Worker {
   // Worker-thread-local bookkeeping.
   std::uint64_t virtual_now_us_ = 0;  // max packet timestamp seen
   std::size_t packets_since_sweep_ = 0;
-  bool overloaded_ = false;  // cfg.overload_eviction and the ring >= 3/4 full
-                             // when the current batch was popped
+  bool overload_armed_ = false;  // a drop since the ring was last empty
+  bool overloaded_ = false;      // overload eviction applies to the current batch
   int pin_cpu_ = -1;
   // Last activity of engine-only (UDP) flows; TCP flows are tracked by the
   // reassembler itself.  Open-addressing like the reassembler's table so

@@ -10,8 +10,8 @@
 //                    routed == Σ packets, packets == processed + shed
 //     holds per worker — every packet is processed or accounted shed, never
 //     silently lost, and every shed byte lands in WorkerStats::shed_bytes;
-//   * overload eviction sweeps at its short timeout from a full ring when
-//     switched on, and never when off.
+//   * overload eviction sweeps at its short timeout from a full ring after
+//     a drop, and never from a full ring alone.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -359,45 +359,55 @@ TEST_F(ChaosOverload, HealthyRunShedsNothing) {
   EXPECT_EQ(totals.processed_packets, totals.packets);
 }
 
-// Flow A goes idle at t = 0; flow B arrives at t = 2 s into a full ring (the
-// worker cannot pop while ring_pop fires).  The configured 10 s timeout
-// keeps A; with the switch on, the first batch popped from the full ring
-// sweeps at the 1 s overload timeout and evicts it.
-TEST_F(ChaosOverload, FullRingSweepsAtTheOverloadTimeout) {
-  for (const bool on : {false, true}) {
-    SCOPED_TRACE(on ? "overload eviction on" : "overload eviction off");
+// Flow A goes idle at t = 0; eight one-packet batches of flow B arrive at
+// t = 2 s while the worker cannot pop (ring_pop fires), so its 8-batch ring
+// is full when it resumes.  A full ring alone keeps A under the configured
+// 10 s timeout.  When the drop policy discarded B's first batch, the one
+// pushed after it arms overload eviction, whose sweep at the 1 s timeout
+// evicts A.  It applies while the ring holds at least 3/4 of its capacity
+// as a batch is popped: to the first two of the seven (7 and 6 of 8
+// queued).  The worker sweeps after every packet, so each of those sweeps
+// once.  Emptying the ring disarms it: eight batches of flow C that fill
+// the ring again without a drop sweep at the configured timeout.
+TEST_F(ChaosOverload, FullRingSweepsAtTheOverloadTimeoutAfterADrop) {
+  for (const bool drop_first : {false, true}) {
+    SCOPED_TRACE(drop_first ? "first packet of B dropped" : "nothing dropped");
     pipeline::PipelineConfig cfg;
     cfg.workers = 1;
-    cfg.ring_batches = 4;
+    cfg.ring_batches = 8;
     cfg.batch_packets = 1;
     cfg.backpressure = pipeline::BackpressurePolicy::drop;
     cfg.idle_timeout_us = 10'000'000;
     cfg.eviction_sweep_packets = 1;
-    cfg.overload_eviction = on;
     pipeline::PipelineRuntime rt(demo_db(), cfg);
     rt.start();
+    // Queues eight packets of one flow at t = 2 s behind a worker that
+    // cannot pop, then lets it drain them.
+    const auto fill_ring = [&](std::uint32_t flow, std::string_view spec) {
+      ASSERT_EQ(fp::arm(spec), "");
+      // Once one pop has failed, the worker sees the arming on every later
+      // pop, so no batch of the flow is popped before all of them are queued.
+      while (fp::fires(fp::Site::ring_pop) == 0) std::this_thread::yield();
+      for (std::uint32_t i = 0; i < 8; ++i) {
+        rt.submit(tcp_packet(flow, 40000 + flow, 100 + i * 6, "flow", 2'000'000));
+      }
+      fp::disarm();
+      rt.quiesce();
+    };
     rt.submit(tcp_packet(1, 40000, 100, "flow A", 0));
     rt.quiesce();
-    ASSERT_EQ(fp::arm("ring_pop=always"), "");
-    // Once one pop has failed, the worker sees the arming on every later
-    // pop, so no batch of flow B is popped before all four are queued.
-    while (fp::fires(fp::Site::ring_pop) == 0) std::this_thread::yield();
-    for (std::uint32_t i = 0; i < 4; ++i) {
-      rt.submit(tcp_packet(2, 40001, 100 + i * 6, "flow B", 2'000'000));
-    }
-    fp::disarm();
+    // A worker that cannot pop returns no batch, so the first ring push
+    // after arming is B's first packet.
+    fill_ring(2, drop_first ? "ring_pop=always,ring_push=once:1" : "ring_pop=always");
+    fill_ring(3, "ring_pop=always");
     rt.stop();
 
     const auto stats = rt.stats();
     expect_accounting_identity(stats);
-    EXPECT_EQ(stats.dropped_backpressure, 0u) << "four one-packet batches fit the ring";
+    EXPECT_EQ(stats.dropped_backpressure, drop_first ? 1u : 0u);
     const auto totals = stats.totals();
-    EXPECT_EQ(totals.flows_evicted, on ? 1u : 0u);
-    if (on) {
-      EXPECT_GT(totals.overload_sweeps, 0u);
-    } else {
-      EXPECT_EQ(totals.overload_sweeps, 0u);
-    }
+    EXPECT_EQ(totals.flows_evicted, drop_first ? 1u : 0u);
+    EXPECT_EQ(totals.overload_sweeps, drop_first ? 2u : 0u);
   }
 }
 

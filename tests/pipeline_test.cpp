@@ -141,6 +141,18 @@ TEST(ShardRouter, DropPolicyCountsDiscardedPackets) {
   EXPECT_EQ(rejected, 8);
   EXPECT_EQ(router.routed(), 2u);
   EXPECT_EQ(router.dropped(), 8u);
+
+  // Only the first batch that gets through after the drops says so.
+  PacketBatch batch;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(ring.try_pop(batch));
+    EXPECT_FALSE(batch.after_drop);
+  }
+  for (const bool after_drop : {true, false}) {
+    ASSERT_TRUE(router.route(tcp_packet(1, 40000, 40, "abcd")));
+    ASSERT_TRUE(ring.try_pop(batch));
+    EXPECT_EQ(batch.after_drop, after_drop);
+  }
 }
 
 TEST(ShardRouter, FlushDeliversPartialBatches) {
