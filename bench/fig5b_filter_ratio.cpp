@@ -3,8 +3,11 @@
 //   pattern count grows (verification eats the budget, Amdahl);
 //   (red line)  useful lanes per speculative Filter-3 block rise (more lanes
 //   pass Filter 2, so the all-lane evaluation wastes less work).
+// The candidate columns count, per trace pass, the positions round one
+// stores (short-cand, long-cand) and the short ones that survive round
+// two's pre-pass and reach the short table (short-kept).
 //
-//   fig5b_filter_ratio [--mb=N] [--runs=N] [--seed=N] [--quick]
+//   fig5b_filter_ratio [--mb=N] [--runs=N] [--seed=N] [--quick] [--json=FILE]
 #include <cstdio>
 
 #include "common.hpp"
@@ -23,8 +26,10 @@ int main_impl(int argc, char** argv) {
                                              opt.trace_mb << 20, opt.seed + 10);
 
   std::printf("=== Fig 5b: filtering/total time %% and useful F3 lanes %% vs patterns ===\n");
-  const std::vector<int> widths{10, 16, 18, 14, 14};
-  print_row({"patterns", "filter-time-%", "useful-lanes-%", "short-cand", "long-cand"}, widths);
+  const std::vector<int> widths{10, 16, 18, 14, 14, 14};
+  print_row({"patterns", "filter-time-%", "useful-lanes-%", "short-cand", "short-kept",
+             "long-cand"},
+            widths);
 
   JsonReport report("fig5b_filter_ratio", opt);
   const std::size_t counts[] = {1000, 2500, 5000, 10000, 15000, 20000};
@@ -78,6 +83,7 @@ int main_impl(int argc, char** argv) {
     print_row({std::to_string(subset.size()), fmt(stats.filter_time_fraction() * 100, 1),
                fmt(stats.f3_lane_utilization() * 100, 1),
                std::to_string(stats.short_candidates / opt.runs),
+               std::to_string(stats.short_survivors / opt.runs),
                std::to_string(stats.long_candidates / opt.runs)},
               widths);
     report.add({},
@@ -87,6 +93,7 @@ int main_impl(int argc, char** argv) {
                 {"prefilter_fp_pct", fp_pct}},
                {{"patterns", subset.size()},
                 {"short_candidates", stats.short_candidates / opt.runs},
+                {"short_survivors", stats.short_survivors / opt.runs},
                 {"long_candidates", stats.long_candidates / opt.runs},
                 {"prefilter_patterns", pf_patterns}});
   }

@@ -432,6 +432,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       print_usage(argv[0]);
       return 0;
+    } else if (argv[i][0] == '-') {
+      // A mistyped option must not be opened as a capture path.
+      std::fprintf(stderr, "unknown option %s\n", argv[i]);
+      print_usage(argv[0]);
+      return 2;
     } else {
       positional.push_back(argv[i]);
     }

@@ -1,18 +1,18 @@
 #include "core/filter_bank.hpp"
 
+#include "pattern/prefix.hpp"
 #include "util/bitarray.hpp"
 
 namespace vpm::core {
 
 FilterBank::FilterBank(const pattern::PatternSet& set, FilterBankConfig cfg)
-    : f3_(cfg.f3_bits_log2) {
+    : f3_(pattern::prefix_windows(set, pattern::kShortLongBoundary), cfg.f3_bits_log2) {
   for (const pattern::Pattern& p : set) {
     if (p.size() < pattern::kShortLongBoundary) {
       f1_.add_pattern_prefix(p);
       has_short_ = true;
     } else {
       f2_.add_pattern_prefix(p);
-      f3_.add_pattern_prefix(p);
       has_long_ = true;
     }
   }

@@ -9,10 +9,14 @@
 // Filters 1 and 2 are additionally kept byte-interleaved in one "merged"
 // array (Fig. 3): because both use the same index, a single gather at byte
 // offset 2*(window>>3) returns one byte of each filter, halving the gather
-// count in V-PATCH.  Total footprint at defaults: 8 + 8 KB direct (16 KB
-// merged copy) + 8 KB hashed — comfortably L1/L2-resident with room for the
-// input block and the candidate arrays, as the paper's size-efficiency
-// property requires.
+// count in V-PATCH.  Filter 3 is sized per working set by the hashed-filter
+// rule (dfc::HashedFilter): the smallest power of two that keeps its fill at
+// or below 1.5%, capped at 2^20 bits.  Total footprint: 8 + 8 KB direct
+// (16 KB merged copy) + Filter 3, which is 32 KB on S1-web's http set and
+// 128 KB (the cap) on S2-full — L2-resident with room for the input block
+// and the candidate arrays, as the paper's size-efficiency property
+// requires.  At the paper's fixed 8 KB (2^16 bits) Filter 3 was 4.3% full
+// on S1-web and 12% on S2-full, against 1.1% and 0.8% at the derived sizes.
 #pragma once
 
 #include <cstdint>
@@ -24,9 +28,11 @@
 namespace vpm::core {
 
 struct FilterBankConfig {
-  // log2 of Filter-3 bit count; 16 -> 8 KB. Trade-off: larger = fewer false
-  // positives, smaller = better cache residency (paper §IV-A1).
-  unsigned f3_bits_log2 = 16;
+  // log2 of Filter-3 bit count, or 0 to derive it from the working set.  A
+  // non-zero value overrides the derived size, for the ablation and Fig. 5a
+  // sweeps (16 -> 8 KB, the paper's choice).  Trade-off: larger = fewer
+  // false positives, smaller = better cache residency (paper §IV-A1).
+  unsigned f3_bits_log2 = 0;
 };
 
 class FilterBank {
@@ -61,7 +67,7 @@ class FilterBank {
  private:
   dfc::DirectFilter2B f1_;
   dfc::DirectFilter2B f2_;
-  dfc::HashedFilter4B f3_;
+  dfc::HashedFilter f3_;
   std::vector<std::uint8_t> merged_;
   bool has_short_ = false;
   bool has_long_ = false;

@@ -11,6 +11,7 @@ struct ScanStats {
   double filter_seconds = 0.0;
   double verify_seconds = 0.0;
   std::uint64_t short_candidates = 0;  // positions stored into A_short
+  std::uint64_t short_survivors = 0;   // ... that pass the short pre-pass
   std::uint64_t long_candidates = 0;   // positions stored into A_long
   std::uint64_t matches = 0;
   // Vector-only: every time the kernel proceeds to Filter 3 ("at least one

@@ -4,11 +4,19 @@
 //
 // Round one filters each input chunk: a short-pattern (1-3 B) position must
 // pass Filter 1, a long-pattern position Filter 2 and the hashed 4-byte
-// Filter 3, before it is stored.  Round two is DFC's scalar verification
-// over the stored candidate positions ("the verification round is as in
-// DFC", §IV-A2): short candidates through dfc::ShortTable, long ones through
-// dfc::LongTable.  Splitting the rounds keeps the filters cache-resident
-// during round one and keeps scalar verification out of the vector code.
+// Filter 3, before it is stored.  Filter 3 is sized per working set
+// (core/filter_bank.hpp), so its fill, and with it the share of positions
+// it passes by collision, stays at or below 1.5%.  Round two is DFC's
+// scalar verification over the stored candidate positions ("the
+// verification round is as in DFC", §IV-A2): long candidates through
+// dfc::LongTable, short ones through dfc::ShortTable after its branch-free
+// pre-pass over the span of candidates, which drops those whose 2-byte
+// window starts no 1- or 2-byte pattern and whose hashed 3-byte window
+// starts no 3-byte pattern: Filter 1 tests only two bytes.  Only the span
+// entries (verify_span, verify_flat) run the pre-pass; DFC's per-position
+// verify_at does not.  Splitting the rounds keeps the filters
+// cache-resident during round one and keeps scalar verification out of the
+// vector code.
 //
 // The constructor picks round one's kernel table once (core/vpatch_kernels.hpp):
 // the AVX-512 (W=16) or AVX2 (W=8) table, whose kernels share one

@@ -29,12 +29,14 @@ void build_csr(std::vector<std::pair<std::uint32_t, Value>>& keyed, std::size_t 
 
 }  // namespace
 
-ShortTable::ShortTable(const pattern::PatternSet& set) {
+ShortTable::ShortTable(const pattern::PatternSet& set)
+    : third_(pattern::prefix_windows(set, 3, 3)) {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> by_byte;
   std::vector<std::pair<std::uint32_t, WindowEntry>> by_window;
   for (const pattern::Pattern& p : set) {
     if (p.size() >= pattern::kShortLongBoundary) continue;
     ++pattern_count_;
+    if (p.size() < 3) head_.add_pattern_prefix(p);
     if (p.size() == 1) {
       for (std::uint32_t v : pattern::prefix_variants({p.bytes.data(), 1}, p.nocase)) {
         by_byte.emplace_back(v, p.id);
@@ -67,11 +69,26 @@ ShortTable::ShortTable(const pattern::PatternSet& set) {
   build_csr(by_window, slots, window_offsets_, window_entries_);
 }
 
+std::uint32_t ShortTable::verify_span(util::ByteView data, std::uint32_t* positions,
+                                      std::uint32_t n, MatchSink& sink) const {
+  std::uint32_t kept = 0;
+  for (std::uint32_t k = 0; k < n; ++k) {
+    const std::uint32_t pos = positions[k];
+    positions[kept] = pos;
+    kept += may_start(data, pos);
+  }
+  for (std::uint32_t k = 0; k < kept; ++k) {
+    verify_one(data, positions[k], [&](const Match& m) { sink.on_match(m); });
+  }
+  return kept;
+}
+
 std::size_t ShortTable::memory_bytes() const {
   return (byte_offsets_.size() + byte_ids_.size() + window_offsets_.size()) *
              sizeof(std::uint32_t) +
          window_blocks_.size() * sizeof(WindowBlock) +
-         window_entries_.size() * sizeof(WindowEntry);
+         window_entries_.size() * sizeof(WindowEntry) + head_.bits().byte_size() +
+         third_.bits().byte_size();
 }
 
 LongTable::LongTable(const pattern::PatternSet& set) {

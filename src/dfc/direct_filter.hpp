@@ -4,11 +4,14 @@
 // DirectFilter2B is "a bit-array that summarizes only a specific part of each
 // pattern, e.g. its first two bytes, having one bit for every possible
 // combination of two characters" (paper §II-B): 2^16 bits = 8 KB, L1-resident.
-// HashedFilter4B is the S-PATCH third filter: a bitmap indexed by a
-// multiplicative hash of a 4-byte window, size/collision trade-off tunable.
+// HashedFilter is the S-PATCH third filter: a bitmap indexed by a
+// multiplicative hash of a window of up to four bytes, sized per working set
+// unless a size is given.  Filter 3 holds 4-byte windows, ShortTable's
+// pre-pass bitmap 3-byte ones.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "pattern/pattern.hpp"
 #include "util/bitarray.hpp"
@@ -36,15 +39,26 @@ class DirectFilter2B {
   util::BitArray bits_;
 };
 
-class HashedFilter4B {
+// The size rule of a hashed filter: the smallest power of two of at least
+// 2^kHashedMinBitsLog2 bits whose fill stays at or below kHashedFillTarget,
+// so that about as small a share of the windows it tests that start no
+// pattern pass it by collision, capped at 2^kHashedMaxBitsLog2 bits
+// (128 KiB) to stay L2-resident.
+inline constexpr double kHashedFillTarget = 0.015;
+inline constexpr unsigned kHashedMinBitsLog2 = 10;
+inline constexpr unsigned kHashedMaxBitsLog2 = 20;
+
+class HashedFilter {
  public:
-  explicit HashedFilter4B(unsigned bits_log2 = 16) : bits_log2_(bits_log2), bits_(1u << bits_log2) {}
+  // The filter of `windows` (duplicates allowed) at 2^bits_log2 bits, or,
+  // for bits_log2 == 0, at the size rule's: the share of a 2^16-bit filter
+  // that the windows set gives how many distinct windows there are (linear
+  // counting: -2^16 ln(1 - fill)), and the filter takes the smallest size
+  // that holds that many at the fill target.
+  explicit HashedFilter(const std::vector<std::uint32_t>& windows, unsigned bits_log2 = 0);
 
-  // Marks the hash of a pattern's 4-byte prefix (all case variants).
-  void add_pattern_prefix(const pattern::Pattern& p);
-
-  bool test(std::uint32_t window4) const {
-    return bits_.test(util::multiplicative_hash(window4, bits_log2_));
+  bool test(std::uint32_t window) const {
+    return bits_.test(util::multiplicative_hash(window, bits_log2_));
   }
   unsigned bits_log2() const { return bits_log2_; }
   const util::BitArray& bits() const { return bits_; }

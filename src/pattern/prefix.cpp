@@ -23,4 +23,15 @@ std::vector<std::uint32_t> prefix_variants(util::ByteView prefix, bool nocase) {
   return values;
 }
 
+std::vector<std::uint32_t> prefix_windows(const PatternSet& set, std::size_t n,
+                                          std::size_t max_size) {
+  std::vector<std::uint32_t> windows;
+  for (const Pattern& p : set) {
+    if (p.size() < n || p.size() > max_size) continue;
+    const auto variants = prefix_variants({p.bytes.data(), n}, p.nocase);
+    windows.insert(windows.end(), variants.begin(), variants.end());
+  }
+  return windows;
+}
+
 }  // namespace vpm::pattern

@@ -7,8 +7,10 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "pattern/pattern_set.hpp"
 #include "util/bytes.hpp"
 
 namespace vpm::pattern {
@@ -16,5 +18,12 @@ namespace vpm::pattern {
 // Little-endian packed values of every case variant of `prefix` (1..4 bytes).
 // For nocase == false, the single raw value.
 std::vector<std::uint32_t> prefix_variants(util::ByteView prefix, bool nocase);
+
+// The prefix_variants of the n-byte prefix (n in 1..4) of every pattern of
+// `set` whose size lies in [n, max_size], in set order: the windows of a
+// hashed filter over those patterns.
+std::vector<std::uint32_t> prefix_windows(
+    const PatternSet& set, std::size_t n,
+    std::size_t max_size = std::numeric_limits<std::size_t>::max());
 
 }  // namespace vpm::pattern

@@ -6,7 +6,9 @@
 // followed by a shift.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 
 namespace vpm::util {
 
@@ -26,8 +28,23 @@ constexpr std::uint32_t load_le(const std::uint8_t* p, unsigned n) {
   return v;
 }
 
-constexpr std::uint32_t load_u16(const std::uint8_t* p) { return load_le(p, 2); }
-constexpr std::uint32_t load_u32(const std::uint8_t* p) { return load_le(p, 4); }
+// The 2- and 4-byte windows of the hot loops, each one fixed-size memcpy:
+// a single load, where GCC compiles load_le's byte loop into byte loads in
+// the verification tables and S-PATCH's Filter 3 probe.  The windows are
+// little-endian values, which the memcpy gives on the little-endian hosts
+// the library's kernels target.
+static_assert(std::endian::native == std::endian::little);
+
+inline std::uint32_t load_u16(const std::uint8_t* p) {
+  std::uint16_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+inline std::uint32_t load_u32(const std::uint8_t* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
 
 // FNV-1a, used for bucket hashing in the compact tables (quality matters more
 // than vectorizability there — those lookups are scalar in every algorithm).

@@ -14,8 +14,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "ac/ac_compact.hpp"
@@ -299,6 +301,102 @@ TEST(BatchScanReadBound, AcLaneKernelNeverReadsPastCallerPayloads) {
   ScanScratch scratch;
   EXPECT_EQ(batched(compact, payloads, payloads.size(), scratch),
             per_payload_reference(compact, payloads));
+}
+
+// Exact and nocase patterns of 1, 2 and 3 bytes, letters and binary, with
+// long patterns sharing their prefixes.
+pattern::PatternSet short_family_set() {
+  pattern::PatternSet set;
+  set.add("x");
+  set.add("Q", true);
+  set.add(util::Bytes{0x00});
+  set.add("ab");
+  set.add("Cd", true);
+  set.add(util::Bytes{0xFF, 0x00});
+  set.add("abc");
+  set.add("aBz", true);
+  set.add("Cd9", true);
+  set.add(util::Bytes{0x00, 0x01, 0xFF});
+  set.add("abcd");
+  set.add("CdEF", true);
+  return set;
+}
+
+// Every short pattern's 2-byte prefix (a 1-byte pattern's byte), as written,
+// lowercased and uppercased, followed in one payload by each of the 256
+// third bytes in turn, so its last copy starts 3 bytes before the end; the
+// same prefix alone ends a payload at the last two positions, and its first
+// byte alone at the last one.  Then each short pattern, in the same three
+// cases, is a payload of its own, matching at its end.
+std::vector<util::Bytes> third_byte_payloads(const pattern::PatternSet& set) {
+  const auto cases = [](const util::Bytes& b) {
+    util::Bytes upper(b);
+    for (std::uint8_t& c : upper) c = util::ascii_upper(c);
+    return std::set<util::Bytes>{b, util::lowered(b), upper};
+  };
+  std::set<util::Bytes> prefixes;
+  std::set<util::Bytes> whole;
+  for (const pattern::Pattern& p : set) {
+    if (p.size() >= pattern::kShortLongBoundary) continue;
+    const util::Bytes prefix(p.bytes.begin(), p.bytes.begin() + std::min<std::size_t>(2, p.size()));
+    prefixes.merge(cases(prefix));
+    whole.merge(cases(p.bytes));
+  }
+  std::vector<util::Bytes> payloads;
+  for (const util::Bytes& prefix : prefixes) {
+    util::Bytes all;
+    for (unsigned third = 0; third < 256; ++third) {
+      all.insert(all.end(), prefix.begin(), prefix.end());
+      all.push_back(static_cast<std::uint8_t>(third));
+    }
+    payloads.push_back(std::move(all));
+    payloads.push_back(prefix);
+    payloads.push_back({prefix[0]});
+  }
+  payloads.insert(payloads.end(), whole.begin(), whole.end());
+  return payloads;
+}
+
+// V-PATCH's round two drops short candidates in a pre-pass: a 2-byte window
+// set for 1- and 2-byte patterns and a hashed bitmap of 3-byte windows.
+// scan() and scan_batch() must still report every match NaiveMatcher does
+// on the windows that test both, at every width, including the zero-padded
+// windows of the last positions.
+TEST(ShortPrePass, EveryShortPatternPrefixWithAllThirdBytes) {
+  const std::vector<std::pair<std::string, pattern::PatternSet>> sets = {
+      {"hand-built", short_family_set()},
+      {"S1-web", pattern::generate_ruleset(pattern::s1_config()).web_patterns()},
+      {"S2-full", pattern::generate_ruleset(pattern::s2_config())},
+  };
+  for (const auto& [label, set] : sets) {
+    const auto payloads = third_byte_payloads(set);
+    const core::NaiveMatcher naive(set);
+    std::vector<std::vector<Match>> expected;
+    std::vector<PacketMatch> expected_batch;
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      expected.push_back(naive.find_matches(payloads[i]));
+      for (const Match& m : expected.back()) {
+        expected_batch.emplace_back(static_cast<std::uint32_t>(i), m.pattern_id, m.pos);
+      }
+    }
+    std::sort(expected_batch.begin(), expected_batch.end());
+    ASSERT_FALSE(expected_batch.empty()) << label;
+
+    ScanScratch scratch;
+    for (core::Isa isa : {core::Isa::scalar, core::Isa::avx2, core::Isa::avx512}) {
+      if (!core::isa_supported(isa)) continue;
+      core::VpatchConfig cfg;
+      cfg.isa = isa;
+      const core::VpatchMatcher matcher(set, cfg);
+      for (std::size_t i = 0; i < payloads.size(); ++i) {
+        ASSERT_EQ(matcher.find_matches(payloads[i]), expected[i])
+            << label << " " << matcher.name() << " scan() of payload " << i << " ("
+            << util::escape_bytes(payloads[i]).substr(0, 24) << ")";
+      }
+      EXPECT_EQ(batched(matcher, payloads, 32, scratch), expected_batch)
+          << label << " " << matcher.name() << " scan_batch()";
+    }
+  }
 }
 
 // The engine-level batch entry point: stage()+flush_batch() must produce the

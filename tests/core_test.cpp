@@ -6,13 +6,16 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/filter_bank.hpp"
 #include "core/matcher_factory.hpp"
 #include "core/naive.hpp"
 #include "core/vpatch.hpp"
+#include "dfc/direct_filter.hpp"
 #include "helpers.hpp"
+#include "pattern/ruleset_gen.hpp"
 #include "simd/cpu_features.hpp"
 #include "util/hash.hpp"
 
@@ -80,12 +83,41 @@ TEST(FilterBank, F3SizeConfigurable) {
   const FilterBank bank(set, cfg);
   EXPECT_EQ(bank.f3_bits_log2(), 12u);
   EXPECT_TRUE(bank.test_f3(util::load_u32(util::to_bytes("abcd").data())));
+  // The override holds on a working set whose derived size is larger.
+  const auto s2 = pattern::generate_ruleset(pattern::s2_config());
+  EXPECT_EQ(FilterBank(s2, cfg).f3_bits_log2(), 12u);
+}
+
+// By default Filter 3 is sized per working set: its fill stays at or below
+// the target unless the size reached the L2-resident cap.
+TEST(FilterBank, DerivedF3SizeMeetsFillTargetOrCap) {
+  const std::vector<std::pair<std::string, pattern::PatternSet>> sets = {
+      {"S1-web", pattern::generate_ruleset(pattern::s1_config()).web_patterns()},
+      {"S2-full", pattern::generate_ruleset(pattern::s2_config())},
+      {"one pattern", testutil::random_set(1, 10, 3, 26)},
+  };
+  for (const auto& [label, set] : sets) {
+    const FilterBank bank(set);
+    EXPECT_GE(bank.f3_bits_log2(), dfc::kHashedMinBitsLog2) << label;
+    EXPECT_LE(bank.f3_bits_log2(), dfc::kHashedMaxBitsLog2) << label;
+    EXPECT_TRUE(bank.f3_occupancy() <= dfc::kHashedFillTarget ||
+                bank.f3_bits_log2() == dfc::kHashedMaxBitsLog2)
+        << label << ": 2^" << bank.f3_bits_log2() << " bits, fill " << bank.f3_occupancy();
+    // The paper's fixed 2^16 bits are fuller on both rule sets.
+    if (set.size() > 1) {
+      FilterBankConfig paper;
+      paper.f3_bits_log2 = 16;
+      EXPECT_GT(FilterBank(set, paper).f3_occupancy(), bank.f3_occupancy()) << label;
+    }
+  }
 }
 
 TEST(FilterBank, OccupancyGrowsWithPatterns) {
   const auto small = testutil::random_set(50, 10, 1, 26);
   const auto large = testutil::random_set(2000, 10, 2, 26);
-  const FilterBank a(small), b(large);
+  FilterBankConfig fixed;  // at one Filter-3 size; the derived size would grow with the set
+  fixed.f3_bits_log2 = 16;
+  const FilterBank a(small, fixed), b(large, fixed);
   EXPECT_GT(b.f2_occupancy(), a.f2_occupancy());
   EXPECT_GT(b.f3_occupancy(), a.f3_occupancy());
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <string_view>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "dfc/vector_dfc.hpp"
 #include "core/naive.hpp"
 #include "helpers.hpp"
+#include "pattern/prefix.hpp"
 #include "simd/cpu_features.hpp"
 #include "util/hash.hpp"
 
@@ -62,25 +64,29 @@ TEST(DirectFilter2B, OccupancyReflectsInsertions) {
   EXPECT_NEAR(f.occupancy(), 1.0 / 65536, 1e-9);
 }
 
-// ---- HashedFilter4B --------------------------------------------------------
+// ---- HashedFilter ------------------------------------------------------------
 
-TEST(HashedFilter4B, AcceptsItsOwnPrefix) {
-  HashedFilter4B f(16);
-  f.add_pattern_prefix(make_pattern("EVIL-PATTERN"));
+// The 4-byte windows of one pattern, as Filter 3 takes them.
+std::vector<std::uint32_t> prefix_of(const char* text, bool nocase = false) {
+  pattern::PatternSet set;
+  set.add(text, nocase);
+  return pattern::prefix_windows(set, 4);
+}
+
+TEST(HashedFilter, AcceptsItsOwnPrefix) {
+  const HashedFilter f(prefix_of("EVIL-PATTERN"), 16);
   EXPECT_TRUE(f.test(util::load_u32(util::to_bytes("EVIL").data())));
 }
 
-TEST(HashedFilter4B, NocaseVariantsAllPass) {
-  HashedFilter4B f(16);
-  f.add_pattern_prefix(make_pattern("evil-stuff", true));
+TEST(HashedFilter, NocaseVariantsAllPass) {
+  const HashedFilter f(prefix_of("evil-stuff", true), 16);
   for (const char* v : {"evil", "EVIL", "eViL", "Evil"}) {
     EXPECT_TRUE(f.test(util::load_u32(util::to_bytes(v).data()))) << v;
   }
 }
 
-TEST(HashedFilter4B, MostForeignPrefixesRejected) {
-  HashedFilter4B f(16);
-  f.add_pattern_prefix(make_pattern("ABCDEFGH"));
+TEST(HashedFilter, MostForeignPrefixesRejected) {
+  const HashedFilter f(prefix_of("ABCDEFGH"), 16);
   util::Rng rng(1);
   int false_positives = 0;
   for (int i = 0; i < 10000; ++i) {
@@ -90,16 +96,24 @@ TEST(HashedFilter4B, MostForeignPrefixesRejected) {
   EXPECT_LT(false_positives, 10);
 }
 
-TEST(HashedFilter4B, SmallerFilterHasMoreCollisions) {
-  HashedFilter4B big(16), small(8);
+TEST(HashedFilter, SmallerFilterHasMoreCollisions) {
   const auto set = testutil::random_set(300, 12, testutil::case_seed(9), 26);
-  for (const auto& p : set) {
-    if (p.size() >= 4) {
-      big.add_pattern_prefix(p);
-      small.add_pattern_prefix(p);
-    }
-  }
+  const auto windows = pattern::prefix_windows(set, 4);
+  const HashedFilter big(windows, 16), small(windows, 8);
   EXPECT_GT(small.occupancy(), big.occupancy()) << testutil::seed_note();
+}
+
+// Without a size, the filter takes the smallest one whose fill stays at or
+// below the target: half of it would be too full.
+TEST(HashedFilter, DerivedSizeIsTheSmallestMeetingTheFillTarget) {
+  const auto windows = pattern::prefix_windows(testutil::random_set(300, 12, 11, 26), 4);
+  const HashedFilter f(windows);
+  EXPECT_GT(f.bits_log2(), kHashedMinBitsLog2);
+  EXPECT_LT(f.bits_log2(), kHashedMaxBitsLog2);
+  EXPECT_LE(f.occupancy(), kHashedFillTarget) << "2^" << f.bits_log2();
+  EXPECT_GT(HashedFilter(windows, f.bits_log2() - 1).occupancy(), kHashedFillTarget)
+      << "2^" << f.bits_log2() - 1;
+  EXPECT_EQ(HashedFilter({}).bits_log2(), kHashedMinBitsLog2);
 }
 
 // ---- compact tables ---------------------------------------------------------
@@ -210,9 +224,10 @@ TEST(ShortTable, NocaseThirdByteFoldsAndExactThirdByteDoesNot) {
 }
 
 // verify_at at every position of short mixed-case buffers reports exactly
-// the short-family matches the naive engine finds there.  The alphabet
-// holds the bytes on either side of both letter ranges ('@', '[', '`',
-// '{'), where ASCII folding must stop.
+// the short-family matches the naive engine finds there, and so does
+// verify_span with every position as a candidate, through its pre-pass.
+// The alphabet holds the bytes on either side of both letter ranges ('@',
+// '[', '`', '{'), where ASCII folding must stop.
 TEST(ShortTable, VerifyAtEqualsNaiveAtEveryPosition) {
   constexpr std::string_view kAlphabet = "aAbB@[`{";
   util::Rng rng(testutil::case_seed(120));
@@ -236,6 +251,12 @@ TEST(ShortTable, VerifyAtEqualsNaiveAtEveryPosition) {
       for (std::size_t pos = 0; pos < data.size(); ++pos) table.verify_at(data, pos, sink);
       EXPECT_EQ(sink.sorted(), expected)
           << "round " << round << " buffer " << buffer << " (" << testutil::seed_note() << ")";
+      std::vector<std::uint32_t> every(data.size());
+      std::iota(every.begin(), every.end(), 0u);
+      CollectingSink span_sink;
+      table.verify_span(data, every.data(), static_cast<std::uint32_t>(every.size()), span_sink);
+      EXPECT_EQ(span_sink.sorted(), expected) << "verify_span, round " << round << " buffer "
+                                              << buffer << " (" << testutil::seed_note() << ")";
     }
   }
 }
