@@ -1,10 +1,11 @@
-// Ablation bench for the V-PATCH design choices, each against its
-// alternative:
-//   * filter merging (one gather for F1+F2) vs separate gathers;
-//   * 2x unroll vs straight loop;
-//   * speculative all-lane Filter 3 vs per-lane scalar probes;
+// Ablation bench for the V-PATCH design choices that remain settings, each
+// against its alternatives:
 //   * Filter-3 size (cache residency vs false-positive rate);
+//   * chunk size (candidate arrays resident next to the filters);
 //   * two-round split (S-PATCH) vs interleaved filtering+verification (DFC).
+// The kernel's own choices (2x unroll, merged F1/F2 gather, all-lane
+// Filter 3) are fixed; bench/trajectory/README.md records their last
+// comparison against the alternatives.
 //
 //   ablation_design [--mb=N] [--runs=N] [--seed=N] [--quick]
 #include <cstdio>
@@ -55,25 +56,10 @@ int main_impl(int argc, char** argv) {
     print_row({label, fmt(stats.mean()), fmt(stats.mean() / base)}, widths);
   };
 
-  core::VpatchConfig cfg;  // defaults: merged + unroll2 + speculative F3
+  core::VpatchConfig cfg;
   cfg.isa = core::Isa::avx2;  // the paper's Haswell kernel (W=8)
-  row("V-PATCH default (merged, unroll2, spec-F3)", cfg);
+  row("V-PATCH default", cfg);
 
-  {
-    auto c = cfg;
-    c.kernel.merged_filters = false;
-    row("  separate F1/F2 gathers", c);
-  }
-  {
-    auto c = cfg;
-    c.kernel.unroll2 = false;
-    row("  no unroll", c);
-  }
-  {
-    auto c = cfg;
-    c.kernel.speculative_f3 = false;
-    row("  scalar per-lane Filter 3", c);
-  }
   for (unsigned bits : {12u, 14u, 16u, 18u, 20u}) {
     auto c = cfg;
     c.filters.f3_bits_log2 = bits;

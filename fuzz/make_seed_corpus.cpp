@@ -5,7 +5,10 @@
 // starts structurally valid and the mutations (truncation, patched length
 // fields, garbage tails) sit one bit-flip from real coverage instead of dying
 // in the magic check.  Deterministic: same binary, same bytes, so the
-// committed corpus is reproducible with `fuzz_make_corpus fuzz/corpus`.
+// committed corpus is reproducible with `fuzz_make_corpus fuzz/corpus`,
+// except patterndb/saved-with-signatures.bin: a Database::save_patterns()
+// blob from a version that appended each group's prefilter signature after
+// the records, kept so the loader keeps meeting that layout.
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -13,6 +16,7 @@
 #include <string>
 #include <string_view>
 
+#include "core/database.hpp"
 #include "net/flowgen.hpp"
 #include "net/pcap.hpp"
 #include "pattern/ruleset_gen.hpp"
@@ -136,6 +140,11 @@ int main(int argc, char** argv) {
     header.fingerprint = 0x1122334455667788ull;
     const Bytes v2 = vpm::pattern::serialize_patterns(set, header);
     write_file(root / "patterndb/v2.bin", v2);
+
+    // What Database::save_patterns() writes: a v2 blob whose fingerprint
+    // matches, so the loader's checks pass and it compiles the patterns.
+    write_file(root / "patterndb/saved.bin",
+               vpm::compile(vpm::core::Algorithm::naive, set)->save_patterns());
 
     write_file(root / "patterndb/truncated.bin",
                Bytes(v2.begin(), v2.begin() + static_cast<long>(v2.size() / 2)));

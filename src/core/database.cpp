@@ -44,6 +44,19 @@ void build_carry_grams(WorkingSet& set) {
   }
 }
 
+// The patterns of a v1 or v2 blob, whose header lands in `header`.  v2
+// blobs MUST carry the matching content fingerprint (save_patterns always
+// writes it); exempting 0 would let corruption that zeroes the header field
+// silently disable the integrity check.  v1 blobs predate fingerprints and
+// are admitted unchecked.
+pattern::PatternSet load_patterns(util::ByteView blob, pattern::DbHeader& header) {
+  pattern::PatternSet set = pattern::deserialize_patterns(blob, &header);
+  if (header.version >= 2 && header.fingerprint != Database::fingerprint_of(set)) {
+    throw std::invalid_argument("pattern db: fingerprint mismatch (corrupt payload)");
+  }
+  return set;
+}
+
 // Sum of f(slot) over the distinct non-null pointers of a per-group array.
 template <typename Slots, typename F>
 std::size_t sum_distinct(const Slots& slots, F f) {
@@ -152,68 +165,37 @@ util::Bytes Database::save_patterns() const {
   pattern::DbHeader header;
   header.algorithm_hint = static_cast<std::uint8_t>(algorithm_);
   header.fingerprint = fingerprint_;
-  util::Bytes out = pattern::serialize_patterns(patterns_, header);
-  core::append_prefilter_section(out, prefilters_, fingerprint_);
-  return out;
+  return pattern::serialize_patterns(patterns_, header);
 }
 
 DatabasePtr compile(core::Algorithm algorithm, pattern::PatternSet set) {
   return std::make_shared<Database>(Database::Private{}, algorithm, std::move(set));
 }
 
-DatabasePtr Database::from_serialized_impl(util::ByteView blob,
-                                           const core::Algorithm* algorithm_override) {
-  pattern::DbHeader header;
-  std::size_t consumed = 0;
-  pattern::PatternSet set = pattern::deserialize_patterns(blob, &header, &consumed);
-  // v2 blobs MUST carry the matching content fingerprint (save_patterns
-  // always writes it); exempting 0 would let corruption that zeroes the
-  // header field silently disable the integrity check.  v1 blobs predate
-  // fingerprints and are admitted unchecked.
-  if (header.version >= 2 && header.fingerprint != Database::fingerprint_of(set)) {
-    throw std::invalid_argument("pattern db: fingerprint mismatch (corrupt payload)");
-  }
-  core::Algorithm algorithm;
-  if (algorithm_override != nullptr) {
-    algorithm = *algorithm_override;
-  } else {
-    if (header.algorithm_hint == pattern::kNoAlgorithmHint ||
-        !core::algorithm_from_name(
-             core::algorithm_name(static_cast<core::Algorithm>(header.algorithm_hint)))
-             .has_value()) {
-      throw std::invalid_argument(
-          "pattern db: no usable algorithm hint; pass one explicitly");
-    }
-    algorithm = static_cast<core::Algorithm>(header.algorithm_hint);
-    if (!core::algorithm_available(algorithm)) {
-      // A blob saved on a wider-ISA host: the payload is fine, this CPU just
-      // cannot run the hinted engine — distinct from corruption, and fixable
-      // by the caller choosing an engine for this host.
-      throw std::invalid_argument(
-          std::string("pattern db: hinted algorithm '") +
-          std::string(core::algorithm_name(algorithm)) +
-          "' is unavailable on this CPU; pass one explicitly");
-    }
-  }
-  auto db = std::make_shared<Database>(Private{}, algorithm, std::move(set));
-  if (header.version >= 2) {
-    // The prefilter section is mandatory in v2 blobs: tolerating its absence
-    // would make every truncation at the pattern-records boundary load
-    // silently.  Adopting the parsed (checksummed) signatures — rather than
-    // keeping the ctor-rebuilt ones — makes the loaded artifact screen
-    // bit-identically to the process that saved it.
-    db->prefilters_ =
-        core::parse_prefilter_section(blob.subspan(consumed), db->fingerprint_);
-  }
-  return db;
-}
-
 DatabasePtr Database::from_serialized(util::ByteView blob) {
-  return from_serialized_impl(blob, nullptr);
+  pattern::DbHeader header;
+  pattern::PatternSet set = load_patterns(blob, header);
+  if (header.algorithm_hint == pattern::kNoAlgorithmHint ||
+      !core::algorithm_from_name(
+           core::algorithm_name(static_cast<core::Algorithm>(header.algorithm_hint)))
+           .has_value()) {
+    throw std::invalid_argument("pattern db: no usable algorithm hint; pass one explicitly");
+  }
+  const auto algorithm = static_cast<core::Algorithm>(header.algorithm_hint);
+  if (!core::algorithm_available(algorithm)) {
+    // A blob saved on a wider-ISA host: the payload is fine, this CPU just
+    // cannot run the hinted engine — distinct from corruption, and fixable
+    // by the caller choosing an engine for this host.
+    throw std::invalid_argument(std::string("pattern db: hinted algorithm '") +
+                                std::string(core::algorithm_name(algorithm)) +
+                                "' is unavailable on this CPU; pass one explicitly");
+  }
+  return compile(algorithm, std::move(set));
 }
 
 DatabasePtr Database::from_serialized(util::ByteView blob, core::Algorithm algorithm) {
-  return from_serialized_impl(blob, &algorithm);
+  pattern::DbHeader header;
+  return compile(algorithm, load_patterns(blob, header));
 }
 
 Scanner::Scanner(DatabasePtr db) : db_(std::move(db)) {

@@ -9,6 +9,11 @@
 // threads concurrently: all mutable scan state lives in the per-thread
 // Scanner session.
 //
+// A Database is built one way: compile() derives every engine, table and
+// prefilter signature from the patterns alone.  save_patterns() stores only
+// the patterns (and the engine choice), and from_serialized() compiles the
+// stored patterns, so a loaded database equals the one compile() builds.
+//
 // vpm::Scanner is the thin per-thread runtime handle: a Database ref plus
 // the reusable ScanScratch the batch fast path needs.  One Scanner per
 // thread; Scanners are cheap (the compiled tables are shared, not copied).
@@ -77,7 +82,7 @@ struct WorkingSet {
 };
 
 class Database {
-  struct Private {};  // compile()/from_serialized() are the only builders
+  struct Private {};  // only compile() constructs a Database
 
  public:
   Database(Private, core::Algorithm algorithm, pattern::PatternSet patterns);
@@ -109,9 +114,8 @@ class Database {
   // Per-group approximate q-gram signatures over each group's working set,
   // built once per distinct set (groups sharing a set share its slot's
   // pointer).  Null slot = no usable signature for that group (empty, or
-  // contains a sub-3-byte pattern).  Serialized per group inside
-  // save_patterns() and restored — checksummed — by from_serialized(), so a
-  // loaded database screens identically to the compiling process.
+  // contains a sub-3-byte pattern).  Built from the patterns alone, so a
+  // database loaded by from_serialized() holds the words compile() builds.
   const core::GroupPrefilters& prefilters() const { return prefilters_; }
   const core::PrefilterPtr& prefilter_for(pattern::Group group) const {
     return prefilters_[static_cast<std::size_t>(group)];
@@ -128,20 +132,22 @@ class Database {
   // kernel.
   const Matcher& engine() const;
 
-  // Serialized v2 pattern database carrying this database's fingerprint and
-  // algorithm hint; feed to from_serialized() to rebuild an equivalent
-  // Database (new generation, same fingerprint) in another process.
+  // Serialized v2 pattern database: the header, carrying this database's
+  // fingerprint and algorithm hint, and the pattern records.  Feed it to
+  // from_serialized() to rebuild an equivalent Database (new generation,
+  // same fingerprint) in another process.
   util::Bytes save_patterns() const;
 
-  // Rebuilds from save_patterns() output (or any v1/v2 pattern blob).  The
-  // no-algorithm overload requires a v2 blob with an algorithm hint that is
-  // available on this CPU; the explicit overload overrides/supplies the
-  // engine.  A v2 blob must carry the content fingerprint (as
-  // save_patterns() writes) and it is verified against the deserialized
-  // patterns, and must carry the trailing checksummed prefilter section;
-  // absence, truncation, or mismatch of either throws std::invalid_argument
-  // (corrupt or tampered payload).  v1 blobs predate fingerprints and the
-  // prefilter section: they load unchecked and rebuild signatures locally.
+  // compile() over the patterns of save_patterns() output (or any v1/v2
+  // pattern blob).  The no-algorithm overload requires a v2 blob with an
+  // algorithm hint that is available on this CPU; the explicit overload
+  // overrides/supplies the engine.  A v2 blob must carry the content
+  // fingerprint (as save_patterns() writes), verified against the
+  // deserialized patterns; absence or mismatch throws std::invalid_argument
+  // (corrupt or tampered payload).  v1 blobs predate fingerprints and load
+  // unchecked.  Nothing after the pattern records is read, so a blob that
+  // still carries the prefilter section older versions appended loads to
+  // the same database.
   static DatabasePtr from_serialized(util::ByteView blob);
   static DatabasePtr from_serialized(util::ByteView blob, core::Algorithm algorithm);
 
@@ -149,9 +155,6 @@ class Database {
 
  private:
   friend DatabasePtr compile(core::Algorithm, pattern::PatternSet);
-
-  static DatabasePtr from_serialized_impl(util::ByteView blob,
-                                          const core::Algorithm* algorithm_override);
 
   pattern::PatternSet patterns_;  // outlives engine_: the engine is built over it
   // One slot per group; equal compositions share one set.

@@ -17,13 +17,25 @@
 // and the candidate arrays, as the paper's size-efficiency property
 // requires.  At the paper's fixed 8 KB (2^16 bits) Filter 3 was 4.3% full
 // on S1-web and 12% on S2-full, against 1.1% and 0.8% at the derived sizes.
+//
+// The bank also holds round two's short pre-pass (keep_short).  Filter 1
+// tests only two bytes, so it passes every position whose two bytes begin
+// any 3-byte pattern.  Before the short candidates reach dfc::ShortTable,
+// one branch-free loop over their span keeps only those whose 2-byte window
+// starts a 1- or 2-byte pattern (an exact 2^16-bit set, 8 KB) or whose
+// hashed 3-byte window is one of the 3-byte patterns' (a hashed filter of
+// every case variant, sized by the same rule: 4 KB on S1-web, 32 KB on
+// S2-full).  DFC verifies each hit of its short filter directly and builds
+// neither set.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dfc/direct_filter.hpp"
 #include "pattern/pattern_set.hpp"
+#include "util/bytes.hpp"
 
 namespace vpm::core {
 
@@ -49,10 +61,6 @@ class FilterBank {
   const std::uint8_t* f3_data() const { return f3_.bits().data(); }
   unsigned f3_bits_log2() const { return f3_.bits_log2(); }
 
-  // Separate (non-merged) storage, for the filter-merging ablation.
-  const std::uint8_t* f1_data() const { return f1_.bits().data(); }
-  const std::uint8_t* f2_data() const { return f2_.bits().data(); }
-
   double f1_occupancy() const { return f1_.occupancy(); }
   double f2_occupancy() const { return f2_.occupancy(); }
   double f3_occupancy() const { return f3_.occupancy(); }
@@ -60,15 +68,36 @@ class FilterBank {
   bool has_short_patterns() const { return has_short_; }
   bool has_long_patterns() const { return has_long_; }
 
+  // The pre-pass over the n short candidates of data (each < data.size()):
+  // overwrites positions with those a short pattern may start at, in order,
+  // and returns their count.
+  std::uint32_t keep_short(util::ByteView data, std::uint32_t* positions, std::uint32_t n) const;
+  // The same over a batch's pool: candidate k is positions[k] within
+  // payloads[item[k]], and the survivors stay in positions and item.
+  std::uint32_t keep_short(std::span<const util::ByteView> payloads, std::uint32_t* positions,
+                           std::uint32_t* item, std::uint32_t n) const;
+
   std::size_t memory_bytes() const {
-    return 2 * dfc::DirectFilter2B::kBits / 8 + merged_.size() + (1u << f3_.bits_log2()) / 8;
+    return 2 * dfc::DirectFilter2B::kBits / 8 + merged_.size() + (1u << f3_.bits_log2()) / 8 +
+           head_.bits().byte_size() + third_.bits().byte_size();
   }
 
  private:
+  // False only where no short pattern starts at data[pos..] (pos <
+  // data.size()): neither is the 2-byte window in head_ — a 1-byte pattern
+  // sets every second byte, so the last position's zero-padded window
+  // passes — nor the 3-byte window in third_.  Windows past the view's end
+  // read as zeros.
+  bool may_start_short(util::ByteView data, std::size_t pos) const;
+
   dfc::DirectFilter2B f1_;
   dfc::DirectFilter2B f2_;
   dfc::HashedFilter f3_;
   std::vector<std::uint8_t> merged_;
+  // The pre-pass sets: the 2-byte windows that start a 1- or 2-byte pattern,
+  // and the hashed 3-byte windows of the 3-byte patterns.
+  dfc::DirectFilter2B head_;
+  dfc::HashedFilter third_;
   bool has_short_ = false;
   bool has_long_ = false;
 };

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstring>
-#include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,35 +14,11 @@ namespace vpm::core {
 
 namespace {
 
-constexpr char kSectionMagic[8] = {'V', 'P', 'M', 'P', 'F', '1', 0, 0};
-
-// Field bounds enforced on both build and parse: the probe derives the word
-// index from hash bits 10..31, so word_count may use at most 22 of them.
+// The build's fixed choices: a signature of 2^10 to 2^24 bits (128 B to
+// 2 MiB), and a run requirement of at most 4 windows.
 constexpr unsigned kMinBitsLog2 = 10;
-constexpr unsigned kMaxBitsLog2 = 27;
-constexpr unsigned kMaxThresholdCap = 8;
-
-void put_u32(util::Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-}
-
-void put_u64(util::Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(get_u32(p)) |
-         static_cast<std::uint64_t>(get_u32(p + 4)) << 32;
-}
-
-[[noreturn]] void fail(const char* what) {
-  throw std::invalid_argument(std::string("prefilter section: ") + what);
-}
+constexpr unsigned kMaxBitsLog2 = 24;
+constexpr std::size_t kMaxThreshold = 4;
 
 PrefilterView view_of(const Prefilter& pf) {
   return {pf.words().data(), static_cast<std::uint32_t>(pf.words().size() - 1), pf.q(),
@@ -89,14 +62,15 @@ std::optional<PrefilterMode> prefilter_mode_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-Prefilter::Prefilter(Parts parts)
-    : words_(std::move(parts.words)),
-      q_(parts.q),
-      threshold_(parts.threshold),
-      bits_log2_(parts.bits_log2),
-      pattern_count_(parts.pattern_count),
-      gram_count_(parts.gram_count),
-      min_patterns_(parts.min_patterns) {}
+Prefilter::Prefilter(std::vector<std::uint32_t> words, std::uint32_t q,
+                     std::uint32_t threshold, std::uint32_t bits_log2,
+                     std::uint32_t pattern_count, std::uint32_t gram_count)
+    : words_(std::move(words)),
+      q_(q),
+      threshold_(threshold),
+      bits_log2_(bits_log2),
+      pattern_count_(pattern_count),
+      gram_count_(gram_count) {}
 
 double Prefilter::occupancy() const {
   std::uint64_t set_bits = 0;
@@ -128,19 +102,15 @@ void Prefilter::screen_batch(std::span<const util::ByteView> payloads,
   }
 }
 
-PrefilterPtr build_prefilter(const pattern::PatternSet& set, const PrefilterConfig& cfg) {
+PrefilterPtr build_prefilter(const pattern::PatternSet& set) {
   if (set.empty()) return nullptr;
   std::size_t min_len = SIZE_MAX;
   for (const pattern::Pattern& p : set) min_len = std::min(min_len, p.size());
   // A 1-2 byte pattern defeats any q >= 3 signature: no exact screen exists.
   if (min_len < 3) return nullptr;
 
-  unsigned q = (cfg.q == 3 || cfg.q == 4) ? cfg.q : (min_len >= 4 ? 4u : 3u);
-  if (q > min_len) q = 3;
-  const unsigned max_threshold =
-      std::clamp(cfg.max_threshold, 1u, kMaxThresholdCap);
-  const auto threshold = static_cast<std::uint32_t>(
-      std::min<std::size_t>(min_len - q + 1, max_threshold));
+  const unsigned q = min_len >= 4 ? 4u : 3u;
+  const auto threshold = static_cast<std::uint32_t>(std::min(min_len - q + 1, kMaxThreshold));
 
   // Distinct case-folded q-grams across all patterns (nocase and exact-case
   // alike fold: the screen also folds the payload, so an exact-case pattern
@@ -162,122 +132,24 @@ PrefilterPtr build_prefilter(const pattern::PatternSet& set, const PrefilterConf
   radix_sort(grams);
   grams.erase(std::unique(grams.begin(), grams.end()), grams.end());
 
-  // Auto-size: ~16 signature bits per distinct gram (each gram sets <= 2
-  // bits, so occupancy stays near 1/8 and the per-position false-hit rate
-  // near occupancy^2 ~ 1.6%), clamped to the configured ceiling.
-  unsigned bits_log2 = cfg.bits_log2;
-  const unsigned ceiling = std::clamp(cfg.max_bits_log2, kMinBitsLog2, kMaxBitsLog2);
-  if (bits_log2 == 0) {
-    const std::uint64_t target = std::max<std::uint64_t>(
-        std::uint64_t{grams.size()} * 16, 1ull << kMinBitsLog2);
-    bits_log2 = kMinBitsLog2;
-    while (bits_log2 < ceiling && (1ull << bits_log2) < target) ++bits_log2;
+  // ~16 signature bits per distinct gram (each gram sets <= 2 bits, so
+  // occupancy stays near 1/8 and the per-position false-hit rate near
+  // occupancy^2 ~ 1.6%), within the size bounds.
+  unsigned bits_log2 = kMinBitsLog2;
+  while (bits_log2 < kMaxBitsLog2 &&
+         (std::uint64_t{1} << bits_log2) < std::uint64_t{grams.size()} * 16) {
+    ++bits_log2;
   }
-  bits_log2 = std::clamp(bits_log2, kMinBitsLog2, kMaxBitsLog2);
 
-  Prefilter::Parts parts;
-  parts.q = q;
-  parts.threshold = threshold;
-  parts.bits_log2 = bits_log2;
-  parts.pattern_count = static_cast<std::uint32_t>(set.size());
-  parts.gram_count = static_cast<std::uint32_t>(grams.size());
-  parts.min_patterns = cfg.min_patterns;
-  parts.words.assign(std::size_t{1} << (bits_log2 - 5), 0);
-  const auto word_mask = static_cast<std::uint32_t>(parts.words.size() - 1);
+  std::vector<std::uint32_t> words(std::size_t{1} << (bits_log2 - 5), 0);
+  const auto word_mask = static_cast<std::uint32_t>(words.size() - 1);
   for (const std::uint32_t gram : grams) {
     const std::uint32_t h = gram * util::kGoldenGamma;
-    parts.words[(h >> 10) & word_mask] |= (1u << (h & 31u)) | (1u << ((h >> 5) & 31u));
+    words[(h >> 10) & word_mask] |= (1u << (h & 31u)) | (1u << ((h >> 5) & 31u));
   }
-  return std::make_shared<Prefilter>(std::move(parts));
-}
-
-void append_prefilter_section(util::Bytes& out, const GroupPrefilters& filters,
-                              std::uint64_t fingerprint) {
-  const std::size_t start = out.size();
-  for (const char c : kSectionMagic) out.push_back(static_cast<std::uint8_t>(c));
-  put_u32(out, 1);  // section version
-  put_u64(out, fingerprint);
-  put_u32(out, static_cast<std::uint32_t>(kPrefilterGroupCount));
-  for (const PrefilterPtr& f : filters) {
-    if (f == nullptr) {
-      out.push_back(0);
-      continue;
-    }
-    out.push_back(1);
-    out.push_back(static_cast<std::uint8_t>(f->q()));
-    out.push_back(static_cast<std::uint8_t>(f->threshold()));
-    out.push_back(static_cast<std::uint8_t>(f->bits_log2()));
-    out.push_back(0);  // reserved
-    put_u32(out, static_cast<std::uint32_t>(f->pattern_count()));
-    put_u32(out, static_cast<std::uint32_t>(f->gram_count()));
-    put_u32(out, static_cast<std::uint32_t>(f->words().size()));
-    for (const std::uint32_t w : f->words()) put_u32(out, w);
-  }
-  // Trailing checksum over the whole section: a flipped signature bit would
-  // otherwise deserialize into a structurally valid filter that silently
-  // drops true matches — the one corruption mode the pattern fingerprint
-  // cannot see.
-  put_u64(out, util::fnv1a64(out.data() + start, out.size() - start));
-}
-
-GroupPrefilters parse_prefilter_section(util::ByteView data,
-                                        std::uint64_t expected_fingerprint,
-                                        const PrefilterConfig& cfg) {
-  std::size_t off = 0;
-  // Subtraction-form bounds (off <= data.size() always holds), as in the
-  // pattern parser: no length arithmetic can overflow.
-  const auto need = [&](std::size_t n) {
-    if (data.size() - off < n) fail("truncated");
-  };
-  need(8 + 4 + 8 + 4);
-  if (std::memcmp(data.data(), kSectionMagic, 8) != 0) fail("bad magic");
-  off = 8;
-  if (get_u32(data.data() + off) != 1) fail("unsupported version");
-  off += 4;
-  if (get_u64(data.data() + off) != expected_fingerprint) {
-    fail("fingerprint mismatch (corrupt payload)");
-  }
-  off += 8;
-  if (get_u32(data.data() + off) != kPrefilterGroupCount) fail("group count mismatch");
-  off += 4;
-
-  GroupPrefilters out{};
-  for (std::size_t g = 0; g < kPrefilterGroupCount; ++g) {
-    need(1);
-    const std::uint8_t built = data[off++];
-    if (built > 1) fail("bad group flag");
-    if (built == 0) continue;
-    need(4 + 4 + 4 + 4);
-    Prefilter::Parts parts;
-    parts.q = data[off];
-    parts.threshold = data[off + 1];
-    parts.bits_log2 = data[off + 2];
-    if (data[off + 3] != 0) fail("bad reserved byte");
-    off += 4;
-    if (parts.q != 3 && parts.q != 4) fail("bad q");
-    if (parts.threshold < 1 || parts.threshold > kMaxThresholdCap) fail("bad threshold");
-    if (parts.bits_log2 < kMinBitsLog2 || parts.bits_log2 > kMaxBitsLog2) {
-      fail("bad signature size");
-    }
-    parts.pattern_count = get_u32(data.data() + off);
-    parts.gram_count = get_u32(data.data() + off + 4);
-    const std::uint32_t word_count = get_u32(data.data() + off + 8);
-    off += 12;
-    if (word_count != (1u << (parts.bits_log2 - 5))) fail("word count mismatch");
-    need(std::size_t{word_count} * 4);
-    parts.words.resize(word_count);
-    for (std::uint32_t i = 0; i < word_count; ++i) {
-      parts.words[i] = get_u32(data.data() + off + std::size_t{i} * 4);
-    }
-    off += std::size_t{word_count} * 4;
-    parts.min_patterns = cfg.min_patterns;
-    out[g] = std::make_shared<Prefilter>(std::move(parts));
-  }
-  need(8);
-  if (get_u64(data.data() + off) != util::fnv1a64(data.data(), off)) {
-    fail("checksum mismatch (corrupt payload)");
-  }
-  return out;
+  return PrefilterPtr(new Prefilter(std::move(words), q, threshold, bits_log2,
+                                    static_cast<std::uint32_t>(set.size()),
+                                    static_cast<std::uint32_t>(grams.size())));
 }
 
 }  // namespace vpm::core

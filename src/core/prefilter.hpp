@@ -47,29 +47,26 @@ std::string_view prefilter_mode_name(PrefilterMode mode);
 // Accepts "off" / "on" / "auto".
 std::optional<PrefilterMode> prefilter_mode_from_name(std::string_view name);
 
-struct PrefilterConfig {
-  unsigned q = 0;            // 3 or 4; 0 = auto (4 when min pattern len >= 4)
-  unsigned bits_log2 = 0;    // signature size; 0 = auto-sized from gram count
-  unsigned max_threshold = 4;     // cap on the consecutive-hit run requirement
-  unsigned max_bits_log2 = 24;    // auto-size ceiling (16 MiB of bits = 2 MiB)
-  std::size_t min_patterns = 8;   // advised() gate for PrefilterMode::automatic
-};
+class Prefilter;
+using PrefilterPtr = std::shared_ptr<const Prefilter>;
+
+// Builds the signature over `set` (a group's working set: its own + generic
+// patterns, as Database composes them).  Returns null when no exact
+// signature exists: the set is empty or its shortest pattern is under 3
+// bytes (every 1-2 byte pattern would force the screen to pass everything).
+// The build has no settings: q is 4 when the shortest pattern has 4 bytes or
+// more and 3 otherwise, the run requirement is capped at 4 windows, and the
+// signature takes ~16 bits per distinct gram, between 2^10 and 2^24 bits, so
+// every build of a pattern set yields the same words.
+PrefilterPtr build_prefilter(const pattern::PatternSet& set);
 
 // Immutable built signature; shared (like the Database that holds it) across
 // engines and threads — screening keeps no state.
 class Prefilter {
  public:
-  // Built by build_prefilter / parse_prefilter_section only.
-  struct Parts {
-    std::uint32_t q = 0;
-    std::uint32_t threshold = 0;
-    std::uint32_t bits_log2 = 0;
-    std::uint32_t pattern_count = 0;
-    std::uint32_t gram_count = 0;
-    std::vector<std::uint32_t> words;
-    std::size_t min_patterns = 0;
-  };
-  explicit Prefilter(Parts parts);
+  // PrefilterMode::automatic engages a signature over at least this many
+  // patterns: enough that screening beats scanning outright.
+  static constexpr std::size_t kAdvisedPatterns = 8;
 
   // Scalar whole-payload screen (folds on the fly; allocation-free).
   // Payloads shorter than min_payload() cannot contain any pattern: exact
@@ -94,49 +91,27 @@ class Prefilter {
   std::size_t memory_bytes() const { return words_.size() * sizeof(std::uint32_t); }
   // Fraction of signature bits set (drives the expected false-positive rate).
   double occupancy() const;
-  // Whether PrefilterMode::automatic should engage this signature: enough
-  // patterns that screening beats scanning outright.
-  bool advised() const { return pattern_count_ >= min_patterns_; }
+  // Whether PrefilterMode::automatic should engage this signature.
+  bool advised() const { return pattern_count_ >= kAdvisedPatterns; }
   const std::vector<std::uint32_t>& words() const { return words_; }
 
  private:
+  friend PrefilterPtr build_prefilter(const pattern::PatternSet& set);
+  Prefilter(std::vector<std::uint32_t> words, std::uint32_t q, std::uint32_t threshold,
+            std::uint32_t bits_log2, std::uint32_t pattern_count, std::uint32_t gram_count);
+
   std::vector<std::uint32_t> words_;
   std::uint32_t q_;
   std::uint32_t threshold_;
   std::uint32_t bits_log2_;
   std::uint32_t pattern_count_;
   std::uint32_t gram_count_;
-  std::size_t min_patterns_;
 };
-
-using PrefilterPtr = std::shared_ptr<const Prefilter>;
 
 inline constexpr std::size_t kPrefilterGroupCount =
     static_cast<std::size_t>(pattern::Group::count);
 // One signature slot per protocol group (null = group has no usable
 // signature: empty, or a pattern shorter than any workable q).
 using GroupPrefilters = std::array<PrefilterPtr, kPrefilterGroupCount>;
-
-// Builds the signature over `set` (a group's working set: its own + generic
-// patterns, as Database composes them).  Returns null when no exact
-// signature exists: the set is empty or its shortest pattern is under 3
-// bytes (every 1-2 byte pattern would force the screen to pass everything).
-PrefilterPtr build_prefilter(const pattern::PatternSet& set,
-                             const PrefilterConfig& cfg = {});
-
-// v2 pattern-database section carrying the per-group signatures, appended by
-// Database::save_patterns after the pattern records:
-//   magic "VPMPF1\0\0" | version u32 (= 1) | fingerprint u64 | group count
-//   u32 | per group: built u8, and when built: q u8 | threshold u8 |
-//   bits_log2 u8 | reserved u8 | pattern_count u32 | gram_count u32 |
-//   word_count u32 | words u32[word_count] | trailing fnv1a64 checksum over
-//   every preceding section byte.
-// parse validates structure, fingerprint, and checksum; any truncation,
-// field corruption, or mismatch throws std::invalid_argument.
-void append_prefilter_section(util::Bytes& out, const GroupPrefilters& filters,
-                              std::uint64_t fingerprint);
-GroupPrefilters parse_prefilter_section(util::ByteView section,
-                                        std::uint64_t expected_fingerprint,
-                                        const PrefilterConfig& cfg = {});
 
 }  // namespace vpm::core

@@ -18,7 +18,7 @@ namespace {
 // them, each would be reloaded for every position.
 void spatch_filter(const std::uint8_t* data, std::size_t begin, std::size_t end,
                    std::size_t total_len, const FilterBank& bank, CandidateBuffers& out,
-                   const KernelOptions&, ScanStats*) {
+                   ScanStats*) {
   const std::uint8_t* merged = bank.merged_data();
   const std::uint8_t* f3 = bank.f3_data();
   const unsigned f3_bits = bank.f3_bits_log2();
@@ -49,11 +49,10 @@ void spatch_filter(const std::uint8_t* data, std::size_t begin, std::size_t end,
 
 void spatch_filter_batch(std::span<const util::ByteView> payloads, const FilterBank& bank,
                          CandidateBuffers& out, std::uint32_t* short_item,
-                         std::uint32_t* long_item, std::size_t max_payload,
-                         const KernelOptions& opt) {
+                         std::uint32_t* long_item, std::size_t max_payload) {
   filter_each_payload(payloads, out, short_item, long_item, max_payload,
                       [&](const std::uint8_t* d, std::size_t n) {
-                        spatch_filter(d, 0, n, n, bank, out, opt, nullptr);
+                        spatch_filter(d, 0, n, n, bank, out, nullptr);
                       });
 }
 
@@ -85,15 +84,19 @@ const VpatchKernel* kernel_for(Isa isa) {
 }
 
 // Round two over one chunk's candidates; the short ones go through the
-// table's pre-pass, which overwrites short_pos with its survivors, counted
-// in the return value.  A separate function on purpose: inlined into the
+// bank's pre-pass, which overwrites short_pos with its survivors, counted in
+// the return value.  A separate function on purpose: inlined into the
 // scan_impl template, GCC 12 compiles these table probes into code that
 // verifies up to a fifth slower (S-PATCH's scan() on the S1-web and S2-full
 // sets).
-std::uint32_t verify_chunk(const dfc::ShortTable& short_table, const dfc::LongTable& long_table,
-                           util::ByteView data, CandidateBuffers& buffers, MatchSink& sink) {
+std::uint32_t verify_chunk(const FilterBank& bank, const dfc::ShortTable& short_table,
+                           const dfc::LongTable& long_table, util::ByteView data,
+                           CandidateBuffers& buffers, MatchSink& sink) {
   const std::uint32_t short_kept =
-      short_table.verify_span(data, buffers.short_pos.data(), buffers.n_short, sink);
+      bank.keep_short(data, buffers.short_pos.data(), buffers.n_short);
+  for (std::uint32_t pos : std::span(buffers.short_pos.data(), short_kept)) {
+    short_table.verify_at(data, pos, sink);
+  }
   for (std::uint32_t pos : std::span(buffers.long_pos.data(), buffers.n_long)) {
     long_table.verify_at(data, pos, sink);
   }
@@ -174,7 +177,7 @@ void VpatchMatcher::scan_impl(util::ByteView data, MatchSink& sink, ScanStats* s
     buffers.clear();
 
     RoundTimer timer;
-    kernel_->filter(d, chunk, end, n, bank_, buffers, cfg_.kernel, stats);
+    kernel_->filter(d, chunk, end, n, bank_, buffers, stats);
     if constexpr (kWithStats) {
       stats->filter_seconds += timer.seconds();
       stats->short_candidates += buffers.n_short;
@@ -182,7 +185,8 @@ void VpatchMatcher::scan_impl(util::ByteView data, MatchSink& sink, ScanStats* s
       timer.reset();
     }
 
-    const std::uint32_t short_kept = verify_chunk(short_table_, long_table_, data, buffers, sink);
+    const std::uint32_t short_kept =
+        verify_chunk(bank_, short_table_, long_table_, data, buffers, sink);
     if constexpr (kWithStats) {
       stats->verify_seconds += timer.seconds();
       stats->short_survivors += short_kept;
@@ -238,7 +242,7 @@ void VpatchMatcher::scan_batch(std::span<const util::ByteView> payloads, BatchSi
   // kernel call covers the batch (setup hoisted across payloads); it skips
   // oversized payloads, which take the chunked per-payload path here.
   kernel_->filter_batch(payloads, bank_, st.buffers, st.short_item.data(),
-                        st.long_item.data(), cfg_.chunk_size, cfg_.kernel);
+                        st.long_item.data(), cfg_.chunk_size);
   for (std::size_t p = 0; p < payloads.size(); ++p) {
     if (payloads[p].size() <= cfg_.chunk_size) continue;
     PacketSinkAdapter adapter;
@@ -247,13 +251,16 @@ void VpatchMatcher::scan_batch(std::span<const util::ByteView> payloads, BatchSi
     scan(payloads[p], adapter);
   }
 
-  // Round two, deferred: one verification pass over the whole pool.  The
-  // long pass software-prefetches bucket headers and entry rows ahead.
+  // Round two, deferred: one verification pass over the whole pool, the
+  // short candidates past the bank's pre-pass.  The long pass
+  // software-prefetches bucket headers and entry rows ahead.
   const auto emit = [&sink](std::uint32_t packet, const Match& m) {
     sink.on_match(packet, m);
   };
-  short_table_.verify_flat(payloads, st.buffers.short_pos.data(),
-                            st.short_item.data(), st.buffers.n_short, emit);
+  const std::uint32_t short_kept = bank_.keep_short(payloads, st.buffers.short_pos.data(),
+                                                    st.short_item.data(), st.buffers.n_short);
+  short_table_.verify_flat(payloads, st.buffers.short_pos.data(), st.short_item.data(),
+                           short_kept, emit);
   long_table_.verify_flat(payloads, st.buffers.long_pos.data(),
                            st.long_item.data(), st.buffers.n_long, st.entry_begin.data(),
                            st.entry_end.data(), st.window4.data(), emit);
@@ -286,7 +293,7 @@ VpatchMatcher::FilterOnlyResult VpatchMatcher::filter_only(util::ByteView data,
   for (std::size_t chunk = 0; chunk < n; chunk += cfg_.chunk_size) {
     buffers.clear();
     kernel_->filter(d, chunk, std::min(chunk + cfg_.chunk_size, n), n, bank_, buffers,
-                    cfg_.kernel, nullptr);
+                    nullptr);
     result.short_candidates += buffers.n_short;
     result.long_candidates += buffers.n_long;
   }

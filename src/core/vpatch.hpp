@@ -9,22 +9,24 @@
 // it passes by collision, stays at or below 1.5%.  Round two is DFC's
 // scalar verification over the stored candidate positions ("the
 // verification round is as in DFC", §IV-A2): long candidates through
-// dfc::LongTable, short ones through dfc::ShortTable after its branch-free
-// pre-pass over the span of candidates, which drops those whose 2-byte
-// window starts no 1- or 2-byte pattern and whose hashed 3-byte window
-// starts no 3-byte pattern: Filter 1 tests only two bytes.  Only the span
-// entries (verify_span, verify_flat) run the pre-pass; DFC's per-position
-// verify_at does not.  Splitting the rounds keeps the filters
-// cache-resident during round one and keeps scalar verification out of the
-// vector code.
+// dfc::LongTable, short ones through dfc::ShortTable after the bank's
+// branch-free pre-pass over the span of candidates (FilterBank::keep_short),
+// which drops those whose 2-byte window starts no 1- or 2-byte pattern and
+// whose hashed 3-byte window starts no 3-byte pattern: Filter 1 tests only
+// two bytes.  DFC, which verifies per position, has no pre-pass.  Splitting
+// the rounds keeps the filters cache-resident during round one and keeps
+// scalar verification out of the vector code.
 //
 // The constructor picks round one's kernel table once (core/vpatch_kernels.hpp):
 // the AVX-512 (W=16) or AVX2 (W=8) table, whose kernels share one
 // width-generic body and differ only in their Block type, or at Isa::scalar
 // S-PATCH's own scalar loop, the reference the tests check the vector
-// candidates against.  Every scan path calls through that table.  The unroll
-// factor, filter merging and speculative-Filter-3 evaluation are
-// configurable so the ablation benches can isolate each design decision.
+// candidates against.  Every scan path calls through that table.  The
+// vector kernels run the paper's design only: two blocks per iteration, one
+// gather for Filters 1 and 2 through the merged layout, and Filter 3 on every
+// lane of a block in which any lane passed Filter 2.  The alternatives (a
+// straight loop, separate gathers, per-lane Filter-3 probes) measured slower
+// or no faster; bench/trajectory/README.md has the rows.
 //
 // Batch fast path (scan_batch) and the deferred-verification contract:
 // round one runs across ALL payloads of a batch, appending candidates to one
@@ -78,7 +80,6 @@ struct VpatchConfig {
   // sized so the candidate arrays stay cache-resident next to the filters.
   std::size_t chunk_size = 32 * 1024;
   Isa isa = Isa::best;
-  KernelOptions kernel{};
 };
 
 class VpatchMatcher final : public Matcher {

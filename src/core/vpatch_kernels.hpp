@@ -32,15 +32,6 @@
 
 namespace vpm::core {
 
-// Ablation knobs for the kernel's three design choices, each measured
-// against its alternative by bench/ablation_design.cpp.  The defaults are
-// the paper's configuration.
-struct KernelOptions {
-  bool unroll2 = true;          // 2x manual unroll (two gather chains in flight)
-  bool merged_filters = true;   // one gather for F1+F2 vs two separate gathers
-  bool speculative_f3 = true;   // all-lane F3 + mask vs per-lane scalar probes
-};
-
 // Filtering with the candidate stores suppressed — the "V-PATCH-filtering"
 // series of Fig. 6 (counts survive; the position writes do not happen).
 struct NoStoreCounts {
@@ -52,7 +43,7 @@ struct VpatchKernel {
   // Round one over positions [begin, end) of a view of total_len bytes.
   void (*filter)(const std::uint8_t* data, std::size_t begin, std::size_t end,
                  std::size_t total_len, const FilterBank& bank, CandidateBuffers& out,
-                 const KernelOptions& opt, ScanStats* stats);
+                 ScanStats* stats);
   // Whole-batch round one (the scan_batch fast path): filters every position
   // of every payload with 0 < size() <= max_payload into the shared
   // candidate pool, appending each candidate's payload index to short_item /
@@ -63,9 +54,8 @@ struct VpatchKernel {
   // oversized payloads through the chunked per-payload path.
   void (*filter_batch)(std::span<const util::ByteView> payloads, const FilterBank& bank,
                        CandidateBuffers& out, std::uint32_t* short_item,
-                       std::uint32_t* long_item, std::size_t max_payload,
-                       const KernelOptions& opt);
-  // Counts what `filter` at the default options would store.
+                       std::uint32_t* long_item, std::size_t max_payload);
+  // Counts what `filter` would store.
   void (*filter_nostore)(const std::uint8_t* data, std::size_t begin, std::size_t end,
                          std::size_t total_len, const FilterBank& bank, NoStoreCounts& counts);
 };

@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <type_traits>
 
 #include "core/vpatch_kernels.hpp"
 #include "simd/avx2_ops.hpp"
@@ -59,45 +58,27 @@ struct KernelConsts {
         f3_bits(bank.f3_bits_log2()) {}
 };
 
-// One W-position filtering block at base position i of d.
-template <class Block, bool kMerged, bool kSpecF3>
-inline BlockMasks process_block(const Block& block, const std::uint8_t* d, std::size_t i,
-                                const FilterBank& bank, const KernelConsts& c, Lanes lanes) {
+// One W-position filtering block.
+template <class Block>
+inline BlockMasks process_block(const Block& block, const FilterBank& bank,
+                                const KernelConsts& c, Lanes lanes) {
   using Vec = typename Block::Vec;
   BlockMasks r;
   const Vec win2 = block.windows(c.shuffle2);
 
-  Vec word_f1, word_f2;
-  if constexpr (kMerged) {
-    // One gather serves both filters: byte offset 2*(window >> 3) into the
-    // interleaved layout; F1 byte in bits 0..7, F2 byte in bits 8..15.
-    const Vec off = Block::shl(Block::shr(win2, 3), 1);
-    const Vec word = Block::gather(bank.merged_data(), off);
-    word_f1 = word;
-    word_f2 = Block::shr(word, 8);
-  } else {
-    const Vec off = Block::shr(win2, 3);
-    word_f1 = Block::gather(bank.f1_data(), off);
-    word_f2 = Block::gather(bank.f2_data(), off);
-  }
-  r.short_mask = Block::test_bits(word_f1, win2) & lanes.short_lanes;
+  // One gather serves both filters: byte offset 2*(window >> 3) into the
+  // interleaved layout; F1 byte in bits 0..7, F2 byte in bits 8..15.
+  const Vec off = Block::shl(Block::shr(win2, 3), 1);
+  const Vec word = Block::gather(bank.merged_data(), off);
+  const Vec word_f2 = Block::shr(word, 8);
+  r.short_mask = Block::test_bits(word, win2) & lanes.short_lanes;
   r.f2_mask = Block::test_bits(word_f2, win2) & lanes.long_lanes;
 
   if (r.f2_mask != 0) {
-    if constexpr (kSpecF3) {
-      // Speculative: evaluate Filter 3 on ALL lanes, mask by Filter 2.
-      const Vec keys = Block::hash(block.windows(c.shuffle4), c.f3_bits);
-      const Vec word3 = Block::gather(bank.f3_data(), Block::shr(keys, 3));
-      r.long_mask = Block::test_bits(word3, keys) & r.f2_mask;
-    } else {
-      // Ablation: per-lane scalar probes for only the useful lanes.
-      std::uint32_t m = r.f2_mask;
-      while (m != 0) {
-        const unsigned lane = static_cast<unsigned>(std::countr_zero(m));
-        m &= m - 1;
-        if (bank.test_f3(util::load_u32(d + i + lane))) r.long_mask |= 1u << lane;
-      }
-    }
+    // Speculative: evaluate Filter 3 on ALL lanes, mask by Filter 2.
+    const Vec keys = Block::hash(block.windows(c.shuffle4), c.f3_bits);
+    const Vec word3 = Block::gather(bank.f3_data(), Block::shr(keys, 3));
+    r.long_mask = Block::test_bits(word3, keys) & r.f2_mask;
   }
   return r;
 }
@@ -128,17 +109,17 @@ struct CountOnly {
   }
 };
 
-template <class Block, bool kMerged, bool kSpecF3, typename Store>
+template <class Block, typename Store>
 void run_filter(const std::uint8_t* d, std::size_t begin, std::size_t end,
-                std::size_t total_len, const FilterBank& bank, bool unroll2, Store& store,
-                ScanStats* stats, const KernelConsts& c) {
+                std::size_t total_len, const FilterBank& bank, Store& store, ScanStats* stats,
+                const KernelConsts& c) {
   constexpr std::size_t W = Block::kLanes;
   constexpr std::size_t R = Block::kReads;
   constexpr Lanes kAllLanes{first_lanes<W>(W), first_lanes<W>(W)};
   std::uint64_t f3_blocks = 0;
   std::uint64_t f3_lanes = 0;
-  const auto filter = [&](const Block& block, std::size_t at, Lanes lanes) {
-    const BlockMasks m = process_block<Block, kMerged, kSpecF3>(block, d, at, bank, c, lanes);
+  const auto filter = [&](const Block& block, Lanes lanes) {
+    const BlockMasks m = process_block(block, bank, c, lanes);
     if (stats) {
       f3_blocks += (m.f2_mask != 0);
       f3_lanes += std::popcount(m.f2_mask);
@@ -147,20 +128,18 @@ void run_filter(const std::uint8_t* d, std::size_t begin, std::size_t end,
   };
   std::size_t i = begin;
 
-  // Full blocks read bytes [i, i+R); unrolled, [i, i+W+R).
-  if (unroll2) {
-    // Two independent blocks per iteration: the second block's computation
-    // overlaps the first block's gather latency (§IV-B).
-    while (i + 2 * W <= end && i + W + R <= total_len) {
-      const BlockMasks a = filter(Block::load(d + i), i, kAllLanes);
-      const BlockMasks b = filter(Block::load(d + i + W), i + W, kAllLanes);
-      store.on_block(i, a);
-      store.on_block(i + W, b);
-      i += 2 * W;
-    }
+  // Full blocks read bytes [i, i+R); two per iteration, [i, i+W+R): the
+  // second block's computation overlaps the first block's gather latency
+  // (§IV-B).
+  while (i + 2 * W <= end && i + W + R <= total_len) {
+    const BlockMasks a = filter(Block::load(d + i), kAllLanes);
+    const BlockMasks b = filter(Block::load(d + i + W), kAllLanes);
+    store.on_block(i, a);
+    store.on_block(i + W, b);
+    i += 2 * W;
   }
   while (i + W <= end && i + R <= total_len) {
-    store.on_block(i, filter(Block::load(d + i), i, kAllLanes));
+    store.on_block(i, filter(Block::load(d + i), kAllLanes));
     i += W;
   }
   // The rest of the range (fewer than R positions) in tail blocks, which
@@ -170,7 +149,7 @@ void run_filter(const std::uint8_t* d, std::size_t begin, std::size_t end,
     const std::size_t long_end = total_len >= i + 4 ? std::min(end, total_len - 3) : i;
     const Lanes lanes{first_lanes<W>(end - i), first_lanes<W>(long_end - i)};
     const Block block = Block::load_tail(d + i, std::min(total_len - i, R));
-    store.on_block(i, filter(block, i, lanes));
+    store.on_block(i, filter(block, lanes));
   }
 
   if (stats) {
@@ -179,54 +158,27 @@ void run_filter(const std::uint8_t* d, std::size_t begin, std::size_t end,
   }
 }
 
-// One whole-batch pass: the constants stay in registers across payloads.
-template <class Block, bool kMerged, bool kSpecF3>
-void run_filter_batch(std::span<const util::ByteView> payloads, const FilterBank& bank,
-                      bool unroll2, CandidateBuffers& out, std::uint32_t* short_item,
-                      std::uint32_t* long_item, std::size_t max_payload) {
-  const KernelConsts c(bank);
-  StoreToBuffers<Block> store{&out};
-  filter_each_payload(payloads, out, short_item, long_item, max_payload,
-                      [&](const std::uint8_t* d, std::size_t n) {
-                        run_filter<Block, kMerged, kSpecF3>(d, 0, n, n, bank, unroll2, store,
-                                                            nullptr, c);
-                      });
-}
-
-// Calls body(merged, speculative) with opt's two template-selected choices
-// as std::bool_constant arguments.
-template <class Body>
-void with_options(const KernelOptions& opt, Body&& body) {
-  if (opt.merged_filters) {
-    if (opt.speculative_f3) return body(std::true_type{}, std::true_type{});
-    return body(std::true_type{}, std::false_type{});
-  }
-  if (opt.speculative_f3) return body(std::false_type{}, std::true_type{});
-  return body(std::false_type{}, std::false_type{});
-}
-
 // The table entries at one width (see VpatchKernel).
 template <class Block>
 struct Kernel {
   static void filter(const std::uint8_t* data, std::size_t begin, std::size_t end,
                      std::size_t total_len, const FilterBank& bank, CandidateBuffers& out,
-                     const KernelOptions& opt, ScanStats* stats) {
+                     ScanStats* stats) {
     StoreToBuffers<Block> store{&out};
     const KernelConsts c(bank);
-    with_options(opt, [&](auto merged, auto spec) {
-      run_filter<Block, decltype(merged)::value, decltype(spec)::value>(
-          data, begin, end, total_len, bank, opt.unroll2, store, stats, c);
-    });
+    run_filter<Block>(data, begin, end, total_len, bank, store, stats, c);
   }
 
+  // One whole-batch pass: the constants stay in registers across payloads.
   static void filter_batch(std::span<const util::ByteView> payloads, const FilterBank& bank,
                            CandidateBuffers& out, std::uint32_t* short_item,
-                           std::uint32_t* long_item, std::size_t max_payload,
-                           const KernelOptions& opt) {
-    with_options(opt, [&](auto merged, auto spec) {
-      run_filter_batch<Block, decltype(merged)::value, decltype(spec)::value>(
-          payloads, bank, opt.unroll2, out, short_item, long_item, max_payload);
-    });
+                           std::uint32_t* long_item, std::size_t max_payload) {
+    const KernelConsts c(bank);
+    StoreToBuffers<Block> store{&out};
+    filter_each_payload(payloads, out, short_item, long_item, max_payload,
+                        [&](const std::uint8_t* d, std::size_t n) {
+                          run_filter<Block>(d, 0, n, n, bank, store, nullptr, c);
+                        });
   }
 
   static void filter_nostore(const std::uint8_t* data, std::size_t begin, std::size_t end,
@@ -234,8 +186,7 @@ struct Kernel {
                              NoStoreCounts& counts) {
     CountOnly store;
     const KernelConsts c(bank);
-    run_filter<Block, true, true>(data, begin, end, total_len, bank, /*unroll2=*/true, store,
-                                  nullptr, c);
+    run_filter<Block>(data, begin, end, total_len, bank, store, nullptr, c);
     counts.short_hits += store.shorts;
     counts.long_hits += store.longs;
   }

@@ -7,13 +7,7 @@
 //   * ShortTable  — patterns of 1..3 bytes, by direct index: 1-byte patterns
 //                   by their byte, 2- and 3-byte patterns by their 2-byte
 //                   window, with a 3-byte pattern's last byte stored inline,
-//                   so a candidate costs one lookup and no byte loop.  Its
-//                   span entries (V-PATCH's round two) first drop, in a
-//                   branch-free pre-pass, each candidate whose 2-byte window
-//                   starts no 1- or 2-byte pattern and whose hashed 3-byte
-//                   window is not in a bitmap of the 3-byte patterns:
-//                   Filter 1 passes every position whose two bytes begin
-//                   any 3-byte pattern;
+//                   so a candidate costs one lookup and no byte loop;
 //   * LongTable   — patterns of >= 4 bytes, indexed by a multiplicative hash
 //                   of the first four input bytes, with the 4-byte prefix
 //                   stored inline for an O(1) reject before the full compare.
@@ -30,7 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "dfc/direct_filter.hpp"
 #include "match/matcher.hpp"
 #include "pattern/pattern_set.hpp"
 #include "util/arena.hpp"
@@ -51,31 +44,14 @@ class ShortTable {
     verify_one(data, pos, [&](const Match& m) { sink.on_match(m); });
   }
 
-  // Reports what verify_at reports at each of the n candidate positions of
-  // data (each < data.size()), but verifies only the candidates that pass
-  // the pre-pass (see may_start): it overwrites positions with them, in
-  // order, and returns their count.
-  std::uint32_t verify_span(util::ByteView data, std::uint32_t* positions, std::uint32_t n,
-                            MatchSink& sink) const;
-
   // Batched variant: candidate k is positions[k] within payloads[item[k]].
-  // Emit is invoked as emit(item[k], Match).  Like verify_span, it keeps the
-  // pre-pass survivors in positions and item.  No prefetch pipeline: a
-  // candidate is a probe of the 8 KB window set and the hashed bitmap, then,
-  // for a survivor, one lookup in the 1 KB byte index and one in the 16 KB
-  // window index, all cache-resident across a batch.
+  // Emit is invoked as emit(item[k], Match).  No prefetch pipeline: a
+  // candidate is one lookup in the 1 KB byte index and one in the 16 KB
+  // window index, both cache-resident across a batch.
   template <class Emit>
-  void verify_flat(std::span<const util::ByteView> payloads, std::uint32_t* positions,
-                   std::uint32_t* item, std::uint32_t n, Emit&& emit) const {
-    std::uint32_t kept = 0;
+  void verify_flat(std::span<const util::ByteView> payloads, const std::uint32_t* positions,
+                   const std::uint32_t* item, std::uint32_t n, Emit&& emit) const {
     for (std::uint32_t k = 0; k < n; ++k) {
-      const std::uint32_t packet = item[k];
-      const std::uint32_t pos = positions[k];
-      positions[kept] = pos;
-      item[kept] = packet;
-      kept += may_start(payloads[packet], pos);
-    }
-    for (std::uint32_t k = 0; k < kept; ++k) {
       verify_one(payloads[item[k]], positions[k],
                  [&](const Match& m) { emit(item[k], m); });
     }
@@ -100,20 +76,6 @@ class ShortTable {
     std::uint64_t used = 0;
     std::uint32_t slot = 0;
   };
-
-  // The pre-pass: false only where no short pattern starts at data[pos..]
-  // (pos < data.size()).  Either the 2-byte window starts a 1- or 2-byte
-  // pattern — an exact set, in which a 1-byte pattern sets every second
-  // byte, so the last position's zero-padded window passes it — or the
-  // 3-byte window, hashed, is in the bitmap of every case variant of the
-  // 3-byte patterns.  Windows past the view's end read as zeros.
-  bool may_start(util::ByteView data, std::size_t pos) const {
-    const std::size_t remaining = data.size() - pos;
-    const std::uint8_t* at = data.data() + pos;
-    const std::uint32_t window =
-        remaining >= 4 ? util::load_u32(at) : util::load_le(at, static_cast<unsigned>(remaining));
-    return head_.test(window & 0xFFFFu) | third_.test(window & 0xFFFFFFu);
-  }
 
   // The slot of window w, a used window of `block`.
   static std::uint32_t slot_of(const WindowBlock& block, std::uint32_t w) {
@@ -157,11 +119,6 @@ class ShortTable {
   std::vector<WindowBlock> window_blocks_;
   std::vector<std::uint32_t> window_offsets_;  // used windows + 1
   std::vector<WindowEntry> window_entries_;
-  // The pre-pass sets: the 2-byte windows that start a 1- or 2-byte pattern,
-  // and the hashed 3-byte windows of the 3-byte patterns, sized per working
-  // set.
-  DirectFilter2B head_;
-  HashedFilter third_;
   std::size_t pattern_count_ = 0;
 };
 

@@ -23,6 +23,18 @@ void DirectFilter2B::add_pattern_prefix(const pattern::Pattern& p) {
   }
 }
 
+std::vector<std::uint8_t> interleave(const DirectFilter2B& low, const DirectFilter2B& high) {
+  const std::uint8_t* lo = low.bits().data();
+  const std::uint8_t* hi = high.bits().data();
+  const std::size_t nbytes = DirectFilter2B::kBits / 8;
+  std::vector<std::uint8_t> merged(2 * nbytes + util::BitArray::kGatherSlack, 0);
+  for (std::size_t k = 0; k < nbytes; ++k) {
+    merged[2 * k] = lo[k];
+    merged[2 * k + 1] = hi[k];
+  }
+  return merged;
+}
+
 namespace {
 
 // The size of the filter whose fill estimates the distinct windows.

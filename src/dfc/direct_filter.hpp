@@ -39,6 +39,12 @@ class DirectFilter2B {
   util::BitArray bits_;
 };
 
+// The merged layout of two filters (the paper's Fig. 3): byte k of `low` at
+// 2k and byte k of `high` at 2k + 1, padded by util::BitArray::kGatherSlack,
+// so one dword gather at byte offset 2 * (window >> 3) returns low's byte in
+// bits 0..7 and high's in bits 8..15.
+std::vector<std::uint8_t> interleave(const DirectFilter2B& low, const DirectFilter2B& high);
+
 // The size rule of a hashed filter: the smallest power of two of at least
 // 2^kHashedMinBitsLog2 bits whose fill stays at or below kHashedFillTarget,
 // so that about as small a share of the windows it tests that start no

@@ -7,19 +7,11 @@
 namespace vpm::dfc {
 
 VectorDfcMatcher::VectorDfcMatcher(const pattern::PatternSet& set)
-    : scalar_(set), loop_(vector_dfc_loop_avx2()) {
+    : scalar_(set),
+      merged_(interleave(scalar_.df_short_, scalar_.df_long_)),
+      loop_(vector_dfc_loop_avx2()) {
   if (!simd::cpu().has_avx2_kernel()) {
     throw std::runtime_error("Vector-DFC requires AVX2");
-  }
-  // Interleave the short/long filters byte-wise so one gather returns both
-  // (the filter-merging optimization of the paper's Fig. 3).
-  const std::uint8_t* s = scalar_.df_short_.bits().data();
-  const std::uint8_t* l = scalar_.df_long_.bits().data();
-  const std::size_t nbytes = DirectFilter2B::kBits / 8;
-  merged_.assign(2 * nbytes + util::BitArray::kGatherSlack, 0);
-  for (std::size_t k = 0; k < nbytes; ++k) {
-    merged_[2 * k] = s[k];
-    merged_[2 * k + 1] = l[k];
   }
 }
 

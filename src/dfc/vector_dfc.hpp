@@ -38,7 +38,7 @@ class VectorDfcMatcher final : public Matcher {
  private:
   DfcMatcher scalar_;
   // df_short_/df_long_ byte-interleaved for one-gather probing.
-  std::vector<std::uint8_t> merged_;
+  const std::vector<std::uint8_t> merged_;
   const VectorDfcLoop loop_;
 };
 

@@ -41,8 +41,7 @@ void append_patterns(util::Bytes& out, const PatternSet& set) {
   }
 }
 
-PatternSet parse_patterns(util::ByteView data, std::size_t off, std::uint32_t count,
-                          std::size_t* consumed = nullptr) {
+PatternSet parse_patterns(util::ByteView data, std::size_t off, std::uint32_t count) {
   if (off > data.size()) throw std::invalid_argument("pattern db: truncated header");
   // Plausibility gate before trusting `count`: every pattern costs at least
   // 7 bytes (6-byte entry header + 1 payload byte), so a count the remaining
@@ -72,7 +71,6 @@ PatternSet parse_patterns(util::ByteView data, std::size_t off, std::uint32_t co
             flags & 1, static_cast<Group>(group));
     off += len;
   }
-  if (consumed != nullptr) *consumed = off;
   return set;
 }
 
@@ -99,15 +97,10 @@ util::Bytes serialize_patterns(const PatternSet& set, const DbHeader& header) {
 }
 
 PatternSet deserialize_patterns(util::ByteView data, DbHeader* header) {
-  return deserialize_patterns(data, header, nullptr);
-}
-
-PatternSet deserialize_patterns(util::ByteView data, DbHeader* header,
-                                std::size_t* consumed) {
   if (data.size() >= 8 && std::memcmp(data.data(), kMagicV1, 8) == 0) {
     if (data.size() < 12) throw std::invalid_argument("pattern db: truncated header");
     if (header != nullptr) *header = DbHeader{1, kNoAlgorithmHint, 0};
-    return parse_patterns(data, 12, get_u32(data.data() + 8), consumed);
+    return parse_patterns(data, 12, get_u32(data.data() + 8));
   }
   if (data.size() >= 8 && std::memcmp(data.data(), kMagicV2, 8) == 0) {
     if (data.size() < kV2HeaderSize) {
@@ -120,7 +113,7 @@ PatternSet deserialize_patterns(util::ByteView data, DbHeader* header,
       header->algorithm_hint = data[12];
       header->fingerprint = get_u64(data.data() + 16);
     }
-    return parse_patterns(data, kV2HeaderSize, get_u32(data.data() + 24), consumed);
+    return parse_patterns(data, kV2HeaderSize, get_u32(data.data() + 24));
   }
   throw std::invalid_argument("pattern db: bad magic");
 }

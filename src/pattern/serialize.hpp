@@ -16,6 +16,10 @@
 //   reserved u8[3] (zero) | fingerprint u64 (content hash; 0 = absent) |
 //   pattern count u32 | per-pattern records as in v1
 //
+// Nothing follows the records.  v2 blobs saved by earlier versions carry a
+// prefilter-signature section after them; the reader never looks past the
+// last record, so those blobs still load.
+//
 // The pattern layer treats the header fields as opaque payload: the
 // algorithm hint is interpreted by the compile layer (core::Algorithm), and
 // fingerprint verification happens in Database::from_serialized — which
@@ -48,13 +52,7 @@ util::Bytes serialize_patterns(const PatternSet& set, const DbHeader& header);
 // preamble (v1 inputs yield {1, kNoAlgorithmHint, 0}).  Throws
 // std::invalid_argument on bad magic, unsupported version, truncation, or
 // invalid fields.
+// Bytes after the last pattern record are not read.
 PatternSet deserialize_patterns(util::ByteView data, DbHeader* header = nullptr);
-
-// As above, additionally reporting where the pattern records end:
-// *consumed is the offset of the first byte after the last pattern record.
-// The compile layer appends (and re-parses) trailing sections — the v2
-// prefilter artifact — after that offset.
-PatternSet deserialize_patterns(util::ByteView data, DbHeader* header,
-                                std::size_t* consumed);
 
 }  // namespace vpm::pattern

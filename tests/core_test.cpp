@@ -1,7 +1,7 @@
 // Core S-PATCH / V-PATCH tests: filter bank construction, the two-round
 // engine at every width (S-PATCH is its Isa::scalar width), kernel/ISA
-// equivalence, chunking, tails, stats instrumentation, ablation option
-// sanity, and runtime CPU feature detection.
+// equivalence, chunking, tails, stats instrumentation, and runtime CPU
+// feature detection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -313,12 +313,11 @@ TEST_P(VpatchIsa, FewerLongCandidatesThanDfcStyleF2Alone) {
   EXPECT_LT(result.long_candidates, f2_hits);
 }
 
-TEST_P(VpatchIsa, KernelOptionCombinationsAreEquivalent) {
+TEST_P(VpatchIsa, ScanAndBatchEqualSpatch) {
   const auto set = testutil::random_set(100, 10, 19);
   const auto text = testutil::random_text(30000, 20);
   const VpatchMatcher reference = spatch(set);
   expect_matches_naive(reference, set, text);
-  const auto expected = reference.find_matches(text);
 
   // The batch path gets the text cut, in order, into one payload of each
   // length 1-64 B and one of 1,500 B, so the views start at every alignment.
@@ -329,8 +328,6 @@ TEST_P(VpatchIsa, KernelOptionCombinationsAreEquivalent) {
     offset += len;
   }
   payloads.push_back(util::ByteView(text).subspan(offset, 1500));
-  std::vector<std::vector<Match>> expected_batch;
-  for (const util::ByteView& p : payloads) expected_batch.push_back(reference.find_matches(p));
   struct PerPayloadSink final : BatchSink {
     std::vector<std::vector<Match>> matches;
     void on_match(std::uint32_t packet, const Match& m) override {
@@ -338,30 +335,17 @@ TEST_P(VpatchIsa, KernelOptionCombinationsAreEquivalent) {
     }
   };
 
-  for (bool unroll : {false, true}) {
-    for (bool merged : {false, true}) {
-      for (bool spec : {false, true}) {
-        VpatchConfig cfg = config();
-        cfg.kernel.unroll2 = unroll;
-        cfg.kernel.merged_filters = merged;
-        cfg.kernel.speculative_f3 = spec;
-        const VpatchMatcher m(set, cfg);
-        const std::string options = "unroll=" + std::to_string(unroll) +
-                                    " merged=" + std::to_string(merged) +
-                                    " spec=" + std::to_string(spec);
-        EXPECT_EQ(m.find_matches(text), expected) << options;
+  const VpatchMatcher m(set, config());
+  EXPECT_EQ(m.find_matches(text), reference.find_matches(text));
 
-        PerPayloadSink sink;
-        sink.matches.resize(payloads.size());
-        ScanScratch scratch;
-        m.scan_batch(payloads, sink, scratch);
-        for (std::size_t p = 0; p < payloads.size(); ++p) {
-          std::sort(sink.matches[p].begin(), sink.matches[p].end());
-          EXPECT_EQ(sink.matches[p], expected_batch[p])
-              << options << " payload of " << payloads[p].size() << " B";
-        }
-      }
-    }
+  PerPayloadSink sink;
+  sink.matches.resize(payloads.size());
+  ScanScratch scratch;
+  m.scan_batch(payloads, sink, scratch);
+  for (std::size_t p = 0; p < payloads.size(); ++p) {
+    std::sort(sink.matches[p].begin(), sink.matches[p].end());
+    EXPECT_EQ(sink.matches[p], reference.find_matches(payloads[p]))
+        << "payload of " << payloads[p].size() << " B";
   }
 }
 

@@ -200,6 +200,52 @@ TEST(Database, FromSerializedV1NeedsExplicitAlgorithm) {
   EXPECT_EQ(db->fingerprint(), Database::fingerprint_of(set));
 }
 
+// save_patterns() output of a version that appended each group's prefilter
+// signature to the blob: compile(Algorithm::dfc, two http patterns), whose
+// v2 header and records (56 bytes) are followed by the section (magic
+// "VPMPF1").
+constexpr std::uint8_t kBlobWithSignatureSection[] = {
+    0x56, 0x50, 0x4D, 0x44, 0x42, 0x32, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x00, 0x00, 0xF8, 0xA9, 0x16, 0x24, 0xB9, 0x04, 0x79, 0x7E,
+    0x02, 0x00, 0x00, 0x00, 0x0A, 0x00, 0x00, 0x00, 0x01, 0x01, 0x47, 0x45,
+    0x54, 0x20, 0x2F, 0x61, 0x64, 0x6D, 0x69, 0x6E, 0x06, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0x70, 0x61, 0x73, 0x73, 0x77, 0x64, 0x56, 0x50, 0x4D, 0x50,
+    0x46, 0x31, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xF8, 0xA9, 0x16, 0x24,
+    0xB9, 0x04, 0x79, 0x7E, 0x05, 0x00, 0x00, 0x00, 0x00, 0x01, 0x04, 0x03,
+    0x0A, 0x00, 0x02, 0x00, 0x00, 0x00, 0x0A, 0x00, 0x00, 0x00, 0x20, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x10,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x02, 0x60, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x02, 0x00, 0x02, 0x00,
+    0x10, 0x00, 0x00, 0x00, 0x80, 0x02, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x02, 0x00, 0x08, 0x00,
+    0x00, 0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0xFE, 0x45, 0xFE, 0x3E, 0x75, 0x72, 0xED, 0x8A,
+};
+
+// A blob that carries the section loads to the database compile() builds,
+// with that version's fingerprint, algorithm and signature words.  Saved
+// again, it is the header and records alone.
+TEST(Database, LoadsBlobSavedWithSignatureSection) {
+  const util::ByteView blob(kBlobWithSignatureSection);
+  const DatabasePtr loaded = Database::from_serialized(blob);
+  EXPECT_EQ(loaded->fingerprint(), 0x7E7904B92416A9F8ull);
+  EXPECT_EQ(loaded->algorithm(), Algorithm::dfc);
+  EXPECT_EQ(testutil::signature_checksum(*loaded), 0x7B5F7297u);
+
+  pattern::PatternSet set;
+  set.add("GET /admin", true, pattern::Group::http);
+  set.add("passwd", false, pattern::Group::http);
+  const DatabasePtr compiled = compile(Algorithm::dfc, set);
+  EXPECT_EQ(loaded->fingerprint(), compiled->fingerprint());
+  EXPECT_EQ(testutil::signature_checksum(*loaded), testutil::signature_checksum(*compiled));
+  EXPECT_EQ(loaded->save_patterns(), util::Bytes(blob.begin(), blob.begin() + 56));
+}
+
 TEST(Database, FromSerializedRejectsCorruptPayload) {
   const DatabasePtr db = compile(Algorithm::naive, small_set());
   util::Bytes blob = db->save_patterns();

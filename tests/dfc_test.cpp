@@ -11,6 +11,7 @@
 #include "dfc/dfc.hpp"
 #include "dfc/direct_filter.hpp"
 #include "dfc/vector_dfc.hpp"
+#include "core/filter_bank.hpp"
 #include "core/naive.hpp"
 #include "helpers.hpp"
 #include "pattern/prefix.hpp"
@@ -225,7 +226,8 @@ TEST(ShortTable, NocaseThirdByteFoldsAndExactThirdByteDoesNot) {
 
 // verify_at at every position of short mixed-case buffers reports exactly
 // the short-family matches the naive engine finds there, and so does
-// verify_span with every position as a candidate, through its pre-pass.
+// verify_at at the positions V-PATCH's short pre-pass
+// (core::FilterBank::keep_short) keeps when every position is a candidate.
 // The alphabet holds the bytes on either side of both letter ranges ('@',
 // '[', '`', '{'), where ASCII folding must stop.
 TEST(ShortTable, VerifyAtEqualsNaiveAtEveryPosition) {
@@ -240,6 +242,7 @@ TEST(ShortTable, VerifyAtEqualsNaiveAtEveryPosition) {
     pattern::PatternSet set;
     for (int i = 0; i < 40; ++i) set.add(random_bytes(1 + rng.below(5)), rng.chance(0.4));
     const ShortTable table(set);
+    const core::FilterBank bank(set);
     const core::NaiveMatcher naive(set);
     for (int buffer = 0; buffer < 10; ++buffer) {
       const util::Bytes data = random_bytes(1 + rng.below(40));
@@ -253,9 +256,11 @@ TEST(ShortTable, VerifyAtEqualsNaiveAtEveryPosition) {
           << "round " << round << " buffer " << buffer << " (" << testutil::seed_note() << ")";
       std::vector<std::uint32_t> every(data.size());
       std::iota(every.begin(), every.end(), 0u);
-      CollectingSink span_sink;
-      table.verify_span(data, every.data(), static_cast<std::uint32_t>(every.size()), span_sink);
-      EXPECT_EQ(span_sink.sorted(), expected) << "verify_span, round " << round << " buffer "
+      const std::uint32_t kept =
+          bank.keep_short(data, every.data(), static_cast<std::uint32_t>(every.size()));
+      CollectingSink kept_sink;
+      for (std::uint32_t k = 0; k < kept; ++k) table.verify_at(data, every[k], kept_sink);
+      EXPECT_EQ(kept_sink.sorted(), expected) << "pre-pass, round " << round << " buffer "
                                               << buffer << " (" << testutil::seed_note() << ")";
     }
   }

@@ -4,9 +4,10 @@
 // A recorded benchmark number is regenerable only if the generators stay
 // bit-stable; these tests pin small-instance FNV checksums so any change to
 // a generator (RNG, corpus, length model) is caught and forces a conscious
-// re-baselining of the recorded results.  The compact-AC automaton and the
-// saved database of S1-web and of the tls_screened ruleset are pinned the
-// same way: a builder may get faster, but what it builds may not change.
+// re-baselining of the recorded results.  The compact-AC automaton, the
+// prefilter signatures and the saved database of S1-web and of the
+// tls_screened ruleset are pinned the same way: construction may get
+// faster, but what it builds may not change.
 #include <gtest/gtest.h>
 
 #include "ac/ac_compact.hpp"
@@ -55,6 +56,8 @@ pattern::PatternSet s1_web() {
   return pattern::generate_ruleset(pattern::s1_config()).web_patterns();
 }
 
+pattern::PatternSet s2_full() { return pattern::generate_ruleset(pattern::s2_config()); }
+
 struct CompactShape {
   std::size_t states;
   std::size_t arena_words;
@@ -80,10 +83,30 @@ TEST(Golden, CompactAcAutomatonIsFrozen) {
 }
 
 TEST(Golden, SavedDatabaseIsFrozen) {
-  // The pattern records and each group's prefilter signature (its words
-  // and gram count), behind the aho-corasick-compact algorithm hint.
-  EXPECT_EQ(saved_checksum(s1_web()), 0x19C58596u);
-  EXPECT_EQ(saved_checksum(testutil::tls_screened_set()), 0xA14DDFE4u);
+  // The header and pattern records behind the aho-corasick-compact algorithm
+  // hint: the first 59,505 and 243,537 bytes of the blobs saved with each
+  // group's signature appended, whose checksums were 0x19C58596 and
+  // 0xA14DDFE4.
+  EXPECT_EQ(saved_checksum(s1_web()), 0x7877F7D9u);
+  EXPECT_EQ(saved_checksum(testutil::tls_screened_set()), 0x6B1742E5u);
+}
+
+std::uint32_t signature_checksum(const pattern::PatternSet& set) {
+  return testutil::signature_checksum(*compile(core::Algorithm::naive, set));
+}
+
+TEST(Golden, PrefilterSignaturesAreFrozen) {
+  // Every working set of S1-web and S2-full holds a 1-2 B pattern, so no
+  // group of theirs has a signature.  Without those patterns, S2-full's
+  // groups get q = 3 signatures; the tls_screened ruleset's are q = 4.
+  EXPECT_EQ(signature_checksum(s1_web()), 0x1210D00Fu);
+  EXPECT_EQ(signature_checksum(s2_full()), 0x1210D00Fu);
+  EXPECT_EQ(signature_checksum(testutil::tls_screened_set()), 0x42E74C03u);
+  pattern::PatternSet s2_three_plus;
+  for (const pattern::Pattern& p : s2_full()) {
+    if (p.size() >= 3) s2_three_plus.add(p.bytes, p.nocase, p.group);
+  }
+  EXPECT_EQ(signature_checksum(s2_three_plus), 0x8F52B8FAu);
 }
 
 }  // namespace

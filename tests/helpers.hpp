@@ -9,10 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "core/database.hpp"
 #include "core/naive.hpp"
 #include "match/matcher.hpp"
 #include "pattern/pattern_set.hpp"
 #include "pattern/ruleset_gen.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace vpm::testutil {
@@ -94,6 +96,21 @@ inline pattern::PatternSet tls_screened_set() {
     if (p.bytes.size() >= 8) set.add(p.bytes, p.nocase, pattern::Group::generic);
   }
   return set;
+}
+
+// FNV-1a over every group's prefilter signature words in group order; a
+// group without a signature adds one zero byte.
+inline std::uint32_t signature_checksum(const Database& db) {
+  util::Bytes bytes;
+  for (const core::PrefilterPtr& pf : db.prefilters()) {
+    if (pf == nullptr) {
+      bytes.push_back(0);
+      continue;
+    }
+    const auto* words = reinterpret_cast<const std::uint8_t*>(pf->words().data());
+    bytes.insert(bytes.end(), words, words + pf->words().size() * sizeof(std::uint32_t));
+  }
+  return util::fnv1a(bytes.data(), bytes.size());
 }
 
 // Deterministic random pattern set: lengths in [1, max_len], byte values

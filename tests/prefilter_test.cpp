@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <set>
 #include <string>
 #include <utility>
@@ -104,19 +103,6 @@ TEST(PrefilterBuild, SelectsQAndThresholdFromShortestPattern) {
   ASSERT_NE(pf3, nullptr);
   EXPECT_EQ(pf3->q(), 3u);  // shortest pattern forces q=3
   EXPECT_EQ(pf3->threshold(), 1u);
-
-  core::PrefilterConfig capped;
-  capped.max_threshold = 2;
-  const auto pfc = core::build_prefilter(longset, capped);
-  ASSERT_NE(pfc, nullptr);
-  EXPECT_EQ(pfc->threshold(), 2u);
-
-  core::PrefilterConfig forced_q;
-  forced_q.q = 3;
-  const auto pfq = core::build_prefilter(longset, forced_q);
-  ASSERT_NE(pfq, nullptr);
-  EXPECT_EQ(pfq->q(), 3u);
-  EXPECT_EQ(pfq->threshold(), 4u);  // min(8 - 3 + 1, 4)
 }
 
 TEST(PrefilterBuild, AdvisedRequiresEnoughPatterns) {
@@ -124,13 +110,7 @@ TEST(PrefilterBuild, AdvisedRequiresEnoughPatterns) {
   one.add("abcdefgh");
   const auto pf = core::build_prefilter(one);
   ASSERT_NE(pf, nullptr);
-  EXPECT_FALSE(pf->advised());  // 1 pattern < default min_patterns
-
-  core::PrefilterConfig eager;
-  eager.min_patterns = 1;
-  const auto pfe = core::build_prefilter(one, eager);
-  ASSERT_NE(pfe, nullptr);
-  EXPECT_TRUE(pfe->advised());
+  EXPECT_FALSE(pf->advised());  // 1 pattern < Prefilter::kAdvisedPatterns
 
   const auto many = random_long_set(12, 4, 8, case_seed(400));
   const auto pfm = core::build_prefilter(many);
@@ -239,10 +219,11 @@ TEST(PrefilterScreen, WordFoldIsAsciiLowerInEveryLane) {
   }
 }
 
-// One signature per (q, threshold) pair the build produces: shortest
-// pattern lengths 3-8, each with the default q and with q = 3 forced, give
-// q in {3, 4} x threshold in {1, 2, 3, 4}.  A third of the patterns are
-// upper case and a third mixed case; 30% are nocase.
+// One signature per shortest pattern length 3-8, which covers every (q,
+// threshold) pair the build produces: (3, 1) and (4, 1..4).  q is 3 only
+// when the shortest pattern has 3 bytes, so thresholds 2-4 come with q = 4
+// alone.  A third of the patterns are upper case and a third mixed case;
+// 30% are nocase.
 struct ScreenCase {
   pattern::PatternSet set;
   core::PrefilterPtr pf;
@@ -252,27 +233,25 @@ std::vector<ScreenCase> screen_matrix(std::uint64_t seed) {
   std::vector<ScreenCase> out;
   std::set<std::pair<unsigned, unsigned>> covered;
   for (std::size_t min_len = 3; min_len <= 8; ++min_len) {
-    for (const unsigned q : {0u, 3u}) {
-      const auto lower = random_long_set(40, min_len, min_len + 6, seed + 16 * min_len + q);
-      ScreenCase c;
-      c.set.add(util::Bytes(min_len, std::uint8_t{'a'}));  // pins the shortest length
-      for (const pattern::Pattern& pat : lower) {
-        util::Bytes b = pat.bytes;
-        for (std::size_t i = 0; i < b.size(); ++i) {
-          const bool upper = pat.id % 3 == 1 || (pat.id % 3 == 2 && i % 2 == 0);
-          if (upper) b[i] = util::ascii_upper(b[i]);
-        }
-        c.set.add(std::move(b), pat.nocase);
+    const auto lower = random_long_set(40, min_len, min_len + 6, seed + 16 * min_len);
+    ScreenCase c;
+    c.set.add(util::Bytes(min_len, std::uint8_t{'a'}));  // pins the shortest length
+    for (const pattern::Pattern& pat : lower) {
+      util::Bytes b = pat.bytes;
+      for (std::size_t i = 0; i < b.size(); ++i) {
+        const bool upper = pat.id % 3 == 1 || (pat.id % 3 == 2 && i % 2 == 0);
+        if (upper) b[i] = util::ascii_upper(b[i]);
       }
-      core::PrefilterConfig cfg;
-      cfg.q = q;
-      c.pf = core::build_prefilter(c.set, cfg);
-      if (c.pf == nullptr) continue;  // reported by the coverage check below
-      covered.emplace(c.pf->q(), c.pf->threshold());
-      out.push_back(std::move(c));
+      c.set.add(std::move(b), pat.nocase);
     }
+    c.pf = core::build_prefilter(c.set);
+    if (c.pf == nullptr) continue;  // reported by the coverage check below
+    covered.emplace(c.pf->q(), c.pf->threshold());
+    out.push_back(std::move(c));
   }
-  EXPECT_EQ(covered.size(), 8u) << "(q, threshold) pairs covered";
+  const std::set<std::pair<unsigned, unsigned>> buildable = {
+      {3, 1}, {4, 1}, {4, 2}, {4, 3}, {4, 4}};
+  EXPECT_EQ(covered, buildable) << "(q, threshold) pairs covered";
   return out;
 }
 
@@ -386,50 +365,6 @@ TEST(PrefilterScreen, BatchScreenNeverReadsPastAPayload) {
 
 // ---- serialization -------------------------------------------------------
 
-TEST(PrefilterSerialize, SectionRoundTripsAndChecksCorruption) {
-  core::GroupPrefilters filters{};
-  filters[static_cast<std::size_t>(pattern::Group::http)] =
-      core::build_prefilter(random_long_set(20, 4, 9, case_seed(430)));
-  filters[static_cast<std::size_t>(pattern::Group::dns)] =
-      core::build_prefilter(random_long_set(10, 3, 6, case_seed(431)));
-  ASSERT_NE(filters[1], nullptr);
-  ASSERT_NE(filters[2], nullptr);
-
-  const std::uint64_t fp = 0x1234'5678'9ABC'DEF0ull;
-  util::Bytes out;
-  core::append_prefilter_section(out, filters, fp);
-  ASSERT_GT(out.size(), 0u);
-
-  const auto parsed = core::parse_prefilter_section(out, fp);
-  for (std::size_t g = 0; g < core::kPrefilterGroupCount; ++g) {
-    ASSERT_EQ(parsed[g] == nullptr, filters[g] == nullptr) << "group " << g;
-    if (filters[g] == nullptr) continue;
-    EXPECT_EQ(parsed[g]->q(), filters[g]->q());
-    EXPECT_EQ(parsed[g]->threshold(), filters[g]->threshold());
-    EXPECT_EQ(parsed[g]->bits_log2(), filters[g]->bits_log2());
-    EXPECT_EQ(parsed[g]->pattern_count(), filters[g]->pattern_count());
-    EXPECT_EQ(parsed[g]->gram_count(), filters[g]->gram_count());
-    EXPECT_EQ(parsed[g]->words(), filters[g]->words()) << "group " << g;
-  }
-
-  EXPECT_THROW(core::parse_prefilter_section(out, fp + 1), std::invalid_argument)
-      << "fingerprint mismatch must be rejected";
-
-  // Every truncation point must throw, never crash or mis-parse.
-  for (std::size_t cut = 0; cut < out.size(); ++cut) {
-    EXPECT_THROW(core::parse_prefilter_section({out.data(), cut}, fp),
-                 std::invalid_argument)
-        << "truncation at " << cut;
-  }
-  // Every single-byte corruption must be caught (structure or checksum).
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    util::Bytes bad = out;
-    bad[i] ^= 0x40;
-    EXPECT_THROW(core::parse_prefilter_section(bad, fp), std::invalid_argument)
-        << "flip at byte " << i;
-  }
-}
-
 pattern::PatternSet grouped_long_rules(std::uint64_t seed) {
   pattern::PatternSet rules;
   util::Rng rng(seed);
@@ -461,7 +396,7 @@ TEST(PrefilterSerialize, DatabaseRoundTripPreservesSignatures) {
     EXPECT_EQ(a->words(), b->words()) << "group " << g;
   }
 
-  // v1 blobs predate the section: loading rebuilds identical signatures.
+  // A v1 blob loads to the same signatures.
   const util::Bytes v1 = pattern::serialize_patterns(rules);
   const auto db1 = Database::from_serialized(v1, core::Algorithm::aho_corasick);
   for (std::size_t g = 0; g < core::kPrefilterGroupCount; ++g) {
@@ -471,23 +406,6 @@ TEST(PrefilterSerialize, DatabaseRoundTripPreservesSignatures) {
     if (a != nullptr) {
       EXPECT_EQ(a->words(), b->words()) << "group " << g;
     }
-  }
-
-  // The v2 section is mandatory: truncating anywhere inside it (including
-  // dropping it entirely) must be rejected, as must any byte flip.
-  const std::array<std::uint8_t, 6> magic = {'V', 'P', 'M', 'P', 'F', '1'};
-  const auto it = std::search(blob.begin(), blob.end(), magic.begin(), magic.end());
-  ASSERT_NE(it, blob.end()) << "v2 blob must carry the prefilter section";
-  const auto section_start = static_cast<std::size_t>(it - blob.begin());
-  for (std::size_t cut = section_start; cut < blob.size(); ++cut) {
-    EXPECT_THROW(Database::from_serialized({blob.data(), cut}), std::invalid_argument)
-        << "truncation at " << cut;
-  }
-  for (std::size_t i = section_start; i < blob.size(); ++i) {
-    util::Bytes bad = blob;
-    bad[i] ^= 0x20;
-    EXPECT_THROW(Database::from_serialized(bad), std::invalid_argument)
-        << "flip at byte " << i;
   }
 }
 
@@ -618,7 +536,7 @@ TEST(PrefilterEngineDifferential, AlertsIdenticalWithScreenOnAcrossEngines) {
 }
 
 TEST(PrefilterEngineAuto, BypassesMatchHeavyTrafficWithoutLosingAlerts) {
-  // >= min_patterns so `automatic` engages, and every payload contains a
+  // >= Prefilter::kAdvisedPatterns so `automatic` engages, and every payload contains a
   // pattern so the sampled pass ratio is 1: the screen must stand down after
   // the first sample window instead of taxing hopeless traffic forever.
   const auto rules = random_long_set(10, 8, 8, case_seed(450));
@@ -653,7 +571,7 @@ TEST(PrefilterEngineAuto, BypassesMatchHeavyTrafficWithoutLosingAlerts) {
 }
 
 TEST(PrefilterEngineAuto, DoesNotEngageBelowPatternFloor) {
-  // 4 patterns < min_patterns: `automatic` must leave the screen cold while
+  // 4 patterns < Prefilter::kAdvisedPatterns: `automatic` must leave the screen cold while
   // `on` still engages the (built) signature.
   pattern::PatternSet rules;
   rules.add("abcdefgh", false, pattern::Group::http);
